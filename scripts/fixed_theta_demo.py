@@ -42,11 +42,12 @@ def main() -> int:
     print(f"fixed theta={args.theta}, phi_true={args.phi_true}, "
           f"nbar={args.mean_photons}, M={args.measurements}, seed {args.seed}")
     print(f"mirror phase 2*theta - phi_true = {mirror:.4f}")
+    print(f"steps whose MAP moved by more than {config.peak_min_separation}: "
+          f"{record.map_jumps}")
     if record.m_threshold is None:
         print("rival peak never reached half height")
     else:
         print(f"rival peak reached half height at measurement {record.m_threshold}")
-        print(f"MAP argmax flips across the run: {record.map_jumps}")
         lo = max(0, record.m_threshold - 3)
         for s in record.steps[lo:lo + 6]:
             print(f"  step {s.step:4d}  outcome {s.outcome.label():>8}  "

@@ -16,8 +16,7 @@ routes against each other and against brute-force sums.
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -97,6 +96,8 @@ class LikelihoodModel:
     table: SchmidtTable
     residual_policy: str = POLICY_EXACT_TAIL
     residual_tol: float = 1e-6
+    # shared_grid_tables' cache, keyed by grid; owned here so it goes with the model
+    _grid_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.residual_policy not in (POLICY_EXACT_TAIL, POLICY_RENORMALIZE):
@@ -411,21 +412,16 @@ def _chunked_amplitudes(table: SchmidtTable, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-_grid_cache: "weakref.WeakKeyDictionary[LikelihoodModel, weakref.WeakKeyDictionary]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def shared_grid_tables(model: LikelihoodModel, grid: PhaseGrid) -> LikelihoodGrid:
-    """Cached LikelihoodGrid per (model, grid) pair, built on first use."""
-    per_model = _grid_cache.get(model)
-    if per_model is None:
-        per_model = weakref.WeakKeyDictionary()
-        _grid_cache[model] = per_model
-    tables = per_model.get(grid)
+    """Cached LikelihoodGrid per (model, grid) pair, built on first use.
+
+    The cache lives on the model. A module-level weak-key cache would never
+    drop an entry, because the tables hold a strong reference to their model.
+    """
+    tables = model._grid_tables.get(grid)
     if tables is None:
         tables = LikelihoodGrid(model, grid)
-        per_model[grid] = tables
+        model._grid_tables[grid] = tables
     return tables
 
 

@@ -199,6 +199,61 @@ def detect_peaks(
     )
 
 
+_SCREEN_EPS = 1e-9
+_SCREEN_LOG_RANGE = 700.0
+
+
+def rival_possible(
+    log_w: np.ndarray,
+    grid: PhaseGrid,
+    min_separation: float,
+    height_ratio: float,
+) -> bool:
+    """Cheap necessary condition for detect_peaks(...).secondary is not None.
+
+    Uses only comparisons on the raw log weights: no exp, no logsumexp. With
+    the same min_separation, and height_ratio as detect_peaks'
+    height_ratio_floor, False means detect_peaks finds no rival; True means
+    it may.
+
+    Why False is exact. detect_peaks compares d = exp(max(log_w - L,
+    LOG_FLOOR)) with L = logsumexp(log_w) + log(spacing). As logsumexp lies
+    in [top, top + log N] for top = max(log_w), every weight of at least
+    top + log(ratio) has log_w - L in [log(ratio) - log(hi - lo),
+    log(N / (hi - lo))]. While that range lies inside [-700, 700], the floor
+    never reaches it, the subtraction rounds off less than 1e-13 and exp is
+    off by a few ulps, so d is monotone in log_w up to far less than
+    eps = 1e-9: log_w[a] <= log_w[b] + log(c) - eps forces d[a] < c * d[b]
+    for c = 1 or ratio. Hence the primary p, the argmax of d, has
+    log_w[p] >= top - eps; a rival i has log_w[i] >= top + log(ratio) - eps;
+    and d[i] > d[i +- 1] needs log_w[i] > log_w[i +- 1] - eps. If no such
+    rival lies min_separation or more from some near-top index (compared on
+    the same grid.points), detect_peaks has none. Outside that range the
+    answer is True.
+    """
+    top = float(log_w.max())
+    log_width = math.log(grid.hi - grid.lo)
+    log_ratio = math.log(height_ratio)
+    if not (
+        math.isfinite(top)
+        and log_ratio - log_width > -_SCREEN_LOG_RANGE
+        and math.log(grid.n_points) - log_width < _SCREEN_LOG_RANGE
+    ):
+        return True
+    band = np.flatnonzero(log_w >= top + log_ratio - _SCREEN_EPS)
+    near_top = band[log_w[band] >= top - _SCREEN_EPS]
+    inner = band[(band > 0) & (band < grid.n_points - 1)]
+    w = log_w[inner]
+    rivals = inner[(w > log_w[inner - 1] - _SCREEN_EPS) & (w > log_w[inner + 1] - _SCREEN_EPS)]
+    if rivals.size == 0:
+        return False
+    pts = grid.points
+    return bool(
+        pts[rivals[-1]] - pts[near_top[0]] >= min_separation
+        or pts[near_top[-1]] - pts[rivals[0]] >= min_separation
+    )
+
+
 def prune_secondary(posterior: Posterior, report: PeakReport) -> Posterior:
     """Remove the rival mode by flooring everything on its side of the valley.
 

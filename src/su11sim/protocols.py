@@ -36,6 +36,7 @@ from .posterior import (
     posterior_mean,
     posterior_variance,
     prune_secondary,
+    rival_possible,
     uniform_posterior,
 )
 
@@ -340,8 +341,11 @@ def run_fixed(
 
     m_threshold is the first step at which the posterior shows a distinct
     rival at least rival_height_ratio as tall as the primary (None if that
-    never happens). map_jumps counts steps whose MAP moved by more than
-    peak_min_separation, a cheap mode-hopping diagnostic.
+    never happens). Full peak detection runs only on steps where the
+    log-space screen rival_possible allows such a rival; on the other steps
+    detect_peaks provably finds none, so m_threshold is unchanged. map_jumps
+    counts steps whose MAP moved by more than peak_min_separation, a cheap
+    mode-hopping diagnostic.
     """
     state = _TrialState(config, model, grid, seed, keep_steps, tables)
     j_theta = grid.index_of(config.fixed_theta)
@@ -353,7 +357,9 @@ def run_fixed(
         if k > 1 and abs(state.map_est - prev_map) > config.peak_min_separation:
             map_jumps += 1
         prev_map = state.map_est
-        if m_threshold is None:
+        if m_threshold is None and rival_possible(
+            state.log_w, grid, config.peak_min_separation, config.rival_height_ratio
+        ):
             report = detect_peaks(
                 state.posterior(),
                 config.peak_min_separation,

@@ -6,7 +6,9 @@ amplitude evaluation, and the two must agree to 1e-10. Everything else
 (geometric pair law, two-outcome closed forms, tail accounting) is checked
 against independent closed-form expressions.
 """
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -273,6 +275,13 @@ class TestLikelihoodCurve:
         assert shared_grid_tables(photon_model, grid) is shared_grid_tables(
             photon_model, grid
         )
+
+    def test_shared_tables_freed_with_their_model(self, grid):
+        model = make_model(Scheme.PHOTON_NUMBER, 0.5)
+        tables = weakref.ref(shared_grid_tables(model, grid))
+        del model
+        gc.collect()
+        assert tables() is None
 
 
 class TestOutcomeType:

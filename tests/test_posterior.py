@@ -22,6 +22,7 @@ from su11sim import (
     update,
     update_log,
 )
+from su11sim.posterior import LOG_FLOOR, rival_possible
 
 
 def gaussian_posterior(grid: PhaseGrid, center: float, sigma: float) -> Posterior:
@@ -210,3 +211,123 @@ def test_posterior_mass_always_unit(center, sigma):
     z = (grid.points - center) / sigma
     post = update(uniform_posterior(grid), np.exp(-0.5 * z * z))
     assert float(np.sum(density(post))) * grid.spacing == pytest.approx(1.0, abs=1e-10)
+
+
+@st.composite
+def screen_cases(draw):
+    """Adversarial log weights for the rival screen.
+
+    Peaks are drawn as exact log-space bumps (max of components) so their
+    heights, ties and separations land exactly on the detector's thresholds:
+    mirror pairs, plateaus, rounding-level ties, rivals at ratio * (1 +- 1e-12),
+    spacings of min_separation +- one cell, edge cells and values far below
+    LOG_FLOOR.
+    """
+    n = draw(st.sampled_from((64, 65, 257, 4096, 65536)) | st.integers(64, 65536))
+    grid = PhaseGrid(n_points=n)
+    ratio = draw(st.sampled_from((0.1, 0.5, 1.0)) | st.floats(1e-3, 1.0))
+    sep_cells = draw(st.integers(1, n // 3))
+    cell = st.sampled_from((0, n - 1)) | st.integers(0, n - 1)
+    c0 = draw(cell)
+    # the exact float distance the detector compares, when the grid holds it
+    pts = grid.points
+    lo_c = c0 if c0 + sep_cells < n else c0 - sep_cells
+    min_sep = float(pts[lo_c + sep_cells] - pts[lo_c]) * draw(
+        st.sampled_from((1.0, 1.0, 1.0 - 1e-12, 1.0 + 1e-12))
+    )
+    log_w = np.full(n, draw(st.sampled_from((-1e5, LOG_FLOOR - 1.0, -40.0, -1.0))))
+    idx = np.arange(n)
+    # a partner min_separation +- one cell from the top peak, then strays
+    offset = sep_cells + draw(st.sampled_from((-1, 0, 1)))
+    centers = [c0, draw(st.sampled_from((c0 - offset, c0 + offset))) % n]
+    centers += [draw(cell) for _ in range(draw(st.integers(0, 2)))]
+    log_ratio = math.log(ratio)
+    for j, c in enumerate(centers):
+        if j == 0:
+            height = 0.0
+        else:
+            height = draw(
+                st.sampled_from((0.0, -1e-16, log_ratio, log_ratio + 1e-12, log_ratio - 1e-12))
+                | st.floats(log_ratio - 2.0, 0.0)
+            )
+        plateau = draw(st.sampled_from((0, 0, 1, 3)))
+        width = draw(st.sampled_from((0.0, 0.7, 3.0, 40.0)))
+        dist = np.maximum(np.abs(idx - c) - plateau, 0).astype(float)
+        if width == 0.0:
+            bump = np.where(dist == 0.0, height, -np.inf)
+        else:
+            bump = height - 0.5 * (dist / width) ** 2
+        log_w = np.maximum(log_w, bump)
+    log_w += draw(st.sampled_from((0.0, -1e4, 37.5)))
+    return grid, log_w, min_sep, ratio
+
+
+@given(case=screen_cases())
+@settings(max_examples=300, deadline=None)
+def test_rival_screen_never_hides_a_rival(case):
+    grid, log_w, min_sep, ratio = case
+    if not rival_possible(log_w, grid, min_sep, ratio):
+        report = detect_peaks(Posterior(grid=grid, log_weights=log_w), min_sep, ratio)
+        assert report.secondary is None
+
+
+@given(
+    n=st.integers(64, 512),
+    ratio=st.sampled_from((0.1, 0.5, 1.0)),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_rival_screen_on_tied_palette(n, ratio, data):
+    # every weight from a handful of values sitting on the screen's thresholds
+    grid = PhaseGrid(n_points=n)
+    lr = math.log(ratio)
+    palette = (0.0, -1e-17, -1e-12, -2e-9, lr, lr + 1e-12, lr - 1e-12, lr - 2e-9, -5.0, -1e5)
+    log_w = np.array(data.draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n)))
+    min_sep = data.draw(st.integers(1, n)) * grid.spacing
+    if not rival_possible(log_w, grid, min_sep, ratio):
+        report = detect_peaks(Posterior(grid=grid, log_weights=log_w), min_sep, ratio)
+        assert report.secondary is None
+
+
+class TestRivalScreen:
+    def test_single_mode_is_screened_out(self, grid):
+        post = gaussian_posterior(grid, 0.5, 0.01)
+        assert not rival_possible(post.log_weights, grid, 0.02, 0.5)
+
+    def test_two_modes_pass_the_screen(self, grid):
+        post = mixture_posterior(grid, (0.65, 0.75), (0.008, 0.008), (0.4, 0.6))
+        assert rival_possible(post.log_weights, grid, 0.02, 0.5)
+        assert detect_peaks(post, 0.02, 0.5).secondary is not None
+
+    def test_close_or_faint_rivals_are_screened_out(self, grid):
+        close = mixture_posterior(grid, (0.65, 0.66), (0.002, 0.002), (0.6, 0.4))
+        assert not rival_possible(close.log_weights, grid, 0.02, 0.1)
+        faint = mixture_posterior(grid, (0.4, 0.9), (0.01, 0.01), (0.96, 0.04))
+        assert not rival_possible(faint.log_weights, grid, 0.02, 0.1)
+
+    @staticmethod
+    def bumps(grid, *peaks):
+        idx = np.arange(grid.n_points)
+        return np.maximum.reduce([h - 0.5 * ((idx - c) / 3.0) ** 2 for c, h in peaks])
+
+    def test_rival_at_exactly_min_separation_passes(self, grid):
+        log_w = self.bumps(grid, (1000, 0.0), (1100, 0.0))
+        sep = float(grid.points[1100] - grid.points[1000])
+        assert detect_peaks(Posterior(grid=grid, log_weights=log_w), sep, 0.5).secondary is not None
+        assert rival_possible(log_w, grid, sep, 0.5)
+
+    def test_rounding_tie_primary_counts_as_top(self, grid):
+        # densities tie at 1000 and 1075, so the detector's primary is 1000,
+        # a full min_separation from the rival at 1150; 1075 is closer
+        log_w = self.bumps(grid, (1000, -1e-16), (1075, 0.0), (1150, math.log(0.6)))
+        sep = float(grid.points[1150] - grid.points[1000])
+        report = detect_peaks(Posterior(grid=grid, log_weights=log_w), sep, 0.5)
+        assert report.primary.location == grid.points[1000]
+        assert report.secondary is not None
+        assert rival_possible(log_w, grid, sep, 0.5)
+
+    def test_out_of_range_band_is_never_screened(self, grid):
+        # a band reaching subnormal densities gets no shortcut
+        log_w = gaussian_posterior(grid, 0.5, 0.01).log_weights
+        assert rival_possible(log_w, grid, 0.02, 1e-310)
+        assert rival_possible(np.full(grid.n_points, -np.inf), grid, 0.02, 0.5)

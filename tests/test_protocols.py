@@ -1,9 +1,11 @@
 """Protocol state-machine tests: replay, schedules, and threshold bookkeeping."""
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import su11sim.protocols as protocols
 from su11sim import (
     MODE_FIXED,
     MODE_LADDER,
@@ -14,7 +16,11 @@ from su11sim import (
     Scheme,
     TrialRecord,
     detect_peaks,
+    map_estimate,
+    posterior_mean,
+    posterior_variance,
     run_trial,
+    sample,
     scheme_for_mode,
     shared_grid_tables,
     uniform_posterior,
@@ -126,6 +132,66 @@ class TestFixedProtocol:
                 first = s.step
                 break
         assert first == rec.m_threshold
+
+    @pytest.mark.parametrize("theta", (0.65, 0.70, 0.745, 0.75))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_record_matches_unscreened_replay(self, models, grid, monkeypatch, theta, seed):
+        # an independent run_fixed loop that runs full peak detection after
+        # every step; the screened production loop must agree byte for byte
+        cfg = small_config(MODE_FIXED, fixed_theta=theta, measurements=400)
+        model = models[Scheme.PHOTON_NUMBER]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return detect_peaks(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "detect_peaks", counted)
+        got = run_trial(cfg, model, grid, seed).to_dict()
+
+        tables = shared_grid_tables(model, grid)
+        rng = np.random.default_rng(seed)
+        j = grid.index_of(theta)
+        theta_j = float(grid.points[j])
+        offset = grid.snap(cfg.phi_true) - theta_j
+        log_w = uniform_posterior(grid).log_weights
+        prev_map = map_estimate(Posterior(grid, log_w))
+        steps, m_threshold, map_jumps = [], None, 0
+        for k in range(1, cfg.measurements + 1):
+            outcome = sample(model, offset, rng)
+            log_w = log_w + tables.log_row(outcome, j)
+            log_w = log_w - log_w.max()
+            map_k = float(grid.points[int(np.argmax(log_w))])
+            steps.append(
+                {"step": k, "theta": theta_j, "outcome": outcome.label(), "map_estimate": map_k}
+            )
+            if k > 1 and abs(map_k - prev_map) > cfg.peak_min_separation:
+                map_jumps += 1
+            prev_map = map_k
+            report = detect_peaks(
+                Posterior(grid, log_w), cfg.peak_min_separation, cfg.rival_height_ratio
+            )
+            if m_threshold is None and report.secondary is not None:
+                m_threshold = k
+        post = Posterior(grid, log_w)
+        expected = dict(
+            got,
+            steps=steps,
+            m_threshold=m_threshold,
+            map_jumps=map_jumps,
+            final_map=map_estimate(post),
+            final_mean=posterior_mean(post),
+            final_variance=posterior_variance(post),
+            peaks=asdict(detect_peaks(post, cfg.peak_min_separation, cfg.peak_height_floor)),
+        )
+        assert got == expected
+        # theta 0.745 is censored within 400 steps for seeds 0 and 1 and
+        # breaks at step 399 for seed 2; zero offset never breaks
+        assert (m_threshold is None) == (theta == 0.75 or (theta == 0.745 and seed < 2))
+        if m_threshold is None:
+            # the screen rules out a rival at every step, so only the
+            # end-of-trial report runs full peak detection
+            assert len(calls) == 1
 
     def test_zero_offset_never_breaks_ambiguity(self, models, grid):
         cfg = small_config(MODE_FIXED, fixed_theta=0.75, measurements=200)
