@@ -17,7 +17,11 @@ from .analysis import benchmarks
 from .errors import CampaignError, SU11Error
 from .measurement import POLICY_EXACT_TAIL, make_model, shared_grid_tables
 from .posterior import PhaseGrid
-from .protocols import MODE_FIXED, ProtocolConfig, run_trial, scheme_for_mode
+from .protocols import MODE_FIXED, ProtocolConfig, run_trials, scheme_for_mode
+
+# Not called here, but kept importable from this module: the span tracer in
+# perfbench/trace_spans.py wraps this name at this import site.
+from .protocols import run_trial  # noqa: F401
 
 DEFAULT_MASTER_SEED = 7
 _MASK64 = (1 << 64) - 1
@@ -195,15 +199,12 @@ def _run_cell(config: CampaignConfig, cell_index: int, phi: float, nbar: float):
     summaries: list[TrialSummary] = []
     failures: list[TrialFailure] = []
     records = []
-    for t in range(config.trials):
-        seed = derive_seed(config.master_seed, cell_index, t)
-        try:
-            rec = run_trial(
-                cell_cfg, model, config.grid, seed, keep_steps=False, tables=tables
-            )
-        except SU11Error as exc:
+    seeds = [derive_seed(config.master_seed, cell_index, t) for t in range(config.trials)]
+    results = run_trials(cell_cfg, model, config.grid, seeds, tables=tables)
+    for t, (seed, rec) in enumerate(zip(seeds, results)):
+        if isinstance(rec, SU11Error):
             failures.append(
-                TrialFailure(cell_index=cell_index, trial_index=t, seed=seed, message=str(exc))
+                TrialFailure(cell_index=cell_index, trial_index=t, seed=seed, message=str(rec))
             )
             continue
         records.append(rec)
@@ -401,10 +402,11 @@ def threshold_scan(
             phi_true=phi_true,
             fixed_theta=theta,
         )
+        seeds = [derive_seed(master_seed, ci, t) for t in range(trials)]
         values: list[int | None] = []
-        for t in range(trials):
-            seed = derive_seed(master_seed, ci, t)
-            rec = run_trial(cfg, model, grid, seed, keep_steps=False, tables=tables)
+        for rec in run_trials(cfg, model, grid, seeds, tables=tables):
+            if isinstance(rec, SU11Error):
+                raise rec
             values.append(rec.m_threshold)
         rows.append(
             ThresholdRow(

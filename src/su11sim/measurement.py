@@ -16,10 +16,12 @@ routes against each other and against brute-force sums.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ResidualMassError
 from .posterior import LOG_FLOOR, PhaseGrid
@@ -86,6 +88,29 @@ class Outcome:
     def parse_label(cls, label: str) -> "Outcome":
         kind, _, tail = label.partition(":")
         return cls(kind=kind, n=int(tail) if tail else None)
+
+    def code(self) -> int:
+        """Index of this outcome within its scheme: plus 0, minus 1, else the pair count.
+
+        Codes up to n_max are the row indices of LikelihoodGrid's stacked
+        tables and of the renormalized outcome set.
+        """
+        if self.kind == "plus":
+            return 0
+        if self.kind == "minus":
+            return 1
+        return self.n
+
+
+def outcome_of_code(scheme: Scheme, code: int) -> Outcome:
+    """Inverse of Outcome.code for one scheme."""
+    if scheme is Scheme.PHOTON_NUMBER:
+        return Outcome.pair(code)
+    if code == 0:
+        return Outcome.plus()
+    if code == 1:
+        return Outcome.minus()
+    return Outcome.null(code)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +218,7 @@ def likelihood(model: LikelihoodModel, outcome: Outcome, delta_phi: float) -> fl
     exact geometric tail, which agrees with the table route to near machine
     precision everywhere both are defined.
     """
-    _require_scheme(model, outcome)
+    _require_scheme(model.scheme, outcome)
     u = float(delta_phi)
     n = outcome.n
     if outcome.kind in ("pair", "null"):
@@ -209,11 +234,11 @@ def likelihood(model: LikelihoodModel, outcome: Outcome, delta_phi: float) -> fl
     return float(max(p, 0.0))
 
 
-def _require_scheme(model: LikelihoodModel, outcome: Outcome) -> None:
+def _require_scheme(scheme: Scheme, outcome: Outcome) -> None:
     photon = outcome.kind == "pair"
-    if photon != (model.scheme is Scheme.PHOTON_NUMBER):
+    if photon != (scheme is Scheme.PHOTON_NUMBER):
         raise ValueError(
-            f"outcome {outcome.label()!r} does not belong to scheme {model.scheme.value!r}"
+            f"outcome {outcome.label()!r} does not belong to scheme {scheme.value!r}"
         )
 
 
@@ -267,109 +292,149 @@ def residual_mass(model: LikelihoodModel, delta_phi: float) -> float:
     return 1.0 - total
 
 
-def sample(model: LikelihoodModel, delta_phi: float, rng: np.random.Generator) -> Outcome:
-    """Draw one outcome at the given offset.
+@dataclass(frozen=True, eq=False)
+class OutcomeLaw:
+    """The sampling law of one scheme at one phase offset.
+
+    Built by outcome_law. Exactly one of three forms is set: the geometric
+    law (log_v, with p_plus/p_minus for the optimal scheme), the
+    renormalized truncated table (cum, total), or error, the message of the
+    ResidualMassError every draw raises. A draw consumes the Generator the
+    same way whether the law is new or reused, so a law cached per offset
+    draws what sample draws.
+    """
+
+    scheme: Scheme
+    log_v: float | None = None  # log of the pair ratio v; None when v == 0
+    p_plus: float = 0.0
+    p_minus: float = 0.0
+    cum: np.ndarray | None = None
+    total: float = 0.0
+    error: str | None = None
+
+    def draw_code(self, rng: np.random.Generator) -> int:
+        """Draw one outcome and return its code (see Outcome.code)."""
+        if self.error is not None:
+            raise ResidualMassError(self.error)
+        if self.cum is not None:
+            idx = int(np.searchsorted(self.cum, rng.random() * self.total, side="right"))
+            return min(idx, len(self.cum) - 1)
+        base = 0
+        if self.scheme is Scheme.OPTIMAL:
+            u1 = rng.random()
+            if u1 < self.p_plus:
+                return 0
+            if u1 < self.p_plus + self.p_minus:
+                return 1
+            base = 2
+        if self.log_v is None:
+            return base
+        return base + int(math.log1p(-rng.random()) / self.log_v)
+
+    def draw(self, rng: np.random.Generator) -> Outcome:
+        return outcome_of_code(self.scheme, self.draw_code(rng))
+
+
+def outcome_law(model: LikelihoodModel, delta_phi: float) -> OutcomeLaw:
+    """Precompute everything a draw at this offset needs.
 
     Under the exact_tail policy the pair count comes from inverting the
     geometric law directly, so no truncation enters the sampling at all.
     Under the renormalize policy the enumerated set up to n_max is rescaled
-    to unit mass, and a residual above residual_tol is a hard error.
+    to unit mass, and a residual above residual_tol makes every draw raise.
     """
     u = float(delta_phi)
     if model.residual_policy == POLICY_RENORMALIZE:
-        return _sample_renormalized(model, u, rng)
+        probs = _truncated_probs(model, u)
+        total = float(probs.sum())
+        residual = 1.0 - total
+        if residual > model.residual_tol:
+            return OutcomeLaw(
+                model.scheme,
+                error=(
+                    f"truncated outcome set leaks {residual:.3e} at offset {u:.4f} "
+                    f"(tolerance {model.residual_tol:.1e}); raise n_max or switch to "
+                    f"the exact_tail policy"
+                ),
+            )
+        return OutcomeLaw(model.scheme, cum=np.cumsum(probs), total=total)
     v = pair_ratio(model.params, u)
+    log_v = math.log(v) if v > 0.0 else None
     if model.scheme is Scheme.PHOTON_NUMBER:
-        return Outcome.pair(_draw_geometric(v, rng))
+        return OutcomeLaw(model.scheme, log_v=log_v)
     gap = detection_asymmetry(model.params, u)
     null_mass = v * v
-    p_plus = max(0.5 * (1.0 - null_mass - gap), 0.0)
-    p_minus = max(0.5 * (1.0 - null_mass + gap), 0.0)
-    u1 = rng.random()
-    if u1 < p_plus:
-        return Outcome.plus()
-    if u1 < p_plus + p_minus:
-        return Outcome.minus()
-    return Outcome.null(2 + _draw_geometric(v, rng))
+    return OutcomeLaw(
+        model.scheme,
+        log_v=log_v,
+        p_plus=max(0.5 * (1.0 - null_mass - gap), 0.0),
+        p_minus=max(0.5 * (1.0 - null_mass + gap), 0.0),
+    )
 
 
-def _draw_geometric(v: float, rng: np.random.Generator) -> int:
-    if v <= 0.0:
-        return 0
-    return int(math.log1p(-rng.random()) / math.log(v))
+def sample(model: LikelihoodModel, delta_phi: float, rng: np.random.Generator) -> Outcome:
+    """Draw one outcome at the given offset (see outcome_law for the policies)."""
+    return outcome_law(model, delta_phi).draw(rng)
 
 
-def _sample_renormalized(model: LikelihoodModel, u: float, rng: np.random.Generator) -> Outcome:
-    outcomes, probs = _enumerate_truncated(model, u)
-    total = float(probs.sum())
-    residual = 1.0 - total
-    if residual > model.residual_tol:
-        raise ResidualMassError(
-            f"truncated outcome set leaks {residual:.3e} at offset {u:.4f} "
-            f"(tolerance {model.residual_tol:.1e}); raise n_max or switch to "
-            f"the exact_tail policy"
-        )
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
-    return outcomes[min(idx, len(outcomes) - 1)]
-
-
-def _enumerate_truncated(model: LikelihoodModel, u: float):
+def _truncated_probs(model: LikelihoodModel, u: float) -> np.ndarray:
+    # the enumerated outcome set up to n_max, indexed by outcome code
     amps = pair_amplitude_matrix(model.table, np.array([u]))[0]
     pair_probs = np.abs(amps) ** 2
     if model.scheme is Scheme.PHOTON_NUMBER:
-        outcomes = [Outcome.pair(n) for n in range(model.table.n_max + 1)]
-        return outcomes, pair_probs
+        return pair_probs
     p_plus, p_minus = _plus_minus_from_amps(amps[0], amps[1])
-    outcomes = [Outcome.plus(), Outcome.minus()]
-    outcomes += [Outcome.null(n) for n in range(2, model.table.n_max + 1)]
-    probs = np.concatenate(
-        ([max(p_plus, 0.0), max(p_minus, 0.0)], pair_probs[2:])
-    )
-    return outcomes, probs
+    return np.concatenate(([max(p_plus, 0.0), max(p_minus, 0.0)], pair_probs[2:]))
 
 
 class LikelihoodGrid:
     """Likelihood rows over a phase grid for every feedback phase on it.
 
     Offsets phi_i - theta_j only take 2 N - 1 distinct values on a uniform
-    grid, so one extended table per outcome serves every feedback setting
-    via slicing. Rows for pair counts beyond n_max are synthesized from the
+    grid, so one extended row per outcome serves every feedback setting via
+    slicing. The rows are stacked by outcome code (Outcome.code) into one
+    linear and one log table; log_row, row and log_windows all read that
+    storage. Rows for pair counts beyond n_max are synthesized from the
     geometric tail on demand.
+
+    The grid keeps its model only through a weak reference: the model
+    caches its grids (shared_grid_tables), so a strong one would make a
+    cycle that outlives the model until a full garbage collection.
     """
 
     def __init__(self, model: LikelihoodModel, grid: PhaseGrid):
-        self.model = model
+        self._model = weakref.ref(model)
+        self.scheme = model.scheme
+        self.n_max = model.table.n_max
         self.grid = grid
         n = grid.n_points
         offsets = (np.arange(2 * n - 1, dtype=np.float64) - (n - 1)) * grid.spacing
         amps = _chunked_amplitudes(model.table, offsets)
-        pair_probs = np.ascontiguousarray((np.abs(amps) ** 2).T)
+        table = np.ascontiguousarray((np.abs(amps) ** 2).T)
+        if model.scheme is Scheme.OPTIMAL:
+            # codes 0 and 1 are plus and minus; the zero- and one-pair rows
+            # they replace belong to no outcome of this scheme
+            p_plus, p_minus = _plus_minus_from_amps(amps[:, 0], amps[:, 1])
+            np.maximum(p_plus, 0.0, out=table[0])
+            np.maximum(p_minus, 0.0, out=table[1])
         with np.errstate(divide="ignore"):
-            log_pair = np.log(pair_probs)
-        np.maximum(log_pair, LOG_FLOOR, out=log_pair)
+            log_table = np.log(table)
+        np.maximum(log_table, LOG_FLOOR, out=log_table)
         v = pair_ratio(model.params, offsets)
         with np.errstate(divide="ignore"):
             log_v = np.where(v > 0.0, np.log(np.maximum(v, 1e-320)), 2.0 * LOG_FLOOR)
-        self._pair = pair_probs
-        self._log_pair = log_pair
+        self._table = table
+        self._log_table = log_table
         self._log_v = log_v
         self._log_1mv = np.log1p(-v)
-        self._v = v
-        if model.scheme is Scheme.OPTIMAL:
-            p_plus, p_minus = _plus_minus_from_amps(amps[:, 0], amps[:, 1])
-            np.maximum(p_plus, 0.0, out=p_plus)
-            np.maximum(p_minus, 0.0, out=p_minus)
-            with np.errstate(divide="ignore"):
-                log_plus = np.maximum(np.log(p_plus), LOG_FLOOR)
-                log_minus = np.maximum(np.log(p_minus), LOG_FLOOR)
-            self._plus = p_plus
-            self._minus = p_minus
-            self._log_plus = log_plus
-            self._log_minus = log_minus
         for arr in self.__dict__.values():
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
+
+    @property
+    def model(self) -> LikelihoodModel | None:
+        """The model these tables were built from, or None once it is gone."""
+        return self._model()
 
     def _slice(self, theta_index: int) -> slice:
         n = self.grid.n_points
@@ -377,30 +442,33 @@ class LikelihoodGrid:
             raise ValueError(f"theta index {theta_index} outside grid")
         return slice(n - 1 - theta_index, 2 * n - 1 - theta_index)
 
+    def log_windows(self) -> np.ndarray:
+        """Read-only view W of the stacked log table with W[code, j] == log_row at index j.
+
+        Valid for codes up to n_max. Indexing it with two integer arrays
+        gathers a block of rows in one copy.
+        """
+        return sliding_window_view(self._log_table, self.grid.n_points, axis=1)[:, ::-1]
+
     def log_row(self, outcome: Outcome, theta_index: int) -> np.ndarray:
         """Read-only log-likelihood row over the grid for one feedback index."""
-        _require_scheme(self.model, outcome)
+        _require_scheme(self.scheme, outcome)
         sl = self._slice(theta_index)
-        if outcome.kind in ("pair", "null"):
-            if outcome.n <= self.model.table.n_max:
-                return self._log_pair[outcome.n, sl]
-            row = self._log_1mv[sl] + outcome.n * self._log_v[sl]
-            np.maximum(row, LOG_FLOOR, out=row)
-            return row
-        if outcome.kind == "plus":
-            return self._log_plus[sl]
-        return self._log_minus[sl]
+        code = outcome.code()
+        if code <= self.n_max:
+            return self._log_table[code, sl]
+        row = self._log_1mv[sl] + code * self._log_v[sl]
+        np.maximum(row, LOG_FLOOR, out=row)
+        return row
 
     def row(self, outcome: Outcome, theta_index: int) -> np.ndarray:
         """Linear likelihood row over the grid for one feedback index."""
-        _require_scheme(self.model, outcome)
+        _require_scheme(self.scheme, outcome)
         sl = self._slice(theta_index)
-        if outcome.kind in ("pair", "null"):
-            if outcome.n <= self.model.table.n_max:
-                return self._pair[outcome.n, sl].copy()
-            return np.exp(self._log_1mv[sl] + outcome.n * self._log_v[sl])
-        src = self._plus if outcome.kind == "plus" else self._minus
-        return src[sl].copy()
+        code = outcome.code()
+        if code <= self.n_max:
+            return self._table[code, sl].copy()
+        return np.exp(self._log_1mv[sl] + code * self._log_v[sl])
 
 
 def _chunked_amplitudes(table: SchmidtTable, offsets: np.ndarray) -> np.ndarray:
@@ -415,8 +483,9 @@ def _chunked_amplitudes(table: SchmidtTable, offsets: np.ndarray) -> np.ndarray:
 def shared_grid_tables(model: LikelihoodModel, grid: PhaseGrid) -> LikelihoodGrid:
     """Cached LikelihoodGrid per (model, grid) pair, built on first use.
 
-    The cache lives on the model. A module-level weak-key cache would never
-    drop an entry, because the tables hold a strong reference to their model.
+    The cache lives on the model, and the tables refer back to the model
+    only weakly, so the entry is freed with the model by reference counting
+    alone.
     """
     tables = model._grid_tables.get(grid)
     if tables is None:

@@ -130,15 +130,25 @@ def map_estimate(posterior: Posterior) -> float:
 
 
 def posterior_mean(posterior: Posterior) -> float:
-    d = density(posterior)
-    return float(posterior.grid.spacing * np.dot(d, posterior.grid.points))
+    return mean_from_density(density(posterior), posterior.grid)
 
 
 def posterior_variance(posterior: Posterior) -> float:
-    d = density(posterior)
-    mu = posterior.grid.spacing * np.dot(d, posterior.grid.points)
-    dev = posterior.grid.points - mu
-    return float(posterior.grid.spacing * np.dot(d, dev * dev))
+    return variance_from_density(density(posterior), posterior.grid)
+
+
+# The *_from_density helpers take the array density() returned, so a caller
+# that needs several statistics of one posterior computes its density once.
+
+
+def mean_from_density(d: np.ndarray, grid: PhaseGrid) -> float:
+    return float(grid.spacing * np.dot(d, grid.points))
+
+
+def variance_from_density(d: np.ndarray, grid: PhaseGrid) -> float:
+    mu = grid.spacing * np.dot(d, grid.points)
+    dev = grid.points - mu
+    return float(grid.spacing * np.dot(d, dev * dev))
 
 
 @dataclass(frozen=True)
@@ -168,11 +178,17 @@ def detect_peaks(
     domain at the density minimum between the two peaks; with no rival the
     primary carries all the mass.
     """
+    return peaks_from_density(density(posterior), posterior.grid, min_separation, height_ratio_floor)
+
+
+def peaks_from_density(
+    d: np.ndarray, grid: PhaseGrid, min_separation: float, height_ratio_floor: float
+) -> PeakReport:
+    """detect_peaks on the array density() returned for the posterior."""
     if min_separation <= 0.0 or not (0.0 < height_ratio_floor <= 1.0):
         raise ValueError("need min_separation > 0 and height_ratio_floor in (0, 1]")
-    d = density(posterior)
-    pts = posterior.grid.points
-    h = posterior.grid.spacing
+    pts = grid.points
+    h = grid.spacing
     p_idx = int(np.argmax(d))
     interior = np.flatnonzero((d[1:-1] > d[:-2]) & (d[1:-1] > d[2:])) + 1
     rivals = [
@@ -260,9 +276,13 @@ def prune_secondary(posterior: Posterior, report: PeakReport) -> Posterior:
     The report must contain a secondary peak; callers decide whether to
     prune, so a missing rival here means the caller skipped its own check.
     """
+    return prune_from_density(posterior, report, density(posterior))
+
+
+def prune_from_density(posterior: Posterior, report: PeakReport, d: np.ndarray) -> Posterior:
+    """prune_secondary given the array density() returned for the posterior."""
     if report.secondary is None:
         raise ValueError("no secondary peak to prune in this report")
-    d = density(posterior)
     p_idx = posterior.grid.index_of(report.primary.location)
     s_idx = posterior.grid.index_of(report.secondary.location)
     lo_i, hi_i = sorted((p_idx, s_idx))

@@ -1,18 +1,28 @@
 """Single-trial estimation protocols with per-step feedback.
 
-Three strategies share one measurement loop. All of them measure at a
-feedback phase theta, observe an outcome at offset phi_true - theta, and
-apply a grid Bayes update; they differ only in how theta is chosen.
+Three strategies share one measurement loop (run_trials). All of them
+measure at a feedback phase theta on the grid, observe an outcome at offset
+phi_true - theta, and apply a grid Bayes update; they differ only in how
+theta is chosen.
 
 fixed      theta never moves. Useful for studying when the posterior first
-           resolves the sign ambiguity of a symmetric likelihood.
-ladder     photon counting with a ramped feedback schedule: theta climbs
-           toward half the running MAP during a rough stage, then locks to
-           a fixed fraction of the rough estimate, and any surviving rival
-           mode is pruned at the end.
-optimal    the two-outcome scheme with plain greedy feedback: theta chases
-           the running MAP so the working offset stays near zero where the
-           scheme saturates the quantum bound.
+           resolves the sign ambiguity of a symmetric likelihood:
+           m_threshold is the first step at which the posterior shows a
+           distinct rival at least rival_height_ratio as tall as the
+           primary (None if that never happens), and map_jumps counts steps
+           whose MAP moved by more than peak_min_separation.
+ladder     photon counting with a ramped feedback schedule. Rough stage
+           (pre_rounds steps): theta climbs along a linear ramp toward
+           ramp_cap_fraction of the running MAP and never exceeds that cap,
+           so the working offset keeps a definite sign while the posterior
+           is still ambiguous; theta is snapped down onto the grid to keep
+           the cap exact. Lock stage: theta holds at final_fraction of the
+           rough MAP (phi_rough). A surviving rival mode is pruned before
+           the final statistics are read off.
+optimal    the two-outcome scheme with plain greedy feedback: the first step
+           measures at initial_theta (the grid midpoint by default), and
+           afterwards theta chases the running MAP so the working offset
+           stays near zero, where the scheme saturates the quantum bound.
 """
 from __future__ import annotations
 
@@ -23,8 +33,17 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._version import __version__
-from .errors import DegenerateRowError
-from .measurement import LikelihoodGrid, LikelihoodModel, Outcome, Scheme, sample, shared_grid_tables
+from .errors import DegenerateRowError, ResidualMassError, SU11Error
+from .measurement import (
+    LikelihoodGrid,
+    LikelihoodModel,
+    Outcome,
+    OutcomeLaw,
+    Scheme,
+    outcome_law,
+    outcome_of_code,
+    shared_grid_tables,
+)
 from .posterior import (
     PeakReport,
     Peak,
@@ -33,12 +52,18 @@ from .posterior import (
     density,
     detect_peaks,
     map_estimate,
-    posterior_mean,
-    posterior_variance,
-    prune_secondary,
+    mean_from_density,
+    peaks_from_density,
+    prune_from_density,
     rival_possible,
     uniform_posterior,
+    variance_from_density,
 )
+
+# Not called here, but kept importable from this module: the span tracer in
+# perfbench/trace_spans.py wraps these names at this import site.
+from .measurement import sample  # noqa: F401
+from .posterior import posterior_mean, posterior_variance, prune_secondary  # noqa: F401
 
 MODE_FIXED = "fixed"
 MODE_LADDER = "ladder"
@@ -234,18 +259,80 @@ def run_trial(
     keep_steps: bool = True,
     tables: LikelihoodGrid | None = None,
 ) -> TrialRecord:
-    """Run one trial of whichever protocol the config selects."""
-    if config.mode == MODE_FIXED:
-        return run_fixed(config, model, grid, seed, keep_steps=keep_steps, tables=tables)
-    if config.mode == MODE_LADDER:
-        return run_ladder(config, model, grid, seed, keep_steps=keep_steps, tables=tables)
-    return run_optimal(config, model, grid, seed, keep_steps=keep_steps, tables=tables)
+    """Run one trial of whichever protocol the config selects.
+
+    This is run_trials on a single seed. The SU11Error that ended the
+    trial, if any, is raised.
+    """
+    result = run_trials(config, model, grid, [seed], keep_steps=keep_steps, tables=tables)[0]
+    if isinstance(result, SU11Error):
+        raise result
+    return result
 
 
-class _TrialState:
-    """Shared step loop: sample at the chosen feedback index, update, track MAP."""
+_BLOCK = 8
 
-    def __init__(self, config, model, grid, seed, keep_steps, tables):
+
+def run_trials(
+    config: ProtocolConfig,
+    model: LikelihoodModel,
+    grid: PhaseGrid,
+    seeds,
+    *,
+    keep_steps: bool = False,
+    tables: LikelihoodGrid | None = None,
+) -> list:
+    """Run one trial per seed; entry i is seed i's TrialRecord or SU11Error.
+
+    Every trial measures at a feedback index theta_j, draws an outcome at
+    the offset phi_true - theta_j from its own Generator, adds the log row
+    of that outcome to its log weights, subtracts their new maximum and
+    takes the MAP from the argmax. The modes differ only in how theta
+    moves; each is described in the module docstring.
+
+    Trials run in lockstep blocks of _BLOCK seeds. A block keeps its log
+    weights as one (B, N) matrix, gathers the rows of its outcomes from the
+    stacked log table in one copy and applies the same IEEE operations to
+    each element as a lone trial would, so each record is bit-identical to
+    running its seed alone. Outcome laws are cached per theta index, which
+    is exact because phi_true is fixed for the call and each trial still
+    makes the same draws from its own Generator in the same order.
+
+    A trial that fails with an SU11Error (a ResidualMassError draw or a
+    degenerate update) leaves the block; the others carry on undisturbed.
+    Any other exception, such as a ValueError from an invalid config,
+    propagates.
+    """
+    engine = _Engine(config, model, grid, keep_steps, tables)
+    seeds = list(seeds)
+    results: list = []
+    for start in range(0, len(seeds), _BLOCK):
+        results.extend(engine.run_block(seeds[start : start + _BLOCK]))
+    return results
+
+
+class _Trial:
+    """The per-trial state of a lockstep block."""
+
+    __slots__ = (
+        "seed", "rng", "j", "map_est", "steps", "phi_rough", "m_threshold", "map_jumps",
+    )
+
+    def __init__(self, seed: int, j: int, map_est: float):
+        self.seed = int(seed)
+        self.rng = np.random.default_rng(self.seed)
+        self.j = j  # feedback index of the next step
+        self.map_est = map_est
+        self.steps: list[StepRecord] = []
+        self.phi_rough: float | None = None
+        self.m_threshold: int | None = None
+        self.map_jumps = 0
+
+
+class _Engine:
+    """One protocol config on one model and grid; runs blocks of seeds."""
+
+    def __init__(self, config, model, grid, keep_steps, tables):
         expected = scheme_for_mode(config.mode)
         if model.scheme is not expected:
             raise ValueError(
@@ -257,175 +344,169 @@ class _TrialState:
         self.config = config
         self.model = model
         self.grid = grid
-        self.seed = int(seed)
-        self.rng = np.random.default_rng(self.seed)
+        self.keep_steps = keep_steps
         self.tables = tables if tables is not None else shared_grid_tables(model, grid)
         self.phi_true = grid.snap(config.phi_true)
-        self.log_w = uniform_posterior(grid).log_weights
-        self.map_est = map_estimate(Posterior(grid, self.log_w))
-        self.steps: list[StepRecord] = []
-        self.keep_steps = keep_steps
+        self.points = grid.points.tolist()
+        self.laws: dict[int, OutcomeLaw] = {}
+        prior = uniform_posterior(grid)
+        self.log_w0 = float(prior.log_weights[0])
+        self.map0 = map_estimate(prior)
+        # theta policies: the first feedback index, then the next after each step
+        if config.mode == MODE_FIXED:
+            self.j_first = grid.index_of(config.fixed_theta)
+            self.advance = self._advance_fixed
+        elif config.mode == MODE_LADDER:
+            self.j_first = self._ramp_index(1, self.map0, 0.0)
+            self.advance = self._advance_ladder
+        else:
+            theta0 = grid.midpoint if config.initial_theta is None else config.initial_theta
+            self.j_first = grid.index_of(theta0)
+            self.advance = self._advance_optimal
 
-    def measure(self, k: int, theta_index: int) -> None:
-        theta = float(self.grid.points[theta_index])
-        outcome = sample(self.model, self.phi_true - theta, self.rng)
-        log_row = self.tables.log_row(outcome, theta_index)
-        self.log_w += log_row
-        peak = self.log_w.max()
-        if not np.isfinite(peak):
-            raise DegenerateRowError(
-                f"outcome {outcome.label()} at step {k} leaves zero posterior mass"
+    def _advance_fixed(self, k: int, trial: _Trial, log_w: np.ndarray) -> None:
+        # m_threshold: the first step with a rival at least rival_height_ratio
+        # as tall as the primary. detect_peaks runs only where the exact
+        # log-space screen rival_possible allows one.
+        cfg = self.config
+        if trial.m_threshold is None and rival_possible(
+            log_w, self.grid, cfg.peak_min_separation, cfg.rival_height_ratio
+        ):
+            report = detect_peaks(
+                Posterior(self.grid, log_w), cfg.peak_min_separation, cfg.rival_height_ratio
             )
-        self.log_w -= peak  # keep the running maximum at 0
-        self.map_est = float(self.grid.points[int(np.argmax(self.log_w))])
-        if self.keep_steps:
-            self.steps.append(
-                StepRecord(step=k, theta=theta, outcome=outcome, map_estimate=self.map_est)
-            )
+            if report.secondary is not None:
+                trial.m_threshold = k
 
-    def posterior(self) -> Posterior:
-        return Posterior(grid=self.grid, log_weights=self.log_w)
+    def _ramp_index(self, k: int, map_est: float, theta_prev: float) -> int:
+        cfg = self.config
+        cap = cfg.ramp_cap_fraction * map_est
+        ramp = (k / cfg.pre_rounds) * cap
+        theta_raw = min(max(theta_prev, ramp), cap)
+        return self.grid.floor_index(max(theta_raw, self.grid.lo))
 
-    def finish(
-        self,
-        *,
-        m_threshold: int | None,
-        map_jumps: int | None,
-        phi_rough: float | None,
-        prune: bool,
-    ) -> TrialRecord:
-        post = self.posterior()
-        report = detect_peaks(
-            post, self.config.peak_min_separation, self.config.peak_height_floor
-        )
-        pruned = False
-        if prune and report.secondary is not None:
-            post = prune_secondary(post, report)
-            pruned = True
+    def _advance_ladder(self, k: int, trial: _Trial, log_w: np.ndarray) -> None:
+        cfg = self.config
+        if k < cfg.pre_rounds:
+            # the ramp never falls below the theta just measured at
+            trial.j = self._ramp_index(k + 1, trial.map_est, self.points[trial.j])
+        elif k == cfg.pre_rounds:
+            trial.phi_rough = trial.map_est
+            trial.j = self.grid.index_of(cfg.final_fraction * trial.phi_rough)
+
+    def _advance_optimal(self, k: int, trial: _Trial, log_w: np.ndarray) -> None:
+        trial.j = self.grid.index_of(trial.map_est)
+
+    # -- the one stepping loop -----------------------------------------------
+    def run_block(self, seeds: list) -> list:
+        cfg, grid, model, tables = self.config, self.grid, self.model, self.tables
+        points, laws, scheme = self.points, self.laws, model.scheme
+        n_max = tables.n_max
+        windows = tables.log_windows()
+        advance, keep_steps = self.advance, self.keep_steps
+        fixed = cfg.mode == MODE_FIXED
+        sep = cfg.peak_min_separation
+        results: list = [None] * len(seeds)
+        live = [(slot, _Trial(seed, self.j_first, self.map0)) for slot, seed in enumerate(seeds)]
+        log_w = np.full((len(live), grid.n_points), self.log_w0)
+        for k in range(1, cfg.measurements + 1):
+            codes, rows, cols, tails, drawn = [], [], [], [], []
+            for slot, trial in live:
+                j = trial.j
+                law = laws.get(j)
+                if law is None:
+                    law = laws[j] = outcome_law(model, self.phi_true - points[j])
+                try:
+                    code = law.draw_code(trial.rng)
+                except ResidualMassError as exc:
+                    # without its traceback, which would pin this frame
+                    results[slot] = exc.with_traceback(None)
+                    continue
+                if code > n_max:
+                    tails.append(len(rows))
+                codes.append(code)
+                rows.append(min(code, n_max))
+                cols.append(j)
+                drawn.append((slot, trial))
+            if len(drawn) < len(live):
+                log_w = log_w[[i for i, (slot, _) in enumerate(live) if results[slot] is None]]
+                live = drawn
+                if not live:
+                    break
+            gathered = windows[rows, cols]
+            for i in tails:
+                gathered[i] = tables.log_row(outcome_of_code(scheme, codes[i]), cols[i])
+            log_w += gathered
+            peak = log_w.max(axis=1)
+            if not all(map(math.isfinite, peak.tolist())):
+                keep = []
+                for i, (slot, trial) in enumerate(live):
+                    if math.isfinite(peak[i]):
+                        keep.append(i)
+                    else:
+                        label = outcome_of_code(scheme, codes[i]).label()
+                        results[slot] = DegenerateRowError(
+                            f"outcome {label} at step {k} leaves zero posterior mass"
+                        )
+                live = [live[i] for i in keep]
+                codes = [codes[i] for i in keep]
+                log_w, peak = log_w[keep], peak[keep]
+                if not live:
+                    break
+            log_w -= peak[:, None]  # keep each running maximum at 0
+            tops = log_w.argmax(axis=1).tolist()
+            for i, (slot, trial) in enumerate(live):
+                map_est = points[tops[i]]
+                if fixed and k > 1 and abs(map_est - trial.map_est) > sep:
+                    trial.map_jumps += 1
+                trial.map_est = map_est
+                if keep_steps:
+                    trial.steps.append(
+                        StepRecord(
+                            step=k,
+                            theta=points[trial.j],
+                            outcome=outcome_of_code(scheme, codes[i]),
+                            map_estimate=map_est,
+                        )
+                    )
+                advance(k, trial, log_w[i])
+        for i, (slot, trial) in enumerate(live):
+            results[slot] = self._finish(trial, log_w[i])
+        return results
+
+    def _finish(self, trial: _Trial, log_w: np.ndarray) -> TrialRecord:
+        # one density per posterior: the peak report, the prune valley, the
+        # edge mass and the moments all read it
+        cfg, grid, model = self.config, self.grid, self.model
+        post = Posterior(grid, log_w)
         d = density(post)
-        h = self.grid.spacing
+        report = peaks_from_density(d, grid, cfg.peak_min_separation, cfg.peak_height_floor)
+        pruned = False
+        if cfg.mode == MODE_LADDER and report.secondary is not None:
+            post = prune_from_density(post, report, d)
+            d = density(post)
+            pruned = True
+        h = grid.spacing
         edge = float(d[:_EDGE_CELLS].sum() + d[-_EDGE_CELLS:].sum()) * h > _EDGE_MASS_TOL
+        fixed = cfg.mode == MODE_FIXED
         return TrialRecord(
-            seed=self.seed,
-            config=self.config,
-            scheme=self.model.scheme.value,
-            mean_photons=self.model.mean_photons,
-            squeeze_r=self.model.params.squeeze_r,
-            grid_lo=self.grid.lo,
-            grid_hi=self.grid.hi,
-            grid_points=self.grid.n_points,
+            seed=trial.seed,
+            config=cfg,
+            scheme=model.scheme.value,
+            mean_photons=model.mean_photons,
+            squeeze_r=model.params.squeeze_r,
+            grid_lo=grid.lo,
+            grid_hi=grid.hi,
+            grid_points=grid.n_points,
             phi_true=self.phi_true,
-            steps=tuple(self.steps),
+            steps=tuple(trial.steps),
             final_map=map_estimate(post),
-            final_mean=posterior_mean(post),
-            final_variance=posterior_variance(post),
+            final_mean=mean_from_density(d, grid),
+            final_variance=variance_from_density(d, grid),
             peaks=report,
-            m_threshold=m_threshold,
-            map_jumps=map_jumps,
-            phi_rough=phi_rough,
+            m_threshold=trial.m_threshold if fixed else None,
+            map_jumps=trial.map_jumps if fixed else None,
+            phi_rough=trial.phi_rough,
             pruned=pruned,
             edge_mass=edge,
         )
-
-
-def run_fixed(
-    config: ProtocolConfig,
-    model: LikelihoodModel,
-    grid: PhaseGrid,
-    seed: int,
-    *,
-    keep_steps: bool = True,
-    tables: LikelihoodGrid | None = None,
-) -> TrialRecord:
-    """Measure at one feedback phase forever; track when the rival mode breaks.
-
-    m_threshold is the first step at which the posterior shows a distinct
-    rival at least rival_height_ratio as tall as the primary (None if that
-    never happens). Full peak detection runs only on steps where the
-    log-space screen rival_possible allows such a rival; on the other steps
-    detect_peaks provably finds none, so m_threshold is unchanged. map_jumps
-    counts steps whose MAP moved by more than peak_min_separation, a cheap
-    mode-hopping diagnostic.
-    """
-    state = _TrialState(config, model, grid, seed, keep_steps, tables)
-    j_theta = grid.index_of(config.fixed_theta)
-    m_threshold: int | None = None
-    map_jumps = 0
-    prev_map = state.map_est
-    for k in range(1, config.measurements + 1):
-        state.measure(k, j_theta)
-        if k > 1 and abs(state.map_est - prev_map) > config.peak_min_separation:
-            map_jumps += 1
-        prev_map = state.map_est
-        if m_threshold is None and rival_possible(
-            state.log_w, grid, config.peak_min_separation, config.rival_height_ratio
-        ):
-            report = detect_peaks(
-                state.posterior(),
-                config.peak_min_separation,
-                config.rival_height_ratio,
-            )
-            if report.secondary is not None:
-                m_threshold = k
-    return state.finish(
-        m_threshold=m_threshold, map_jumps=map_jumps, phi_rough=None, prune=False
-    )
-
-
-def run_ladder(
-    config: ProtocolConfig,
-    model: LikelihoodModel,
-    grid: PhaseGrid,
-    seed: int,
-    *,
-    keep_steps: bool = True,
-    tables: LikelihoodGrid | None = None,
-) -> TrialRecord:
-    """Photon counting with a ramped feedback schedule.
-
-    Rough stage (pre_rounds steps): theta climbs along a linear ramp toward
-    ramp_cap_fraction of the running MAP and never exceeds that cap, so the
-    working offset keeps a definite sign while the posterior is still
-    ambiguous. The feedback phase is snapped down onto the grid to keep the
-    cap exact. Lock stage: theta holds at final_fraction of the rough MAP.
-    Finish: a surviving rival mode, if any, is pruned before the final
-    statistics are read off.
-    """
-    state = _TrialState(config, model, grid, seed, keep_steps, tables)
-    theta_prev = 0.0
-    for k in range(1, config.pre_rounds + 1):
-        cap = config.ramp_cap_fraction * state.map_est
-        ramp = (k / config.pre_rounds) * cap
-        theta_raw = min(max(theta_prev, ramp), cap)
-        j_theta = grid.floor_index(max(theta_raw, grid.lo))
-        state.measure(k, j_theta)
-        theta_prev = float(grid.points[j_theta])
-    phi_rough = state.map_est
-    j_lock = grid.index_of(config.final_fraction * phi_rough)
-    for k in range(config.pre_rounds + 1, config.measurements + 1):
-        state.measure(k, j_lock)
-    return state.finish(m_threshold=None, map_jumps=None, phi_rough=phi_rough, prune=True)
-
-
-def run_optimal(
-    config: ProtocolConfig,
-    model: LikelihoodModel,
-    grid: PhaseGrid,
-    seed: int,
-    *,
-    keep_steps: bool = True,
-    tables: LikelihoodGrid | None = None,
-) -> TrialRecord:
-    """Two-outcome scheme with the feedback phase chasing the running MAP.
-
-    The first step measures at initial_theta (grid midpoint by default,
-    where no prior information exists yet); afterwards theta_k is the MAP
-    after step k - 1.
-    """
-    state = _TrialState(config, model, grid, seed, keep_steps, tables)
-    theta0 = grid.midpoint if config.initial_theta is None else config.initial_theta
-    j_theta = grid.index_of(theta0)
-    for k in range(1, config.measurements + 1):
-        state.measure(k, j_theta)
-        j_theta = grid.index_of(state.map_est)
-    return state.finish(m_threshold=None, map_jumps=None, phi_rough=None, prune=False)

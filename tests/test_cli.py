@@ -1,8 +1,12 @@
 """Command-line interface tests, run in-process through main()."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import su11sim
 from su11sim.cli import main
 
 
@@ -147,6 +151,26 @@ class TestEnsembleCommand:
         assert "rival_ratio" in trial_lines[2]
         assert len(trial_lines) == 3 + 6
 
+    def test_artifacts_identical_for_one_and_two_workers(self, tmp_path, capsys):
+        # 17 trials per cell cross the engine's lockstep block boundary
+        artifacts = {}
+        for workers in (1, 2):
+            paths = [tmp_path / f"w{workers}_{name}" for name in ("c.json", "cells.csv", "trials.csv")]
+            code, _, _ = run_cli(
+                [
+                    "ensemble", "--protocol", "ladder", "--phi-true", "0.3,0.75",
+                    "--mean-photons", "4", "--trials", "17", "--measurements", "120",
+                    "--pre-rounds", "30", "--workers", str(workers),
+                    "--out", str(paths[0]), "--cells-csv", str(paths[1]),
+                    "--trials-csv", str(paths[2]),
+                ],
+                capsys,
+            )
+            assert code == 0
+            artifacts[workers] = [p.read_bytes() for p in paths]
+        assert artifacts[1] == artifacts[2]
+        assert len(artifacts[1][2].decode().splitlines()) == 3 + 2 * 17
+
     def test_config_file_round_trip(self, tmp_path, capsys):
         out1 = tmp_path / "flags.json"
         run_cli(
@@ -242,3 +266,19 @@ class TestSeedsAndErrors:
         )
         assert code == 1
         assert "error:" in err
+
+
+class TestImportCost:
+    def test_cli_import_leaves_out_scipy_stats(self):
+        # scipy.stats alone costs about a second of start-up on every call
+        probe = "import sys, su11sim.cli; print('scipy.stats' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(su11sim.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.stdout.strip() == "False"

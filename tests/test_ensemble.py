@@ -99,10 +99,10 @@ class TestRunCampaign:
             assert 0.0 <= t.rival_ratio <= 1.0
 
     def test_failure_fraction_guard(self, monkeypatch):
-        def explode(*a, **kw):
-            raise SU11Error("synthetic failure")
+        def explode(config, model, grid, seeds, **kw):
+            return [SU11Error("synthetic failure") for _ in seeds]
 
-        monkeypatch.setattr(ensemble_mod, "run_trial", explode)
+        monkeypatch.setattr(ensemble_mod, "run_trials", explode)
         with pytest.raises(CampaignError):
             run_campaign(tiny_campaign(), workers=1)
 

@@ -277,11 +277,17 @@ class TestLikelihoodCurve:
         )
 
     def test_shared_tables_freed_with_their_model(self, grid):
-        model = make_model(Scheme.PHOTON_NUMBER, 0.5)
-        tables = weakref.ref(shared_grid_tables(model, grid))
-        del model
-        gc.collect()
-        assert tables() is None
+        # reference counting alone must free the cached tables: a cycle
+        # between model and tables would keep them until a full collection
+        gc.disable()
+        try:
+            model = make_model(Scheme.PHOTON_NUMBER, 0.5)
+            tables = weakref.ref(shared_grid_tables(model, grid))
+            assert tables().model is model
+            del model
+            assert tables() is None
+        finally:
+            gc.enable()
 
 
 class TestOutcomeType:
