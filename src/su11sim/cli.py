@@ -30,9 +30,9 @@ from .errors import SU11Error
 from .measurement import (
     POLICY_EXACT_TAIL,
     POLICY_RENORMALIZE,
-    Scheme,
     make_model,
-    _plus_minus_from_amps,
+    outcome_of_code,
+    outcome_probabilities,
 )
 from .posterior import PhaseGrid
 from .protocols import (
@@ -43,7 +43,6 @@ from .protocols import (
     run_trial,
     scheme_for_mode,
 )
-from .tmsq import pair_amplitude_matrix
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -146,15 +145,8 @@ def _cmd_likelihood(args) -> int:
         args.scheme, args.mean_photons, tail_tol=args.tail_tol, n_max=args.n_max
     )
     offsets = np.linspace(args.lo, args.hi, args.points)
-    amps = pair_amplitude_matrix(model.table, offsets)
-    pair_probs = np.abs(amps) ** 2
-    if model.scheme is Scheme.PHOTON_NUMBER:
-        labels = [f"pair:{n}" for n in range(model.n_max + 1)]
-        table = pair_probs
-    else:
-        p_plus, p_minus = _plus_minus_from_amps(amps[:, 0], amps[:, 1])
-        labels = ["plus", "minus"] + [f"null:{n}" for n in range(2, model.n_max + 1)]
-        table = np.column_stack([p_plus, p_minus, pair_probs[:, 2:]])
+    table = outcome_probabilities(model, offsets)
+    labels = [outcome_of_code(model.scheme, c).label() for c in range(model.n_max + 1)]
     tail = 1.0 - table.sum(axis=1)
     config = {
         "scheme": model.scheme.value,

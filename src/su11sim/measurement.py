@@ -9,9 +9,12 @@ Fisher information saturates the quantum bound at zero offset.
 A closed-form route exists for every probability because the output state is
 always a phase-twisted twin-beam state: the pair distribution is geometric,
 p(n) = (1 - v) v^n, with v the pair ratio below. Production likelihoods for
-n <= n_max come from the truncated amplitude tables; the geometric form
-drives exact sampling and the n > n_max tail. Tests cross-check the two
-routes against each other and against brute-force sums.
+outcome codes up to n_max come from the truncated amplitude tables through
+one route, outcome_probabilities; likelihood, pmf, the renormalized
+outcome_law, LikelihoodGrid and the CLI's likelihood curves all read it.
+The geometric form drives exact sampling and the n > n_max tail. Tests
+cross-check the two routes against each other and against brute-force sums.
+LikelihoodGrid stores only the log table; its linear row is exp(log_row).
 """
 from __future__ import annotations
 
@@ -197,12 +200,32 @@ def detection_asymmetry(params: OpaParams, delta_phi):
     return float(gap) if np.isscalar(delta_phi) else gap
 
 
-def _plus_minus_from_amps(a0, a1):
-    """Outcome probabilities of the optimal scheme from the two amplitudes."""
-    p0 = np.abs(a0) ** 2
-    p1 = np.abs(a1) ** 2
-    cross = np.imag(a0 * np.conj(a1))
-    return 0.5 * (p0 + p1) + cross, 0.5 * (p0 + p1) - cross
+def outcome_probabilities(model: LikelihoodModel, offsets) -> np.ndarray:
+    """Probabilities of every outcome with code up to n_max, at many offsets.
+
+    Returns an array of shape (len(offsets), n_max + 1) whose [j, c] entry
+    is the probability of outcome_of_code(model.scheme, c) at offsets[j].
+    This is the one route from the amplitude table to probabilities. Plus
+    and minus are clamped at 0, and the amplitudes are built _CHUNK offsets
+    at a time, which bounds the transient phase matrix to
+    _CHUNK x (p_max + 1).
+    """
+    u = np.asarray(offsets, dtype=np.float64)
+    if u.ndim != 1:
+        raise ValueError(f"offsets must be one-dimensional, got shape {u.shape}")
+    out = np.empty((len(u), model.n_max + 1))
+    for start in range(0, len(u), _CHUNK):
+        amps = pair_amplitude_matrix(model.table, u[start : start + _CHUNK])
+        probs = out[start : start + len(amps)]
+        probs[:] = np.abs(amps) ** 2
+        if model.scheme is Scheme.OPTIMAL:
+            # codes 0 and 1 are plus and minus; the zero- and one-pair
+            # probabilities they replace belong to no outcome of this scheme
+            mean = 0.5 * (probs[:, 0] + probs[:, 1])
+            cross = np.imag(amps[:, 0] * np.conj(amps[:, 1]))
+            np.maximum(mean + cross, 0.0, out=probs[:, 0])
+            np.maximum(mean - cross, 0.0, out=probs[:, 1])
+    return out
 
 
 def _tail_log_prob(v: float, n: int) -> float:
@@ -214,24 +237,17 @@ def _tail_log_prob(v: float, n: int) -> float:
 def likelihood(model: LikelihoodModel, outcome: Outcome, delta_phi: float) -> float:
     """Probability of one outcome at a phase offset.
 
-    Pair counts up to n_max use the amplitude table; deeper counts use the
+    Codes up to n_max read outcome_probabilities; deeper pair counts use the
     exact geometric tail, which agrees with the table route to near machine
     precision everywhere both are defined.
     """
     _require_scheme(model.scheme, outcome)
     u = float(delta_phi)
-    n = outcome.n
-    if outcome.kind in ("pair", "null"):
-        if n <= model.table.n_max:
-            amp = pair_amplitude_matrix(model.table, np.array([u]))[0, n]
-            return float(abs(amp) ** 2)
-        v = pair_ratio(model.params, u)
-        lp = _tail_log_prob(v, n)
-        return 0.0 if lp == -math.inf else math.exp(lp)
-    amps = pair_amplitude_matrix(model.table, np.array([u]))[0]
-    p_plus, p_minus = _plus_minus_from_amps(amps[0], amps[1])
-    p = p_plus if outcome.kind == "plus" else p_minus
-    return float(max(p, 0.0))
+    code = outcome.code()
+    if code <= model.n_max:
+        return float(outcome_probabilities(model, np.array([u]))[0, code])
+    lp = _tail_log_prob(pair_ratio(model.params, u), code)
+    return 0.0 if lp == -math.inf else math.exp(lp)
 
 
 def _require_scheme(scheme: Scheme, outcome: Outcome) -> None:
@@ -245,31 +261,17 @@ def _require_scheme(scheme: Scheme, outcome: Outcome) -> None:
 def pmf(model: LikelihoodModel, delta_phi: float, floor: float = _PMF_FLOOR):
     """Enumerate all outcomes with probability above floor at one offset.
 
-    Returns (outcomes, probabilities) in a deterministic order: pair counts
-    ascending for the photon scheme; plus, minus, then null counts ascending
-    for the optimal scheme. The geometric tail is followed past n_max until
-    it drops below floor.
+    Returns (outcomes, probabilities) in code order (Outcome.code): pair
+    counts ascending for the photon scheme; plus, minus, then null counts
+    ascending for the optimal scheme. The geometric tail is followed past
+    n_max until it drops below floor.
     """
     u = float(delta_phi)
-    amps = pair_amplitude_matrix(model.table, np.array([u]))[0]
-    pair_probs = np.abs(amps) ** 2
+    probs = list(outcome_probabilities(model, np.array([u]))[0])
     v = pair_ratio(model.params, u)
-    if model.scheme is Scheme.PHOTON_NUMBER:
-        outcomes = [Outcome.pair(n) for n in range(model.table.n_max + 1)]
-        probs = list(pair_probs)
-    else:
-        p_plus, p_minus = _plus_minus_from_amps(amps[0], amps[1])
-        outcomes = [Outcome.plus(), Outcome.minus()]
-        probs = [float(max(p_plus, 0.0)), float(max(p_minus, 0.0))]
-        outcomes += [Outcome.null(n) for n in range(2, model.table.n_max + 1)]
-        probs += list(pair_probs[2:])
-    for n in _tail_counts(v, model.table.n_max, floor):
-        outcomes.append(
-            Outcome.pair(n) if model.scheme is Scheme.PHOTON_NUMBER else Outcome.null(n)
-        )
-        probs.append(math.exp(_tail_log_prob(v, n)))
-    keep = [i for i, p in enumerate(probs) if p > floor]
-    return [outcomes[i] for i in keep], np.array([probs[i] for i in keep])
+    probs += [math.exp(_tail_log_prob(v, n)) for n in _tail_counts(v, model.n_max, floor)]
+    keep = [c for c, p in enumerate(probs) if p > floor]
+    return [outcome_of_code(model.scheme, c) for c in keep], np.array([probs[c] for c in keep])
 
 
 def _tail_counts(v: float, n_max: int, floor: float):
@@ -277,19 +279,6 @@ def _tail_counts(v: float, n_max: int, floor: float):
         return range(0)
     n_stop = int(math.ceil((math.log(floor) - math.log1p(-v)) / math.log(v)))
     return range(n_max + 1, max(n_stop, n_max + 1))
-
-
-def residual_mass(model: LikelihoodModel, delta_phi: float) -> float:
-    """Probability mass beyond the enumerated set at pair counts > n_max."""
-    u = float(delta_phi)
-    amps = pair_amplitude_matrix(model.table, np.array([u]))[0]
-    pair_probs = np.abs(amps) ** 2
-    if model.scheme is Scheme.PHOTON_NUMBER:
-        total = float(pair_probs.sum())
-    else:
-        p_plus, p_minus = _plus_minus_from_amps(amps[0], amps[1])
-        total = float(p_plus + p_minus + pair_probs[2:].sum())
-    return 1.0 - total
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,7 +334,7 @@ def outcome_law(model: LikelihoodModel, delta_phi: float) -> OutcomeLaw:
     """
     u = float(delta_phi)
     if model.residual_policy == POLICY_RENORMALIZE:
-        probs = _truncated_probs(model, u)
+        probs = outcome_probabilities(model, np.array([u]))[0]
         total = float(probs.sum())
         residual = 1.0 - total
         if residual > model.residual_tol:
@@ -377,25 +366,16 @@ def sample(model: LikelihoodModel, delta_phi: float, rng: np.random.Generator) -
     return outcome_law(model, delta_phi).draw(rng)
 
 
-def _truncated_probs(model: LikelihoodModel, u: float) -> np.ndarray:
-    # the enumerated outcome set up to n_max, indexed by outcome code
-    amps = pair_amplitude_matrix(model.table, np.array([u]))[0]
-    pair_probs = np.abs(amps) ** 2
-    if model.scheme is Scheme.PHOTON_NUMBER:
-        return pair_probs
-    p_plus, p_minus = _plus_minus_from_amps(amps[0], amps[1])
-    return np.concatenate(([max(p_plus, 0.0), max(p_minus, 0.0)], pair_probs[2:]))
-
-
 class LikelihoodGrid:
     """Likelihood rows over a phase grid for every feedback phase on it.
 
     Offsets phi_i - theta_j only take 2 N - 1 distinct values on a uniform
     grid, so one extended row per outcome serves every feedback setting via
-    slicing. The rows are stacked by outcome code (Outcome.code) into one
-    linear and one log table; log_row, row and log_windows all read that
-    storage. Rows for pair counts beyond n_max are synthesized from the
-    geometric tail on demand.
+    slicing. The log rows are stacked by outcome code (Outcome.code) into
+    one table, built from outcome_probabilities; log_row, row and
+    log_windows all read it, and row is exp(log_row), with 0 wherever
+    log_row sits at LOG_FLOOR. Rows for pair counts beyond n_max are
+    synthesized from the geometric tail on demand.
 
     The grid keeps its model only through a weak reference: the model
     caches its grids (shared_grid_tables), so a strong one would make a
@@ -409,21 +389,13 @@ class LikelihoodGrid:
         self.grid = grid
         n = grid.n_points
         offsets = (np.arange(2 * n - 1, dtype=np.float64) - (n - 1)) * grid.spacing
-        amps = _chunked_amplitudes(model.table, offsets)
-        table = np.ascontiguousarray((np.abs(amps) ** 2).T)
-        if model.scheme is Scheme.OPTIMAL:
-            # codes 0 and 1 are plus and minus; the zero- and one-pair rows
-            # they replace belong to no outcome of this scheme
-            p_plus, p_minus = _plus_minus_from_amps(amps[:, 0], amps[:, 1])
-            np.maximum(p_plus, 0.0, out=table[0])
-            np.maximum(p_minus, 0.0, out=table[1])
+        log_table = np.ascontiguousarray(outcome_probabilities(model, offsets).T)
         with np.errstate(divide="ignore"):
-            log_table = np.log(table)
+            np.log(log_table, out=log_table)
         np.maximum(log_table, LOG_FLOOR, out=log_table)
         v = pair_ratio(model.params, offsets)
         with np.errstate(divide="ignore"):
             log_v = np.where(v > 0.0, np.log(np.maximum(v, 1e-320)), 2.0 * LOG_FLOOR)
-        self._table = table
         self._log_table = log_table
         self._log_v = log_v
         self._log_1mv = np.log1p(-v)
@@ -462,22 +434,9 @@ class LikelihoodGrid:
         return row
 
     def row(self, outcome: Outcome, theta_index: int) -> np.ndarray:
-        """Linear likelihood row over the grid for one feedback index."""
-        _require_scheme(self.scheme, outcome)
-        sl = self._slice(theta_index)
-        code = outcome.code()
-        if code <= self.n_max:
-            return self._table[code, sl].copy()
-        return np.exp(self._log_1mv[sl] + code * self._log_v[sl])
-
-
-def _chunked_amplitudes(table: SchmidtTable, offsets: np.ndarray) -> np.ndarray:
-    # bounds the transient phase matrix to _CHUNK x (p_max + 1)
-    out = np.empty((len(offsets), table.n_max + 1), dtype=np.complex128)
-    for start in range(0, len(offsets), _CHUNK):
-        block = offsets[start : start + _CHUNK]
-        out[start : start + len(block)] = pair_amplitude_matrix(table, block)
-    return out
+        """Linear likelihood row: exp(log_row), with 0 where log_row sits at LOG_FLOOR."""
+        log_row = self.log_row(outcome, theta_index)
+        return np.where(log_row > LOG_FLOOR, np.exp(log_row), 0.0)
 
 
 def shared_grid_tables(model: LikelihoodModel, grid: PhaseGrid) -> LikelihoodGrid:

@@ -120,6 +120,12 @@ class ProtocolConfig:
                 raise ValueError(f"final_fraction must lie in (0, 1), got {self.final_fraction!r}")
         if self.initial_theta is not None and not math.isfinite(self.initial_theta):
             raise ValueError(f"initial_theta must be finite, got {self.initial_theta!r}")
+        if not (math.isfinite(self.peak_min_separation) and self.peak_min_separation > 0.0):
+            raise ValueError(
+                f"peak_min_separation must be finite and > 0, got {self.peak_min_separation!r}"
+            )
+        if not (0.0 < self.peak_height_floor <= 1.0):
+            raise ValueError(f"peak_height_floor must lie in (0, 1], got {self.peak_height_floor!r}")
         if not (0.0 < self.rival_height_ratio <= 1.0):
             raise ValueError(f"rival_height_ratio must lie in (0, 1], got {self.rival_height_ratio!r}")
 

@@ -72,14 +72,6 @@ class SchmidtTable:
     pair_kernel: np.ndarray
 
 
-@dataclass(frozen=True)
-class AmplitudeVector:
-    """Complex detection amplitudes for 0..n_max pairs at one phase offset."""
-
-    delta_phi: float
-    values: np.ndarray
-
-
 def _coeff_matrix(r: float, p_max: int, n_max: int) -> np.ndarray:
     """Evaluate the ladder coefficients with signed log-gamma accumulation.
 
@@ -191,9 +183,3 @@ def pair_amplitude_matrix(table: SchmidtTable, delta_phis: np.ndarray) -> np.nda
     phases = np.exp(1j * dphi[:, None] * np.arange(table.p_max + 1)[None, :])
     return phases @ table.pair_kernel
 
-
-def amplitudes(table: SchmidtTable, delta_phi: float) -> AmplitudeVector:
-    """Detection amplitudes for 0..n_max pairs at a single phase offset."""
-    values = pair_amplitude_matrix(table, np.array([float(delta_phi)]))[0]
-    values.setflags(write=False)
-    return AmplitudeVector(delta_phi=float(delta_phi), values=values)

@@ -25,6 +25,15 @@ class TestBenchmarks:
         assert b.heisenberg == pytest.approx(6.25e-5, rel=1e-12)
         assert b.shot_noise == pytest.approx(2.5e-4, rel=1e-12)
 
+    def test_criterion_11_ceiling_below_its_target(self):
+        # criterion 11 asks for 90 of 100 MAP estimates within 0.01 rad at
+        # M = 1000, nbar = 4; an unbiased Gaussian estimator at the QCRB
+        # lands there only with probability erf(0.01 / sqrt(2 qcrb))
+        qcrb = benchmarks(1000, 4.0).qcrb
+        ceiling = math.erf(0.01 / math.sqrt(2.0 * qcrb))
+        assert ceiling == pytest.approx(0.879, abs=5e-4)
+        assert ceiling < 0.90
+
     def test_validation(self):
         with pytest.raises(ValueError):
             benchmarks(0, 4.0)

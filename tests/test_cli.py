@@ -4,9 +4,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import su11sim
+import su11sim.measurement as measurement
+from su11sim import make_model, outcome_of_code, outcome_probabilities
 from su11sim.cli import main
 
 
@@ -73,6 +76,53 @@ class TestLikelihood:
         assert len(sums) == 7
         for total in sums.values():
             assert total == pytest.approx(1.0, abs=1e-9)
+
+
+    @pytest.mark.parametrize("scheme", ("photon", "optimal"))
+    @pytest.mark.parametrize("points", (7, 2500))
+    def test_rows_equal_outcome_probabilities(self, scheme, points, tmp_path, capsys):
+        target = tmp_path / "curves.csv"
+        code, _, _ = run_cli(
+            [
+                "likelihood", "--scheme", scheme, "--mean-photons", "4",
+                "--points", str(points), "--out", str(target),
+            ],
+            capsys,
+        )
+        assert code == 0
+        model = make_model(scheme, 4.0)
+        offsets = np.linspace(-np.pi, np.pi, points)
+        want = outcome_probabilities(model, offsets)
+        labels = [outcome_of_code(model.scheme, c).label() for c in range(model.n_max + 1)]
+        rows = [line.split(",") for line in target.read_text().splitlines()[3:]]
+        assert len(rows) == points * (model.n_max + 2)
+        for i, u in enumerate(offsets):
+            block = rows[i * (model.n_max + 2) : (i + 1) * (model.n_max + 2)]
+            assert all(float(r[0]) == u for r in block)
+            assert [r[1] for r in block] == labels + ["tail"]
+            assert [float(r[2]) for r in block[:-1]] == list(want[i])
+
+    def test_amplitude_blocks_bounded_by_chunk(self, tmp_path, capsys, monkeypatch):
+        # one matmul over every offset would need a points x (p_max + 1)
+        # complex matrix: 100000 points at nbar = 32 is about 5.9 GB
+        blocks = []
+        real = measurement.pair_amplitude_matrix
+
+        def spy(table, delta_phis):
+            blocks.append(len(delta_phis))
+            return real(table, delta_phis)
+
+        monkeypatch.setattr(measurement, "pair_amplitude_matrix", spy)
+        code, _, _ = run_cli(
+            [
+                "likelihood", "--scheme", "photon", "--mean-photons", "0.5",
+                "--points", "2500", "--out", str(tmp_path / "curves.csv"),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert sum(blocks) == 2500
+        assert max(blocks) <= measurement._CHUNK
 
 
 class TestRun:
@@ -189,6 +239,27 @@ class TestEnsembleCommand:
         )
         assert code == 0
         assert out2.read_bytes() == out1.read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("peak_height_floor", 0.0), ("peak_min_separation", 0.0), ("peak_min_separation", float("nan"))],
+    )
+    def test_config_with_bad_peak_setting_exits_one(self, field, value, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "protocol": {"mode": "optimal", "measurements": 1000, field: value},
+                    "mean_photons": [4.0],
+                    "phi_true": [0.75],
+                    "trials": 8,
+                }
+            )
+        )
+        code, out, err = run_cli(["ensemble", "--config", str(cfg_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and field in err
 
 
 class TestThresholdCommand:

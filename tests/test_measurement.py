@@ -25,12 +25,15 @@ from su11sim import (
     likelihood,
     likelihood_curve,
     make_model,
+    outcome_of_code,
+    outcome_probabilities,
     pair_ratio,
     pmf,
-    residual_mass,
     sample,
     shared_grid_tables,
 )
+from su11sim.measurement import _CHUNK
+from su11sim.posterior import LOG_FLOOR
 
 U_SWEEP = (-math.pi, -1.2, -0.3, -0.05, 0.0, 0.05, 0.3, 0.75, 1.2, math.pi)
 
@@ -41,6 +44,11 @@ def brute_force_pair_prob(table, n: int, u: float) -> float:
     p = np.arange(table.p_max + 1)
     cos_mat = np.cos(np.subtract.outer(p, p) * u)
     return float(g @ cos_mat @ g)
+
+
+def residual(model, u: float) -> float:
+    """Probability mass outside the outcome codes 0..n_max at one offset."""
+    return 1.0 - float(outcome_probabilities(model, [u])[0].sum())
 
 
 def closed_form_pair_ratio(nbar: float, u: float) -> float:
@@ -127,6 +135,97 @@ class TestOptimalScheme:
             )
 
 
+class TestOutcomeProbabilities:
+    """The one table route against the closed forms and its other readers."""
+
+    @staticmethod
+    def closed_forms(model, u: np.ndarray) -> np.ndarray:
+        v = pair_ratio(model.params, u)[:, None]
+        n = np.arange(model.n_max + 1)[None, :]
+        want = (1.0 - v) * v**n
+        if model.scheme is Scheme.OPTIMAL:
+            gap = detection_asymmetry(model.params, u)
+            null_mass = v[:, 0] ** 2
+            want[:, 0] = 0.5 * (1.0 - null_mass - gap)
+            want[:, 1] = 0.5 * (1.0 - null_mass + gap)
+        return want
+
+    @pytest.mark.parametrize("scheme", (Scheme.PHOTON_NUMBER, Scheme.OPTIMAL))
+    @pytest.mark.parametrize("n_offsets", (1, _CHUNK + 1, 2 * _CHUNK + 300))
+    def test_matches_closed_forms(self, scheme, n_offsets, photon_model, optimal_model):
+        model = photon_model if scheme is Scheme.PHOTON_NUMBER else optimal_model
+        u = np.linspace(-math.pi, math.pi, n_offsets) if n_offsets > 1 else np.array([0.3])
+        got = outcome_probabilities(model, u)
+        assert got.shape == (n_offsets, model.n_max + 1)
+        assert np.all(got >= 0.0)
+        assert np.max(np.abs(got - self.closed_forms(model, u))) < 1e-10
+
+    @pytest.mark.parametrize("scheme", (Scheme.PHOTON_NUMBER, Scheme.OPTIMAL))
+    def test_chunked_rows_equal_single_rows(self, scheme, photon_model, optimal_model):
+        # a row of a multi-chunk call equals the same offset on its own
+        # (up to the ulp the one-row product may take) and never moves
+        # with its position relative to the chunk boundary
+        model = photon_model if scheme is Scheme.PHOTON_NUMBER else optimal_model
+        u = np.linspace(-3.0, 3.0, _CHUNK + 5)
+        whole = outcome_probabilities(model, u)
+        head = outcome_probabilities(model, u[:_CHUNK])
+        assert np.array_equal(whole[:_CHUNK], head)
+        for j in (0, _CHUNK - 1, _CHUNK, _CHUNK + 4):
+            alone = outcome_probabilities(model, u[j : j + 1])[0]
+            assert np.max(np.abs(whole[j] - alone)) < 1e-15
+
+    def test_empty_and_bad_shapes(self, photon_model):
+        assert outcome_probabilities(photon_model, []).shape == (0, photon_model.n_max + 1)
+        with pytest.raises(ValueError):
+            outcome_probabilities(photon_model, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("scheme", (Scheme.PHOTON_NUMBER, Scheme.OPTIMAL))
+    def test_likelihood_reads_the_table_exactly(self, scheme, photon_model, optimal_model):
+        model = photon_model if scheme is Scheme.PHOTON_NUMBER else optimal_model
+        for u in U_SWEEP:
+            row = outcome_probabilities(model, [u])[0]
+            for c in range(model.n_max + 1):
+                assert likelihood(model, outcome_of_code(scheme, c), u) == row[c]
+
+    @pytest.mark.parametrize("scheme", (Scheme.PHOTON_NUMBER, Scheme.OPTIMAL))
+    def test_pmf_is_code_ordered_table_then_tail(self, scheme, photon_model, optimal_model):
+        model = photon_model if scheme is Scheme.PHOTON_NUMBER else optimal_model
+        u = 1.2
+        outcomes, probs = pmf(model, u)
+        assert [o.code() for o in outcomes] == list(range(len(outcomes)))
+        assert len(outcomes) > model.n_max + 1
+        assert np.array_equal(probs[: model.n_max + 1], outcome_probabilities(model, [u])[0])
+        for o, p in zip(outcomes[model.n_max + 1 :], probs[model.n_max + 1 :]):
+            assert p == likelihood(model, o, u)
+
+    @pytest.mark.parametrize("scheme", (Scheme.PHOTON_NUMBER, Scheme.OPTIMAL))
+    def test_grid_log_table_is_log_of_the_table(self, scheme, photon_model, optimal_model, grid):
+        model = photon_model if scheme is Scheme.PHOTON_NUMBER else optimal_model
+        tables = shared_grid_tables(model, grid)
+        n = grid.n_points
+        offsets = (np.arange(2 * n - 1, dtype=np.float64) - (n - 1)) * grid.spacing
+        with np.errstate(divide="ignore"):
+            want = np.maximum(np.log(outcome_probabilities(model, offsets).T), LOG_FLOOR)
+        assert np.array_equal(tables.log_windows()[:, 0], want[:, n - 1 :])
+        for j in (0, 1234, n - 1):
+            for c in range(model.n_max + 1):
+                log_row = tables.log_row(outcome_of_code(scheme, c), j)
+                assert np.array_equal(log_row, want[c, n - 1 - j : 2 * n - 1 - j])
+
+    def test_row_is_exp_of_log_row(self, photon_model, grid):
+        # pair 40 sits at LOG_FLOOR at zero offset (index 3000 here)
+        tables = shared_grid_tables(photon_model, grid)
+        n_floored = 0
+        for outcome in (Outcome.pair(0), Outcome.pair(16), Outcome.pair(40)):
+            log_row = tables.log_row(outcome, 3000)
+            row = tables.row(outcome, 3000)
+            floored = log_row == LOG_FLOOR
+            n_floored += int(floored.sum())
+            assert np.all(row[floored] == 0.0)
+            assert np.array_equal(row[~floored], np.exp(log_row[~floored]))
+        assert n_floored > 0
+
+
 class TestPmfAndResidual:
     @pytest.mark.parametrize("scheme", (Scheme.PHOTON_NUMBER, Scheme.OPTIMAL))
     @pytest.mark.parametrize("u", (0.0, 0.05, 0.75, math.pi))
@@ -146,7 +245,7 @@ class TestPmfAndResidual:
         n_max = photon_model.table.n_max
         for u in (0.0, 0.05, 0.75):
             v = pair_ratio(photon_model.params, u)
-            assert residual_mass(photon_model, u) == pytest.approx(
+            assert residual(photon_model, u) == pytest.approx(
                 v ** (n_max + 1), rel=1e-10, abs=1e-15
             )
 
@@ -206,7 +305,7 @@ class TestSampling:
 
     def test_renormalize_policy_hard_error_on_leak(self):
         model = make_model(Scheme.PHOTON_NUMBER, 4.0, residual_policy=POLICY_RENORMALIZE)
-        assert residual_mass(model, 0.75) > model.residual_tol
+        assert residual(model, 0.75) > model.residual_tol
         with pytest.raises(ResidualMassError):
             sample(model, 0.75, np.random.default_rng(0))
 

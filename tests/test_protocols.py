@@ -75,6 +75,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ProtocolConfig(mode=MODE_OPTIMAL, rival_height_ratio=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("peak_min_separation", 0.0),
+            ("peak_min_separation", -0.02),
+            ("peak_min_separation", math.nan),
+            ("peak_min_separation", math.inf),
+            ("peak_height_floor", 0.0),
+            ("peak_height_floor", -0.1),
+            ("peak_height_floor", 1.5),
+            ("peak_height_floor", math.nan),
+        ],
+    )
+    def test_peak_settings_rejected_at_construction(self, field, value):
+        # detect_peaks would only object once a trial finishes, after every step
+        with pytest.raises(ValueError, match=field):
+            small_config(MODE_FIXED, **{field: value})
+
+    def test_peak_settings_at_their_bounds_accepted(self):
+        cfg = small_config(MODE_FIXED, peak_min_separation=1e-9, peak_height_floor=1.0)
+        assert cfg.peak_height_floor == 1.0
+
     def test_scheme_for_mode(self):
         assert scheme_for_mode(MODE_FIXED) is Scheme.PHOTON_NUMBER
         assert scheme_for_mode(MODE_LADDER) is Scheme.PHOTON_NUMBER
