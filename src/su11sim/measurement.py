@@ -15,6 +15,10 @@ outcome_law, LikelihoodGrid and the CLI's likelihood curves all read it.
 The geometric form drives exact sampling and the n > n_max tail. Tests
 cross-check the two routes against each other and against brute-force sums.
 LikelihoodGrid stores only the log table; its linear row is exp(log_row).
+It evaluates outcome_probabilities at the non-negative offsets only and fills
+the negative ones by mirroring (plus and minus swap places), which is exact:
+the offsets are exactly antisymmetric and amplitudes at -u are the complex
+conjugates of those at u.
 """
 from __future__ import annotations
 
@@ -264,8 +268,10 @@ def pmf(model: LikelihoodModel, delta_phi: float, floor: float = _PMF_FLOOR):
     Returns (outcomes, probabilities) in code order (Outcome.code): pair
     counts ascending for the photon scheme; plus, minus, then null counts
     ascending for the optimal scheme. The geometric tail is followed past
-    n_max until it drops below floor.
+    n_max until it drops below floor, which must lie in (0, 1).
     """
+    if not (0.0 < floor < 1.0):
+        raise ValueError(f"floor must lie in (0, 1), got {floor!r}")
     u = float(delta_phi)
     probs = list(outcome_probabilities(model, np.array([u]))[0])
     v = pair_ratio(model.params, u)
@@ -372,7 +378,8 @@ class LikelihoodGrid:
     Offsets phi_i - theta_j only take 2 N - 1 distinct values on a uniform
     grid, so one extended row per outcome serves every feedback setting via
     slicing. The log rows are stacked by outcome code (Outcome.code) into
-    one table, built from outcome_probabilities; log_row, row and
+    one table, built from outcome_probabilities at the N non-negative
+    offsets and mirrored onto the N - 1 negative ones; log_row, row and
     log_windows all read it, and row is exp(log_row), with 0 wherever
     log_row sits at LOG_FLOOR. Rows for pair counts beyond n_max are
     synthesized from the geometric tail on demand.
@@ -389,10 +396,17 @@ class LikelihoodGrid:
         self.grid = grid
         n = grid.n_points
         offsets = (np.arange(2 * n - 1, dtype=np.float64) - (n - 1)) * grid.spacing
-        log_table = np.ascontiguousarray(outcome_probabilities(model, offsets).T)
+        # offsets[n - 1 - k] == -offsets[n - 1 + k] exactly and amplitudes at -u
+        # are the conjugates of those at u, so the non-negative half fixes the
+        # table: a mirrored column keeps its pair counts and swaps plus and minus
         with np.errstate(divide="ignore"):
-            np.log(log_table, out=log_table)
-        np.maximum(log_table, LOG_FLOOR, out=log_table)
+            half = np.log(outcome_probabilities(model, offsets[n - 1 :]).T)
+        np.maximum(half, LOG_FLOOR, out=half)
+        log_table = np.empty((self.n_max + 1, 2 * n - 1))
+        log_table[:, n - 1 :] = half
+        log_table[:, n - 2 :: -1] = half[:, 1:]
+        if self.scheme is Scheme.OPTIMAL:
+            log_table[[0, 1], : n - 1] = log_table[[1, 0], : n - 1]
         v = pair_ratio(model.params, offsets)
         with np.errstate(divide="ignore"):
             log_v = np.where(v > 0.0, np.log(np.maximum(v, 1e-320)), 2.0 * LOG_FLOOR)

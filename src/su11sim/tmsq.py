@@ -177,9 +177,18 @@ def pair_amplitude_matrix(table: SchmidtTable, delta_phis: np.ndarray) -> np.nda
 
     Returns a complex array of shape (len(delta_phis), n_max + 1) whose
     [j, n] entry is the amplitude for n detected pairs at offset
-    delta_phis[j].
+    delta_phis[j]: the sum over m of exp(i m delta_phis[j]) pair_kernel[m, n].
+
+    The phase factors are written as cos and sin straight into the real and
+    imaginary parts of one complex matrix, which is cheaper than a complex
+    exponential and agrees with it bit for bit (the tests check this). The
+    kernel is real and cos and sin are even and odd, so the amplitudes at
+    -u are exactly the conjugates of those at u.
     """
     dphi = np.asarray(delta_phis, dtype=np.float64)
-    phases = np.exp(1j * dphi[:, None] * np.arange(table.p_max + 1)[None, :])
+    angles = dphi[:, None] * np.arange(table.p_max + 1)
+    phases = np.empty(angles.shape, dtype=np.complex128)
+    np.cos(angles, out=phases.real)
+    np.sin(angles, out=phases.imag)
     return phases @ table.pair_kernel
 

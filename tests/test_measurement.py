@@ -6,6 +6,7 @@ amplitude evaluation, and the two must agree to 1e-10. Everything else
 (geometric pair law, two-outcome closed forms, tail accounting) is checked
 against independent closed-form expressions.
 """
+import functools
 import gc
 import math
 import weakref
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su11sim import (
+    LikelihoodGrid,
     Outcome,
     PhaseGrid,
     POLICY_RENORMALIZE,
@@ -55,6 +57,34 @@ def closed_form_pair_ratio(nbar: float, u: float) -> float:
     x = math.tanh(math.asinh(math.sqrt(nbar / 2.0))) ** 2
     dsq = 1.0 - 2.0 * x * math.cos(u) + x * x
     return 2.0 * x * (1.0 - math.cos(u)) / dsq
+
+
+def full_offset_log_table(model, grid: PhaseGrid) -> np.ndarray:
+    """Test oracle: LikelihoodGrid's log table built the way it was before
+    the mirrored build, from all 2N - 1 offsets with complex-exponential
+    amplitudes, _CHUNK offsets per product."""
+    n = grid.n_points
+    u = (np.arange(2 * n - 1, dtype=np.float64) - (n - 1)) * grid.spacing
+    m = np.arange(model.table.p_max + 1)[None, :]
+    probs = np.empty((len(u), model.n_max + 1))
+    for start in range(0, len(u), _CHUNK):
+        amps = np.exp(1j * u[start : start + _CHUNK, None] * m) @ model.table.pair_kernel
+        block = probs[start : start + len(amps)]
+        block[:] = np.abs(amps) ** 2
+        if model.scheme is Scheme.OPTIMAL:
+            mean = 0.5 * (block[:, 0] + block[:, 1])
+            cross = np.imag(amps[:, 0] * np.conj(amps[:, 1]))
+            np.maximum(mean + cross, 0.0, out=block[:, 0])
+            np.maximum(mean - cross, 0.0, out=block[:, 1])
+    log_table = np.ascontiguousarray(probs.T)
+    with np.errstate(divide="ignore"):
+        np.log(log_table, out=log_table)
+    return np.maximum(log_table, LOG_FLOOR)
+
+
+@functools.lru_cache(maxsize=None)
+def model_at(scheme: Scheme, nbar: float):
+    return make_model(scheme, nbar)
 
 
 class TestPairScheme:
@@ -226,6 +256,17 @@ class TestOutcomeProbabilities:
         assert n_floored > 0
 
 
+class TestMirroredGridBuild:
+    @pytest.mark.parametrize("scheme", (Scheme.PHOTON_NUMBER, Scheme.OPTIMAL))
+    @pytest.mark.parametrize("nbar", (0.5, 4.0, 32.0))
+    @pytest.mark.parametrize("n_points", (512, 999, 4096))
+    def test_log_table_bit_identical_to_full_offset_build(self, scheme, nbar, n_points):
+        model = model_at(scheme, nbar)
+        grid = PhaseGrid(n_points=n_points)
+        got = LikelihoodGrid(model, grid)._log_table
+        assert np.array_equal(got, full_offset_log_table(model, grid))
+
+
 class TestPmfAndResidual:
     @pytest.mark.parametrize("scheme", (Scheme.PHOTON_NUMBER, Scheme.OPTIMAL))
     @pytest.mark.parametrize("u", (0.0, 0.05, 0.75, math.pi))
@@ -235,6 +276,11 @@ class TestPmfAndResidual:
         assert abs(float(np.sum(probs)) - 1.0) < 1e-9
         assert np.all(probs >= 0.0)
         assert np.all(np.isfinite(probs))
+
+    @pytest.mark.parametrize("floor", (0.0, -1e-14, 1.0, 2.0, math.nan))
+    def test_floor_outside_unit_interval_rejected(self, photon_model, floor):
+        with pytest.raises(ValueError, match="floor"):
+            pmf(photon_model, 1.2, floor=floor)
 
     def test_outcome_order_deterministic(self, photon_model):
         o1, _ = pmf(photon_model, 0.6)
@@ -353,6 +399,22 @@ class TestLikelihoodCurve:
         minus = likelihood_curve(optimal_model, Outcome.minus(), grid, float(grid.points[j]))
         k = np.arange(1, 1000)
         assert np.max(np.abs(plus[j + k] - minus[j - k])) < 1e-14
+
+    def test_photon_probabilities_even_in_offset(self, photon_model, grid):
+        # separate evaluations at +u and -u; the grid's rows above are even
+        # by construction, since LikelihoodGrid mirrors its table
+        u = np.arange(1, 1000) * grid.spacing
+        assert np.array_equal(
+            outcome_probabilities(photon_model, u), outcome_probabilities(photon_model, -u)
+        )
+
+    def test_optimal_probabilities_mirror(self, optimal_model, grid):
+        u = np.arange(1, 1000) * grid.spacing
+        swapped = [1, 0, *range(2, optimal_model.n_max + 1)]
+        assert np.array_equal(
+            outcome_probabilities(optimal_model, u)[:, swapped],
+            outcome_probabilities(optimal_model, -u),
+        )
 
     def test_rows_are_read_only_views_or_copies(self, photon_model, grid):
         tables = shared_grid_tables(photon_model, grid)

@@ -15,6 +15,7 @@ from su11sim import (
     detect_peaks,
     likelihood_curve,
     map_estimate,
+    outcome_probabilities,
     posterior_mean,
     posterior_variance,
     prune_secondary,
@@ -86,6 +87,17 @@ class TestUpdate:
         row = likelihood_curve(photon_model, Outcome.pair(0), grid, theta)
         post = update(uniform_posterior(grid), row)
         d = density(post)
+        k = np.arange(1, min(j, grid.n_points - 1 - j))
+        assert np.max(np.abs(d[j + k] - d[j - k])) < 1e-9 * d[j]
+
+    def test_vacuum_row_from_separate_offsets_symmetric(self, photon_model, grid):
+        # the row above comes from the mirrored grid table; here the two
+        # sides of theta are evaluated by separate calls
+        theta = grid.snap(0.70)
+        j = grid.index_of(theta)
+        left = outcome_probabilities(photon_model, grid.points[:j] - theta)[:, 0]
+        right = outcome_probabilities(photon_model, grid.points[j:] - theta)[:, 0]
+        d = density(update(uniform_posterior(grid), np.concatenate([left, right])))
         k = np.arange(1, min(j, grid.n_points - 1 - j))
         assert np.max(np.abs(d[j + k] - d[j - k])) < 1e-9 * d[j]
 

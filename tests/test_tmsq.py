@@ -5,6 +5,7 @@ in double precision; the oracle below re-evaluates the same alternating sum
 in 60-digit mpmath arithmetic, so any systematic error in the log-domain
 bookkeeping would show up as a block-wide mismatch.
 """
+import functools
 import math
 
 import mpmath
@@ -129,6 +130,51 @@ class TestAmplitudes:
             defect = abs(float(np.sum(np.abs(row) ** 2)) + remainder - 1.0)
             assert defect <= prev + 1e-14
             prev = defect
+
+
+def exp_pair_amplitude_matrix(table, delta_phis) -> np.ndarray:
+    """Test oracle: the complex-exponential amplitude build that the real
+    cos/sin build replaced, kept to show the two agree bit for bit."""
+    dphi = np.asarray(delta_phis, dtype=np.float64)
+    phases = np.exp(1j * dphi[:, None] * np.arange(table.p_max + 1)[None, :])
+    return phases @ table.pair_kernel
+
+
+@functools.lru_cache(maxsize=None)
+def table_at(nbar: float):
+    return build_schmidt_table(OpaParams.from_mean_photons(nbar))
+
+
+EDGE_OFFSETS = (0.0, 1e-12, -1e-12, math.pi, -math.pi)
+
+
+class TestRealTrigAmplitudes:
+    @pytest.mark.parametrize("nbar", (0.5, 4.0, 32.0))
+    @pytest.mark.parametrize("rows", (1024, 1025))
+    def test_bit_identical_to_complex_exp(self, nbar, rows):
+        table = table_at(nbar)
+        u = np.concatenate([EDGE_OFFSETS, np.linspace(-3.1, 3.1, rows - len(EDGE_OFFSETS))])
+        assert np.array_equal(
+            pair_amplitude_matrix(table, u), exp_pair_amplitude_matrix(table, u)
+        )
+
+    @pytest.mark.parametrize("nbar", (0.5, 4.0, 32.0))
+    def test_single_rows_bit_identical_to_complex_exp(self, nbar):
+        # one-row products take the matrix-vector kernel
+        table = table_at(nbar)
+        for u in EDGE_OFFSETS:
+            assert np.array_equal(
+                pair_amplitude_matrix(table, [u]), exp_pair_amplitude_matrix(table, [u])
+            )
+
+    @pytest.mark.parametrize("nbar", (0.5, 4.0, 32.0))
+    def test_negated_offsets_give_exact_conjugates(self, nbar):
+        # what lets LikelihoodGrid fill its negative offsets by mirroring
+        table = table_at(nbar)
+        u = np.arange(1025) * (math.pi / 1024)
+        assert np.array_equal(
+            pair_amplitude_matrix(table, -u), np.conj(pair_amplitude_matrix(table, u))
+        )
 
 
 class TestValidation:
