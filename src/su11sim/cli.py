@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -107,19 +108,31 @@ def _add_grid_flags(parser) -> None:
     )
 
 
-def _add_model_flags(parser) -> None:
+def _add_table_flags(parser) -> None:
     parser.add_argument(
         "--n-max", type=int, default=16, help="deepest tabulated pair count (default 16)"
     )
     parser.add_argument(
         "--tail-tol", type=float, default=1e-12, help="table truncation tolerance (default 1e-12)"
     )
+
+
+def _add_model_flags(parser) -> None:
+    _add_table_flags(parser)
     parser.add_argument(
         "--residual-policy",
         choices=[POLICY_EXACT_TAIL, POLICY_RENORMALIZE],
         default=POLICY_EXACT_TAIL,
         help="how sampling treats pair counts beyond n-max (default exact_tail)",
     )
+
+
+def _add_protocol_flags(p) -> None:
+    p.add_argument("--theta", type=float, default=None, help="feedback phase (fixed mode)")
+    p.add_argument("--pre-rounds", type=int, default=100, help="ladder rough-stage length")
+    p.add_argument("--ramp-cap", type=float, default=0.5, help="ladder cap as fraction of MAP")
+    p.add_argument("--final-fraction", type=float, default=0.93, help="ladder lock fraction")
+    p.add_argument("--initial-theta", type=float, default=None, help="first feedback (optimal)")
 
 
 def _cmd_limits(args) -> int:
@@ -216,10 +229,8 @@ def _cmd_ensemble(args) -> int:
     if args.config is not None:
         with open(args.config) as fh:
             config = CampaignConfig.from_dict(json.load(fh))
-        if args.seed is not None or os.environ.get("SU11_SEED"):
-            config = CampaignConfig.from_dict(
-                config.to_dict() | {"master_seed": _resolve_seed(args.seed)}
-            )
+        if args.seed is not None or "SU11_SEED" in os.environ:
+            config = replace(config, master_seed=_resolve_seed(args.seed))
     else:
         if args.phi_true is None:
             raise SU11Error("ensemble needs --phi-true (or --config)")
@@ -326,11 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-photons", type=float, required=True)
     p.add_argument("--measurements", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None, help="trial seed (default: SU11_SEED or 7)")
-    p.add_argument("--theta", type=float, default=None, help="feedback phase (fixed mode)")
-    p.add_argument("--pre-rounds", type=int, default=100, help="ladder rough-stage length")
-    p.add_argument("--ramp-cap", type=float, default=0.5, help="ladder cap as fraction of MAP")
-    p.add_argument("--final-fraction", type=float, default=0.93, help="ladder lock fraction")
-    p.add_argument("--initial-theta", type=float, default=None, help="first feedback (optimal)")
+    _add_protocol_flags(p)
     _add_grid_flags(p)
     _add_model_flags(p)
     p.add_argument("--out", default=None, help="write the trial record JSON here")
@@ -350,11 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--measurements", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None, help="master seed (default: SU11_SEED or 7)")
-    p.add_argument("--theta", type=float, default=None, help="feedback phase (fixed mode)")
-    p.add_argument("--pre-rounds", type=int, default=100)
-    p.add_argument("--ramp-cap", type=float, default=0.5)
-    p.add_argument("--final-fraction", type=float, default=0.93)
-    p.add_argument("--initial-theta", type=float, default=None)
+    _add_protocol_flags(p)
     p.add_argument("--workers", type=int, default=1, help="worker processes over cells")
     p.add_argument("--label", default="", help="free-form label echoed in outputs")
     _add_grid_flags(p)
@@ -372,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-measurements", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None, help="master seed (default: SU11_SEED or 7)")
     _add_grid_flags(p)
-    p.add_argument("--n-max", type=int, default=16)
-    p.add_argument("--tail-tol", type=float, default=1e-12)
+    _add_table_flags(p)
     p.add_argument("--out", default=None, help="write scan JSON here instead of stdout")
     p.add_argument("--csv", default=None, help="write scan rows CSV here")
     p.set_defaults(func=_cmd_threshold)

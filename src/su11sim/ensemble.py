@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import product
 
 import numpy as np
@@ -66,8 +66,12 @@ class CampaignConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        # type() rather than isinstance: True is an int but no count or seed
+        if not (type(self.trials) is int and self.trials >= 1):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        for name in ("master_seed", "n_max"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.mean_photons or not all(
             math.isfinite(n) and n > 0 for n in self.mean_photons
         ):
@@ -97,23 +101,27 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignConfig":
-        grid = d.get("grid", {})
-        return cls(
-            protocol=ProtocolConfig(**d["protocol"]),
-            mean_photons=tuple(d["mean_photons"]),
-            phi_true=tuple(d["phi_true"]),
-            trials=d["trials"],
-            master_seed=d.get("master_seed", DEFAULT_MASTER_SEED),
-            grid=PhaseGrid(
-                lo=grid.get("lo", 0.0),
-                hi=grid.get("hi", math.pi),
-                n_points=grid.get("n_points", 4096),
-            ),
-            tail_tol=d.get("tail_tol", 1e-12),
-            n_max=d.get("n_max", 16),
-            residual_policy=d.get("residual_policy", POLICY_EXACT_TAIL),
-            label=d.get("label", ""),
-        )
+        """Read to_dict's layout; a missing, unknown or mistyped key raises ValueError."""
+        kw = _known_keys("campaign config", d, cls)
+        kw["protocol"] = ProtocolConfig(**_known_keys("protocol", d["protocol"], ProtocolConfig))
+        kw["grid"] = PhaseGrid(**_known_keys("grid", d.get("grid", {}), PhaseGrid))
+        for key in ("mean_photons", "phi_true"):
+            if not (isinstance(d[key], list) and all(type(x) in (int, float) for x in d[key])):
+                raise ValueError(f"{key} must be a list of numbers, got {d[key]!r}")
+            kw[key] = tuple(d[key])
+        return cls(**kw)
+
+
+def _known_keys(what: str, d, cls) -> dict:
+    """A copy of d, once its keys are known to be cls's fields, required ones included."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    names = {f.name for f in fields(cls)}
+    required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
+    for problem, keys in (("unknown", set(d) - names), ("missing", required - set(d))):
+        if keys:
+            raise ValueError(f"{what} has {problem} key(s) {', '.join(map(repr, sorted(keys)))}")
+    return dict(d)
 
 
 @dataclass(frozen=True)

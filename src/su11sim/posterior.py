@@ -1,8 +1,11 @@
 """Grid-based Bayesian posterior over the unknown interferometer phase.
 
-Weights live in log space with a hard floor at -745 (just above the smallest
-positive double), so a long run of vanishing likelihoods cannot produce NaN.
-Normalization is in the Riemann sense: sum(density) * spacing = 1.
+Log weights are defined up to a constant. log_step, the one Bayes update
+(the lockstep engine in protocols and update_log both call it), adds rows
+and shifts each maximum to 0; it never renormalizes. A Posterior computes
+its density once, on first use: subtract logsumexp, floor at -745 (so
+vanishing weights cannot produce NaN), exponentiate. Normalization is in
+the Riemann sense: sum(density) * spacing = 1.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ class PhaseGrid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
             raise ValueError(f"need finite lo < hi, got [{self.lo!r}, {self.hi!r})")
-        if not (isinstance(self.n_points, int) and self.n_points >= 64):
+        if not (type(self.n_points) is int and self.n_points >= 64):  # bool is no count
             raise ValueError(f"n_points must be an integer >= 64, got {self.n_points!r}")
 
     @cached_property
@@ -72,12 +75,19 @@ class PhaseGrid:
         return float(self.points[self.index_of(phi)])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Posterior:
-    """Log-domain posterior over a PhaseGrid. log_weights is owned, length n_points."""
+    """Log weights over a PhaseGrid, up to a constant. The array is not
+    copied and must not change: the density is computed once and kept."""
 
     grid: PhaseGrid
     log_weights: np.ndarray
+
+    @cached_property
+    def _density(self) -> np.ndarray:
+        d = np.exp(_normalized(self.grid, self.log_weights))
+        d.setflags(write=False)
+        return d
 
 
 def _normalized(grid: PhaseGrid, log_w: np.ndarray) -> np.ndarray:
@@ -92,13 +102,23 @@ def uniform_posterior(grid: PhaseGrid) -> Posterior:
     return Posterior(grid=grid, log_weights=log_w)
 
 
+def log_step(log_w: np.ndarray, log_rows: np.ndarray) -> np.ndarray:
+    """Bayes update in place on log weights of shape (..., n_points): add the
+    rows, shift each entry's maximum to 0 and return the maxima. An entry
+    whose maximum is not finite is left meaningless; the caller drops it."""
+    log_w += log_rows
+    top = log_w.max(axis=-1)
+    log_w -= top[..., None]
+    return top
+
+
 def update_log(posterior: Posterior, log_row: np.ndarray, label: str | None = None) -> Posterior:
     """Bayes update with a log-likelihood row already evaluated on the grid."""
-    log_w = posterior.log_weights + log_row
-    if not np.isfinite(log_w.max()):
+    log_w = np.array(posterior.log_weights, dtype=np.float64)  # a copy
+    if not math.isfinite(log_step(log_w, log_row)):
         what = f"outcome {label}" if label else "likelihood row"
         raise DegenerateRowError(f"{what} leaves zero posterior mass everywhere")
-    return Posterior(grid=posterior.grid, log_weights=_normalized(posterior.grid, log_w))
+    return Posterior(grid=posterior.grid, log_weights=log_w)
 
 
 def update(posterior: Posterior, likelihood_row: np.ndarray, label: str | None = None) -> Posterior:
@@ -119,9 +139,8 @@ def update(posterior: Posterior, likelihood_row: np.ndarray, label: str | None =
 
 
 def density(posterior: Posterior) -> np.ndarray:
-    """Normalized probability density on the grid points."""
-    w = np.exp(_normalized(posterior.grid, posterior.log_weights))
-    return w
+    """Normalized probability density on the grid points (read-only)."""
+    return posterior._density
 
 
 def map_estimate(posterior: Posterior) -> float:
@@ -130,22 +149,12 @@ def map_estimate(posterior: Posterior) -> float:
 
 
 def posterior_mean(posterior: Posterior) -> float:
-    return mean_from_density(density(posterior), posterior.grid)
+    grid = posterior.grid
+    return float(grid.spacing * np.dot(density(posterior), grid.points))
 
 
 def posterior_variance(posterior: Posterior) -> float:
-    return variance_from_density(density(posterior), posterior.grid)
-
-
-# The *_from_density helpers take the array density() returned, so a caller
-# that needs several statistics of one posterior computes its density once.
-
-
-def mean_from_density(d: np.ndarray, grid: PhaseGrid) -> float:
-    return float(grid.spacing * np.dot(d, grid.points))
-
-
-def variance_from_density(d: np.ndarray, grid: PhaseGrid) -> float:
+    d, grid = density(posterior), posterior.grid
     mu = grid.spacing * np.dot(d, grid.points)
     dev = grid.points - mu
     return float(grid.spacing * np.dot(d, dev * dev))
@@ -178,15 +187,9 @@ def detect_peaks(
     domain at the density minimum between the two peaks; with no rival the
     primary carries all the mass.
     """
-    return peaks_from_density(density(posterior), posterior.grid, min_separation, height_ratio_floor)
-
-
-def peaks_from_density(
-    d: np.ndarray, grid: PhaseGrid, min_separation: float, height_ratio_floor: float
-) -> PeakReport:
-    """detect_peaks on the array density() returned for the posterior."""
     if min_separation <= 0.0 or not (0.0 < height_ratio_floor <= 1.0):
         raise ValueError("need min_separation > 0 and height_ratio_floor in (0, 1]")
+    d, grid = density(posterior), posterior.grid
     pts = grid.points
     h = grid.spacing
     p_idx = int(np.argmax(d))
@@ -276,13 +279,9 @@ def prune_secondary(posterior: Posterior, report: PeakReport) -> Posterior:
     The report must contain a secondary peak; callers decide whether to
     prune, so a missing rival here means the caller skipped its own check.
     """
-    return prune_from_density(posterior, report, density(posterior))
-
-
-def prune_from_density(posterior: Posterior, report: PeakReport, d: np.ndarray) -> Posterior:
-    """prune_secondary given the array density() returned for the posterior."""
     if report.secondary is None:
         raise ValueError("no secondary peak to prune in this report")
+    d = density(posterior)
     p_idx = posterior.grid.index_of(report.primary.location)
     s_idx = posterior.grid.index_of(report.secondary.location)
     lo_i, hi_i = sorted((p_idx, s_idx))

@@ -51,19 +51,18 @@ from .posterior import (
     Posterior,
     density,
     detect_peaks,
+    log_step,
     map_estimate,
-    mean_from_density,
-    peaks_from_density,
-    prune_from_density,
+    posterior_mean,
+    posterior_variance,
+    prune_secondary,
     rival_possible,
     uniform_posterior,
-    variance_from_density,
 )
 
 # Not called here, but kept importable from this module: the span tracer in
-# perfbench/trace_spans.py wraps these names at this import site.
+# perfbench/trace_spans.py wraps this name at this import site.
 from .measurement import sample  # noqa: F401
-from .posterior import posterior_mean, posterior_variance, prune_secondary  # noqa: F401
 
 MODE_FIXED = "fixed"
 MODE_LADDER = "ladder"
@@ -102,7 +101,7 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_FIXED, MODE_LADDER, MODE_OPTIMAL):
             raise ValueError(f"unknown protocol mode {self.mode!r}")
-        if not (isinstance(self.measurements, int) and self.measurements >= 1):
+        if not (type(self.measurements) is int and self.measurements >= 1):
             raise ValueError(f"measurements must be an integer >= 1, got {self.measurements!r}")
         if self.phi_true is not None and not math.isfinite(self.phi_true):
             raise ValueError(f"phi_true must be finite, got {self.phi_true!r}")
@@ -110,7 +109,7 @@ class ProtocolConfig:
             if self.fixed_theta is None or not math.isfinite(self.fixed_theta):
                 raise ValueError("fixed mode needs a finite fixed_theta")
         if self.mode == MODE_LADDER:
-            if not (isinstance(self.pre_rounds, int) and 1 <= self.pre_rounds < self.measurements):
+            if not (type(self.pre_rounds) is int and 1 <= self.pre_rounds < self.measurements):
                 raise ValueError(
                     f"pre_rounds must be an integer in [1, measurements), got {self.pre_rounds!r}"
                 )
@@ -291,10 +290,9 @@ def run_trials(
     """Run one trial per seed; entry i is seed i's TrialRecord or SU11Error.
 
     Every trial measures at a feedback index theta_j, draws an outcome at
-    the offset phi_true - theta_j from its own Generator, adds the log row
-    of that outcome to its log weights, subtracts their new maximum and
-    takes the MAP from the argmax. The modes differ only in how theta
-    moves; each is described in the module docstring.
+    the offset phi_true - theta_j from its own Generator, applies log_step
+    with that outcome's log row and takes the MAP from the argmax. The modes
+    differ only in how theta moves; each is described in the module docstring.
 
     Trials run in lockstep blocks of _BLOCK seeds. A block keeps its log
     weights as one (B, N) matrix, gathers the rows of its outcomes from the
@@ -416,7 +414,7 @@ class _Engine:
         live = [(slot, _Trial(seed, self.j_first, self.map0)) for slot, seed in enumerate(seeds)]
         log_w = np.full((len(live), grid.n_points), self.log_w0)
         for k in range(1, cfg.measurements + 1):
-            codes, rows, cols, tails, drawn = [], [], [], [], []
+            codes, rows, cols, tails, failed = [], [], [], [], []
             for slot, trial in live:
                 j = trial.j
                 law = laws.get(j)
@@ -427,39 +425,34 @@ class _Engine:
                 except ResidualMassError as exc:
                     # without its traceback, which would pin this frame
                     results[slot] = exc.with_traceback(None)
-                    continue
+                    failed.append(len(codes))
+                    code = 0
                 if code > n_max:
-                    tails.append(len(rows))
+                    tails.append(len(codes))
                 codes.append(code)
                 rows.append(min(code, n_max))
                 cols.append(j)
-                drawn.append((slot, trial))
-            if len(drawn) < len(live):
-                log_w = log_w[[i for i, (slot, _) in enumerate(live) if results[slot] is None]]
-                live = drawn
-                if not live:
-                    break
             gathered = windows[rows, cols]
             for i in tails:
                 gathered[i] = tables.log_row(outcome_of_code(scheme, codes[i]), cols[i])
-            log_w += gathered
-            peak = log_w.max(axis=1)
+            for i in failed:
+                gathered[i] = np.nan  # a stand-in row: the trial leaves below
+            peak = log_step(log_w, gathered)
             if not all(map(math.isfinite, peak.tolist())):
                 keep = []
                 for i, (slot, trial) in enumerate(live):
                     if math.isfinite(peak[i]):
                         keep.append(i)
-                    else:
+                    elif results[slot] is None:
                         label = outcome_of_code(scheme, codes[i]).label()
                         results[slot] = DegenerateRowError(
                             f"outcome {label} at step {k} leaves zero posterior mass"
                         )
                 live = [live[i] for i in keep]
                 codes = [codes[i] for i in keep]
-                log_w, peak = log_w[keep], peak[keep]
+                log_w = log_w[keep]
                 if not live:
                     break
-            log_w -= peak[:, None]  # keep each running maximum at 0
             tops = log_w.argmax(axis=1).tolist()
             for i, (slot, trial) in enumerate(live):
                 map_est = points[tops[i]]
@@ -481,19 +474,16 @@ class _Engine:
         return results
 
     def _finish(self, trial: _Trial, log_w: np.ndarray) -> TrialRecord:
-        # one density per posterior: the peak report, the prune valley, the
-        # edge mass and the moments all read it
+        # the peak report, the prune valley, the edge mass and the moments
+        # all read the posterior's one density
         cfg, grid, model = self.config, self.grid, self.model
         post = Posterior(grid, log_w)
+        report = detect_peaks(post, cfg.peak_min_separation, cfg.peak_height_floor)
+        pruned = cfg.mode == MODE_LADDER and report.secondary is not None
+        if pruned:
+            post = prune_secondary(post, report)
         d = density(post)
-        report = peaks_from_density(d, grid, cfg.peak_min_separation, cfg.peak_height_floor)
-        pruned = False
-        if cfg.mode == MODE_LADDER and report.secondary is not None:
-            post = prune_from_density(post, report, d)
-            d = density(post)
-            pruned = True
-        h = grid.spacing
-        edge = float(d[:_EDGE_CELLS].sum() + d[-_EDGE_CELLS:].sum()) * h > _EDGE_MASS_TOL
+        edge = float(d[:_EDGE_CELLS].sum() + d[-_EDGE_CELLS:].sum()) * grid.spacing > _EDGE_MASS_TOL
         fixed = cfg.mode == MODE_FIXED
         return TrialRecord(
             seed=trial.seed,
@@ -507,8 +497,8 @@ class _Engine:
             phi_true=self.phi_true,
             steps=tuple(trial.steps),
             final_map=map_estimate(post),
-            final_mean=mean_from_density(d, grid),
-            final_variance=variance_from_density(d, grid),
+            final_mean=posterior_mean(post),
+            final_variance=posterior_variance(post),
             peaks=report,
             m_threshold=trial.m_threshold if fixed else None,
             map_jumps=trial.map_jumps if fixed else None,

@@ -262,6 +262,38 @@ class TestEnsembleCommand:
         assert err.startswith("error:") and field in err
 
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda c: c["protocol"].update(bogus=1), "bogus"),
+            (lambda c: c.pop("protocol"), "protocol"),
+            (lambda c: c.update(mean_photons=4), "mean_photons"),
+            (lambda c: c.update(trials=True), "trials"),
+        ],
+        ids=["unknown-protocol-key", "no-protocol", "scalar-mean-photons", "bool-trials"],
+    )
+    def test_malformed_config_exits_one_naming_the_key(self, edit, named, tmp_path, capsys):
+        config = {
+            "protocol": {"mode": "optimal", "measurements": 20},
+            "mean_photons": [4.0],
+            "phi_true": [0.75],
+            "trials": 2,
+        }
+        edit(config)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out, err = run_cli(["ensemble", "--config", str(cfg_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and named in err
+
+    def test_config_that_is_not_an_object_exits_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps([{"protocol": {"mode": "optimal"}}]))
+        code, out, err = run_cli(["ensemble", "--config", str(cfg_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "JSON object" in err
+
+
 class TestThresholdCommand:
     def test_scan_json(self, tmp_path, capsys):
         out = tmp_path / "scan.json"
@@ -325,6 +357,31 @@ class TestSeedsAndErrors:
         )
         assert code == 1
         assert "SU11_SEED" in err
+
+    @pytest.mark.parametrize("command", ["run", "threshold", "ensemble-flags", "ensemble-config"])
+    def test_empty_env_seed_is_reported_by_every_command(self, command, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "protocol": {"mode": "optimal", "measurements": 10},
+                    "mean_photons": [4.0],
+                    "phi_true": [0.75],
+                    "trials": 1,
+                }
+            )
+        )
+        common = ["--phi-true", "0.75", "--mean-photons", "4"]
+        argv = {
+            "run": ["run", "--protocol", "optimal", "--measurements", "10", *common],
+            "threshold": ["threshold", "--thetas", "0.7", "--trials", "1", *common],
+            "ensemble-flags": ["ensemble", "--trials", "1", "--measurements", "10", *common],
+            "ensemble-config": ["ensemble", "--config", str(cfg_path)],
+        }[command]
+        monkeypatch.setenv("SU11_SEED", "")
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert "SU11_SEED must be an integer" in err
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -74,6 +74,12 @@ class TestCampaignConfig:
         with pytest.raises(ValueError):
             tiny_campaign(phi_true=(math.nan,))
 
+    @pytest.mark.parametrize("field", ("trials", "master_seed", "n_max"))
+    def test_boolean_integers_rejected(self, field):
+        # True is an int equal to 1: one trial, seed 1 or a one-pair table
+        with pytest.raises(ValueError, match=field):
+            tiny_campaign(**{field: True})
+
 
 class TestRunCampaign:
     def test_worker_count_does_not_change_results(self):

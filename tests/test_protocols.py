@@ -93,6 +93,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             small_config(MODE_FIXED, **{field: value})
 
+    @pytest.mark.parametrize("mode, field", [(MODE_OPTIMAL, "measurements"), (MODE_LADDER, "pre_rounds")])
+    def test_boolean_counts_rejected(self, mode, field):
+        # True is an int equal to 1, which both fields would otherwise accept
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            small_config(mode, **{field: True})
+
     def test_peak_settings_at_their_bounds_accepted(self):
         cfg = small_config(MODE_FIXED, peak_min_separation=1e-9, peak_height_floor=1.0)
         assert cfg.peak_height_floor == 1.0
@@ -228,10 +234,9 @@ class TestFixedProtocol:
         # breaks at step 399 for seed 2; zero offset never breaks
         assert (m_threshold is None) == (theta == 0.75 or (theta == 0.745 and seed < 2))
         if m_threshold is None:
-            # the screen rules out a rival at every step, and the
-            # end-of-trial report reads its peaks off the trial's one shared
-            # density, so full peak detection never runs
-            assert len(calls) == 0
+            # the screen rules out a rival at every step, so full peak
+            # detection runs only for the end-of-trial report
+            assert len(calls) == 1
 
     def test_zero_offset_never_breaks_ambiguity(self, models, grid):
         cfg = small_config(MODE_FIXED, fixed_theta=0.75, measurements=200)
