@@ -17,7 +17,7 @@ from .analysis import benchmarks
 from .errors import CampaignError, SU11Error
 from .measurement import POLICY_EXACT_TAIL, make_model, shared_grid_tables
 from .posterior import PhaseGrid
-from .protocols import MODE_FIXED, ProtocolConfig, run_trials, scheme_for_mode
+from .protocols import MODE_FIXED, ProtocolConfig, require_reals, run_trials, scheme_for_mode
 
 # Not called here, but kept importable from this module: the span tracer in
 # perfbench/trace_spans.py wraps this name at this import site.
@@ -66,6 +66,7 @@ class CampaignConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
+        require_reals(self, ("tail_tol",))
         # type() rather than isinstance: True is an int but no count or seed
         if not (type(self.trials) is int and self.trials >= 1):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
@@ -193,22 +194,34 @@ class CampaignResult:
         }
 
 
+# The (model, grid tables) pairs of the running run_campaign call, so cells
+# that share n-bar share one build. Keyed by all that make_model reads and by
+# the grid's values, not the grid object: a pool worker unpickles a new grid
+# with each cell. run_campaign empties it; a worker's copy dies with the pool.
+_MODELS: dict = {}
+
+
 def _run_cell(config: CampaignConfig, cell_index: int, phi: float, nbar: float):
-    scheme = scheme_for_mode(config.protocol.mode)
-    model = make_model(
-        scheme,
-        nbar,
-        tail_tol=config.tail_tol,
-        n_max=config.n_max,
-        residual_policy=config.residual_policy,
-    )
-    tables = shared_grid_tables(model, config.grid)
+    scheme, grid = scheme_for_mode(config.protocol.mode), config.grid
+    key = (scheme, nbar, config.tail_tol, config.n_max, config.residual_policy,
+           grid.lo, grid.hi, grid.n_points)
+    entry = _MODELS.get(key)
+    if entry is None:
+        model = make_model(
+            scheme,
+            nbar,
+            tail_tol=config.tail_tol,
+            n_max=config.n_max,
+            residual_policy=config.residual_policy,
+        )
+        entry = _MODELS[key] = (model, shared_grid_tables(model, grid))
+    model, tables = entry
     cell_cfg = replace(config.protocol, phi_true=phi)
     summaries: list[TrialSummary] = []
     failures: list[TrialFailure] = []
     records = []
     seeds = [derive_seed(config.master_seed, cell_index, t) for t in range(config.trials)]
-    results = run_trials(cell_cfg, model, config.grid, seeds, tables=tables)
+    results = run_trials(cell_cfg, model, grid, seeds, tables=tables)
     for t, (seed, rec) in enumerate(zip(seeds, results)):
         if isinstance(rec, SU11Error):
             failures.append(
@@ -303,11 +316,14 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignResult:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     cell_list = config.cells()
     args = [(config, ci, phi, nbar) for ci, phi, nbar in cell_list]
-    if workers == 1 or len(cell_list) == 1:
-        outputs = [_run_cell_args(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(cell_list))) as pool:
-            outputs = list(pool.map(_run_cell_args, args))
+    try:
+        if workers == 1 or len(cell_list) == 1:
+            outputs = [_run_cell_args(a) for a in args]
+        else:
+            with ProcessPoolExecutor(max_workers=min(workers, len(cell_list))) as pool:
+                outputs = list(pool.map(_run_cell_args, args))
+    finally:
+        _MODELS.clear()
     cells: list[CellStats] = []
     trials: list[TrialSummary] = []
     failures: list[TrialFailure] = []

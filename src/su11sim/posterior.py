@@ -10,6 +10,7 @@ the Riemann sense: sum(density) * spacing = 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +31,8 @@ class PhaseGrid:
     n_points: int = 4096
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, numbers.Real) and type(v) is not bool for v in (self.lo, self.hi)):
+            raise ValueError(f"lo and hi must be numbers, got {self.lo!r}, {self.hi!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
             raise ValueError(f"need finite lo < hi, got [{self.lo!r}, {self.hi!r})")
         if not (type(self.n_points) is int and self.n_points >= 64):  # bool is no count
@@ -102,20 +105,26 @@ def uniform_posterior(grid: PhaseGrid) -> Posterior:
     return Posterior(grid=grid, log_weights=log_w)
 
 
-def log_step(log_w: np.ndarray, log_rows: np.ndarray) -> np.ndarray:
-    """Bayes update in place on log weights of shape (..., n_points): add the
-    rows, shift each entry's maximum to 0 and return the maxima. An entry
-    whose maximum is not finite is left meaningless; the caller drops it."""
-    log_w += log_rows
-    top = log_w.max(axis=-1)
-    log_w -= top[..., None]
-    return top
+def log_step(log_w: np.ndarray, log_rows) -> tuple[np.ndarray, np.ndarray]:
+    """Bayes update in place on a (B, n_points) block of log weights: add
+    log_rows[i] (a row or a scalar) to row i in place, shift each row's
+    maximum to 0 and return the maxima and their first argmaxes. One argmax
+    scan serves both, exactly: the shift maps a row's maximal entries to 0
+    and every other finite entry below it. A NaN or -inf row yields a
+    non-finite maximum; it (and its argmax) is left meaningless, and the
+    caller drops it."""
+    for w, row in zip(log_w, log_rows):
+        w += row
+    tops = log_w.argmax(axis=1)
+    top = log_w[np.arange(len(tops)), tops]
+    log_w -= top[:, None]
+    return top, tops
 
 
 def update_log(posterior: Posterior, log_row: np.ndarray, label: str | None = None) -> Posterior:
     """Bayes update with a log-likelihood row already evaluated on the grid."""
     log_w = np.array(posterior.log_weights, dtype=np.float64)  # a copy
-    if not math.isfinite(log_step(log_w, log_row)):
+    if not math.isfinite(log_step(log_w[None], [log_row])[0][0]):
         what = f"outcome {label}" if label else "likelihood row"
         raise DegenerateRowError(f"{what} leaves zero posterior mass everywhere")
     return Posterior(grid=posterior.grid, log_weights=log_w)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -77,6 +78,16 @@ def scheme_for_mode(mode: str) -> Scheme:
     return Scheme.OPTIMAL if mode == MODE_OPTIMAL else Scheme.PHOTON_NUMBER
 
 
+def require_reals(config, names, optional: bool = False) -> None:
+    """Raise ValueError naming the first of config's fields `names` that holds
+    no finite real number (a bool is none); None passes if optional."""
+    for name in names:
+        v = getattr(config, name)
+        real = isinstance(v, numbers.Real) and type(v) is not bool and math.isfinite(v)
+        if not (real or optional and v is None):
+            raise ValueError(f"{name} must be a finite number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Strategy selection plus every knob the step loop reads.
@@ -99,15 +110,15 @@ class ProtocolConfig:
     rival_height_ratio: float = 0.5
 
     def __post_init__(self) -> None:
+        require_reals(self, ("phi_true", "fixed_theta", "initial_theta"), optional=True)
+        require_reals(self, ("ramp_cap_fraction", "final_fraction", "peak_min_separation",
+                             "peak_height_floor", "rival_height_ratio"))
         if self.mode not in (MODE_FIXED, MODE_LADDER, MODE_OPTIMAL):
             raise ValueError(f"unknown protocol mode {self.mode!r}")
         if not (type(self.measurements) is int and self.measurements >= 1):
             raise ValueError(f"measurements must be an integer >= 1, got {self.measurements!r}")
-        if self.phi_true is not None and not math.isfinite(self.phi_true):
-            raise ValueError(f"phi_true must be finite, got {self.phi_true!r}")
-        if self.mode == MODE_FIXED:
-            if self.fixed_theta is None or not math.isfinite(self.fixed_theta):
-                raise ValueError("fixed mode needs a finite fixed_theta")
+        if self.mode == MODE_FIXED and self.fixed_theta is None:
+            raise ValueError("fixed mode needs a finite fixed_theta")
         if self.mode == MODE_LADDER:
             if not (type(self.pre_rounds) is int and 1 <= self.pre_rounds < self.measurements):
                 raise ValueError(
@@ -117,12 +128,8 @@ class ProtocolConfig:
                 raise ValueError(f"ramp_cap_fraction must lie in (0, 1), got {self.ramp_cap_fraction!r}")
             if not (0.0 < self.final_fraction < 1.0):
                 raise ValueError(f"final_fraction must lie in (0, 1), got {self.final_fraction!r}")
-        if self.initial_theta is not None and not math.isfinite(self.initial_theta):
-            raise ValueError(f"initial_theta must be finite, got {self.initial_theta!r}")
-        if not (math.isfinite(self.peak_min_separation) and self.peak_min_separation > 0.0):
-            raise ValueError(
-                f"peak_min_separation must be finite and > 0, got {self.peak_min_separation!r}"
-            )
+        if not self.peak_min_separation > 0.0:
+            raise ValueError(f"peak_min_separation must be > 0, got {self.peak_min_separation!r}")
         if not (0.0 < self.peak_height_floor <= 1.0):
             raise ValueError(f"peak_height_floor must lie in (0, 1], got {self.peak_height_floor!r}")
         if not (0.0 < self.rival_height_ratio <= 1.0):
@@ -295,12 +302,14 @@ def run_trials(
     differ only in how theta moves; each is described in the module docstring.
 
     Trials run in lockstep blocks of _BLOCK seeds. A block keeps its log
-    weights as one (B, N) matrix, gathers the rows of its outcomes from the
-    stacked log table in one copy and applies the same IEEE operations to
-    each element as a lone trial would, so each record is bit-identical to
-    running its seed alone. Outcome laws are cached per theta index, which
-    is exact because phi_true is fixed for the call and each trial still
-    makes the same draws from its own Generator in the same order.
+    weights as one (B, N) matrix, hands log_step a view of each outcome's
+    row of the stacked log table and takes each MAP (and, in optimal mode,
+    the next feedback index) from the argmaxes log_step returns. Each
+    element gets the same IEEE operations as a lone trial would, so each
+    record is bit-identical to running its seed alone. Outcome laws are
+    cached per theta index, which is exact because phi_true is fixed for
+    the call and each trial still makes the same draws from its own
+    Generator in the same order.
 
     A trial that fails with an SU11Error (a ResidualMassError draw or a
     degenerate update) leaves the block; the others carry on undisturbed.
@@ -356,19 +365,17 @@ class _Engine:
         prior = uniform_posterior(grid)
         self.log_w0 = float(prior.log_weights[0])
         self.map0 = map_estimate(prior)
-        # theta policies: the first feedback index, then the next after each step
+        # theta policies: the first feedback index here, then the next after
+        # each step from _advance_<mode>
         if config.mode == MODE_FIXED:
             self.j_first = grid.index_of(config.fixed_theta)
-            self.advance = self._advance_fixed
         elif config.mode == MODE_LADDER:
             self.j_first = self._ramp_index(1, self.map0, 0.0)
-            self.advance = self._advance_ladder
         else:
             theta0 = grid.midpoint if config.initial_theta is None else config.initial_theta
             self.j_first = grid.index_of(theta0)
-            self.advance = self._advance_optimal
 
-    def _advance_fixed(self, k: int, trial: _Trial, log_w: np.ndarray) -> None:
+    def _advance_fixed(self, k: int, trial: _Trial, log_w: np.ndarray, top: int) -> None:
         # m_threshold: the first step with a rival at least rival_height_ratio
         # as tall as the primary. detect_peaks runs only where the exact
         # log-space screen rival_possible allows one.
@@ -389,7 +396,7 @@ class _Engine:
         theta_raw = min(max(theta_prev, ramp), cap)
         return self.grid.floor_index(max(theta_raw, self.grid.lo))
 
-    def _advance_ladder(self, k: int, trial: _Trial, log_w: np.ndarray) -> None:
+    def _advance_ladder(self, k: int, trial: _Trial, log_w: np.ndarray, top: int) -> None:
         cfg = self.config
         if k < cfg.pre_rounds:
             # the ramp never falls below the theta just measured at
@@ -398,8 +405,9 @@ class _Engine:
             trial.phi_rough = trial.map_est
             trial.j = self.grid.index_of(cfg.final_fraction * trial.phi_rough)
 
-    def _advance_optimal(self, k: int, trial: _Trial, log_w: np.ndarray) -> None:
-        trial.j = self.grid.index_of(trial.map_est)
+    def _advance_optimal(self, k: int, trial: _Trial, log_w: np.ndarray, top: int) -> None:
+        # the MAP's own index: grid.index_of(points[t]) == t for every t
+        trial.j = top
 
     # -- the one stepping loop -----------------------------------------------
     def run_block(self, seeds: list) -> list:
@@ -407,14 +415,16 @@ class _Engine:
         points, laws, scheme = self.points, self.laws, model.scheme
         n_max = tables.n_max
         windows = tables.log_windows()
-        advance, keep_steps = self.advance, self.keep_steps
+        # looked up per block: a bound method kept on self would make a cycle
+        # that holds the model until a full garbage collection
+        advance, keep_steps = getattr(self, f"_advance_{cfg.mode}"), self.keep_steps
         fixed = cfg.mode == MODE_FIXED
         sep = cfg.peak_min_separation
         results: list = [None] * len(seeds)
         live = [(slot, _Trial(seed, self.j_first, self.map0)) for slot, seed in enumerate(seeds)]
         log_w = np.full((len(live), grid.n_points), self.log_w0)
         for k in range(1, cfg.measurements + 1):
-            codes, rows, cols, tails, failed = [], [], [], [], []
+            codes, rows = [], []
             for slot, trial in live:
                 j = trial.j
                 law = laws.get(j)
@@ -425,19 +435,15 @@ class _Engine:
                 except ResidualMassError as exc:
                     # without its traceback, which would pin this frame
                     results[slot] = exc.with_traceback(None)
-                    failed.append(len(codes))
-                    code = 0
-                if code > n_max:
-                    tails.append(len(codes))
+                    code, row = 0, np.nan  # a stand-in row: the trial leaves below
+                else:
+                    row = windows[code, j] if code <= n_max else tables.log_row(
+                        outcome_of_code(scheme, code), j
+                    )
                 codes.append(code)
-                rows.append(min(code, n_max))
-                cols.append(j)
-            gathered = windows[rows, cols]
-            for i in tails:
-                gathered[i] = tables.log_row(outcome_of_code(scheme, codes[i]), cols[i])
-            for i in failed:
-                gathered[i] = np.nan  # a stand-in row: the trial leaves below
-            peak = log_step(log_w, gathered)
+                rows.append(row)
+            peak, tops = log_step(log_w, rows)
+            tops = tops.tolist()
             if not all(map(math.isfinite, peak.tolist())):
                 keep = []
                 for i, (slot, trial) in enumerate(live):
@@ -450,12 +456,12 @@ class _Engine:
                         )
                 live = [live[i] for i in keep]
                 codes = [codes[i] for i in keep]
+                tops = [tops[i] for i in keep]
                 log_w = log_w[keep]
                 if not live:
                     break
-            tops = log_w.argmax(axis=1).tolist()
-            for i, (slot, trial) in enumerate(live):
-                map_est = points[tops[i]]
+            for i, ((slot, trial), top) in enumerate(zip(live, tops)):
+                map_est = points[top]
                 if fixed and k > 1 and abs(map_est - trial.map_est) > sep:
                     trial.map_jumps += 1
                 trial.map_est = map_est
@@ -468,7 +474,7 @@ class _Engine:
                             map_estimate=map_est,
                         )
                     )
-                advance(k, trial, log_w[i])
+                advance(k, trial, log_w[i], top)
         for i, (slot, trial) in enumerate(live):
             results[slot] = self._finish(trial, log_w[i])
         return results

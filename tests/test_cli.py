@@ -269,8 +269,13 @@ class TestEnsembleCommand:
             (lambda c: c.pop("protocol"), "protocol"),
             (lambda c: c.update(mean_photons=4), "mean_photons"),
             (lambda c: c.update(trials=True), "trials"),
+            (lambda c: c["protocol"].update(mode="fixed", fixed_theta="0.7"), "fixed_theta"),
+            (lambda c: c.update(tail_tol="x"), "tail_tol"),
         ],
-        ids=["unknown-protocol-key", "no-protocol", "scalar-mean-photons", "bool-trials"],
+        ids=[
+            "unknown-protocol-key", "no-protocol", "scalar-mean-photons", "bool-trials",
+            "string-fixed-theta", "string-tail-tol",
+        ],
     )
     def test_malformed_config_exits_one_naming_the_key(self, edit, named, tmp_path, capsys):
         config = {

@@ -1,5 +1,8 @@
 """Campaign harness tests: seed derivation, worker equivalence, censored stats."""
+import gc
 import math
+import pickle
+import weakref
 
 import pytest
 
@@ -15,6 +18,7 @@ from su11sim import (
 )
 from su11sim.ensemble import _censored_quartile
 import su11sim.ensemble as ensemble_mod
+import su11sim.measurement as measurement_mod
 
 
 def tiny_campaign(**kw) -> CampaignConfig:
@@ -111,6 +115,69 @@ class TestRunCampaign:
         monkeypatch.setattr(ensemble_mod, "run_trials", explode)
         with pytest.raises(CampaignError):
             run_campaign(tiny_campaign(), workers=1)
+
+
+class TestModelCache:
+    """Cells that share n-bar share one model, and only for one call."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        refs = []
+        make_model = ensemble_mod.make_model
+
+        def counting(*args, **kw):
+            model = make_model(*args, **kw)
+            refs.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(ensemble_mod, "make_model", counting)
+        # reference counting alone must free the models: a cycle would keep
+        # them until a full collection
+        gc.disable()
+        yield refs
+        gc.enable()
+
+    @pytest.mark.parametrize("nbars, builds", [((4.0,), 1), ((4.0, 8.0), 2)])
+    def test_one_build_per_nbar_freed_on_return(self, built, nbars, builds):
+        cfg = tiny_campaign(
+            protocol=ProtocolConfig(mode=MODE_OPTIMAL, measurements=20),
+            mean_photons=nbars,
+            phi_true=(0.25, 0.5, 0.75, 1.0),
+            trials=2,
+        )
+        result = run_campaign(cfg, workers=1)
+        assert len(result.cells) == 4 * len(nbars)
+        assert len(built) == builds
+        assert ensemble_mod._MODELS == {}
+        assert all(ref() is None for ref in built)
+
+    def test_models_freed_when_the_campaign_fails(self, built):
+        # every draw at offset 0.75 - pi/2 leaks more than the tolerance
+        cfg = tiny_campaign(residual_policy="renormalize", phi_true=(0.75,))
+        with pytest.raises(CampaignError):
+            run_campaign(cfg, workers=1)
+        assert len(built) == 1
+        assert ensemble_mod._MODELS == {}
+        assert built[0]() is None
+
+    def test_cells_unpickled_apart_share_one_table(self, built, monkeypatch):
+        # a pool worker gets each cell's config, and so its grid, unpickled anew
+        grids = []
+
+        class CountingGrid(measurement_mod.LikelihoodGrid):
+            def __init__(self, model, grid):
+                super().__init__(model, grid)
+                grids.append(grid)
+
+        monkeypatch.setattr(measurement_mod, "LikelihoodGrid", CountingGrid)
+        cfg = tiny_campaign(phi_true=(0.5,), trials=2)
+        try:
+            for cell in range(3):
+                ensemble_mod._run_cell(pickle.loads(pickle.dumps(cfg)), cell, 0.5, 4.0)
+        finally:
+            ensemble_mod._MODELS.clear()
+        assert len(built) == 1
+        assert len(grids) == 1
 
 
 class TestThresholdScan:

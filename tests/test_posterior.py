@@ -23,7 +23,7 @@ from su11sim import (
     update,
     update_log,
 )
-from su11sim.posterior import LOG_FLOOR, rival_possible
+from su11sim.posterior import LOG_FLOOR, log_step, rival_possible
 
 
 def gaussian_posterior(grid: PhaseGrid, center: float, sigma: float) -> Posterior:
@@ -69,6 +69,21 @@ class TestPhaseGrid:
 
     def test_midpoint_on_grid(self, grid):
         assert grid.midpoint == grid.snap(0.5 * (grid.lo + grid.hi))
+
+    @pytest.mark.parametrize("n", (64, 999, 4096, 65536))
+    @pytest.mark.parametrize("lo, hi", ((0.0, math.pi), (0.1, 3.0)))
+    def test_each_point_indexes_itself(self, lo, hi, n):
+        # optimal-mode feedback uses the MAP's index as the next theta index
+        # in place of index_of(points[t]); (0, pi, 4096) is PhaseGrid()
+        grid = PhaseGrid(lo, hi, n)
+        got = [grid.index_of(p) for p in grid.points.tolist()]
+        assert got == list(range(n))
+
+    @pytest.mark.parametrize("field", ("lo", "hi"))
+    @pytest.mark.parametrize("value", ("0.5", None, True))
+    def test_non_number_edges_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PhaseGrid(**{field: value})
 
 
 class TestUpdate:
@@ -343,3 +358,87 @@ class TestRivalScreen:
         log_w = gaussian_posterior(grid, 0.5, 0.01).log_weights
         assert rival_possible(log_w, grid, 0.02, 1e-310)
         assert rival_possible(np.full(grid.n_points, -np.inf), grid, 0.02, 0.5)
+
+
+def _five_pass_step(log_w, log_rows):
+    """The step before rows were added in place: gather the rows into one
+    (B, N) copy, add it, take the maxima, subtract them, then take argmaxes."""
+    gathered = np.empty_like(log_w)
+    for i, row in enumerate(log_rows):
+        gathered[i] = row
+    log_w += gathered
+    top = log_w.max(axis=1)
+    log_w -= top[:, None]
+    return top, log_w.argmax(axis=1)
+
+
+# sums of these tie exactly (-1.0 + -2.5 == -2.5 + -1.0), tie to rounding
+# (-0.1 + -0.2 against -0.3) or fall below LOG_FLOOR
+_STEP_PALETTE = (
+    0.0, -0.0, -1e-16, -0.1, -0.2, -0.3, -1.0, -2.5,
+    LOG_FLOOR + 1e-13, LOG_FLOOR, LOG_FLOOR - 0.5, 2.0 * LOG_FLOOR,
+)
+_ROW_KINDS = ("plain", "palette", "near_tie", "all_neg_inf", "nan_entry", "tail", "nan_stand_in")
+
+
+def _oracle_row(kind, rng, n, log_w_row):
+    if kind == "plain":
+        return np.maximum(np.log(rng.uniform(size=n)), LOG_FLOOR)
+    if kind == "palette":
+        return rng.choice(_STEP_PALETTE, size=n)
+    if kind == "near_tie":
+        # make several sums land on the running top, or one ulp below it
+        row = np.maximum(np.log(rng.uniform(size=n)), LOG_FLOOR)
+        sums = log_w_row + row
+        top = sums.max()
+        picks = rng.choice(n, size=4, replace=False)
+        for k, i in enumerate(picks):
+            target = top if k % 2 == 0 else np.nextafter(top, -np.inf)
+            row[i] = target - log_w_row[i]
+        return row
+    if kind == "all_neg_inf":
+        return np.full(n, -np.inf)
+    if kind == "nan_entry":
+        row = np.maximum(np.log(rng.uniform(size=n)), LOG_FLOOR)
+        row[rng.integers(n)] = np.nan
+        return row
+    if kind == "tail":
+        # tail rows synthesized beyond n_max reach far below the floor
+        return LOG_FLOOR + rng.uniform(-2000.0, 5.0, size=n)
+    return np.nan  # the scalar stand-in for a trial whose draw failed
+
+
+@given(
+    b=st.sampled_from((1, 3, 8)),
+    n=st.sampled_from((64, 97, 4096)),
+    kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=8, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_log_step_matches_five_pass_step(b, n, kinds, seed, steps):
+    rng = np.random.default_rng(seed)
+    # log weights as a run leaves them: a top at 0, palette values and a spread
+    log_w = np.where(
+        rng.uniform(size=(b, n)) < 0.5,
+        rng.choice(_STEP_PALETTE, size=(b, n)),
+        -rng.exponential(30.0, size=(b, n)),
+    )
+    log_w[:, 0] = 0.0
+    want_w = log_w.copy()
+    for step in range(steps):
+        rows = [_oracle_row(kinds[(i + step) % 8], rng, n, want_w[i]) for i in range(b)]
+        with np.errstate(invalid="ignore"):
+            want_top, want_arg = _five_pass_step(want_w, rows)
+            got_top, got_arg = log_step(log_w, rows)
+        assert np.array_equal(got_top, want_top, equal_nan=True)
+        assert np.array_equal(log_w, want_w, equal_nan=True)
+        # the argmax of a row whose maximum is not finite is meaningless
+        finite = np.isfinite(want_top)
+        assert np.array_equal(got_arg[finite], want_arg[finite])
+        assert (np.isfinite(got_top) == finite).all()
+        keep = np.flatnonzero(finite)
+        if keep.size == 0:
+            break
+        log_w, want_w = log_w[keep], want_w[keep]
+        b = keep.size
