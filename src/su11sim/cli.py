@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -23,7 +23,10 @@ from .analysis import benchmarks, quantum_fisher
 from .checks import run_verify
 from .ensemble import (
     CampaignConfig,
+    CellStats,
     DEFAULT_MASTER_SEED,
+    ThresholdRow,
+    TrialSummary,
     run_campaign,
     threshold_scan,
 )
@@ -85,6 +88,13 @@ def _csv_cell(value):
     if value is None:
         return ""
     return value
+
+
+def _write_records(path, schema: str, config: dict, cls, records) -> None:
+    """CSV with one column per field of the dataclass cls, in field order."""
+    header = [f.name for f in fields(cls)]
+    rows = ([_csv_cell(getattr(r, k)) for k in header] for r in records)
+    _write_csv(path, schema, config, header, rows)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -250,22 +260,11 @@ def _cmd_ensemble(args) -> int:
     result = run_campaign(config, workers=args.workers)
     _emit_json(result.to_dict(), args.out)
     if args.cells_csv is not None:
-        header = [
-            "cell_index", "phi_true", "phi_true_snapped", "mean_photons", "trials",
-            "failures", "mse", "mse_ci_low", "mse_ci_high", "bias",
-            "mean_posterior_variance", "median_posterior_variance",
-            "qcrb", "heisenberg", "shot_noise",
-        ]
-        rows = [[getattr(c, k) for k in header] for c in result.cells]
-        _write_csv(args.cells_csv, "su11sim/campaign-cells/v1", config.to_dict(), header, rows)
+        _write_records(args.cells_csv, "su11sim/campaign-cells/v1", config.to_dict(),
+                       CellStats, result.cells)
     if args.trials_csv is not None:
-        header = [
-            "cell_index", "phi_true", "mean_photons", "trial_index", "seed",
-            "estimate", "map_estimate", "posterior_variance", "m_threshold",
-            "rival_ratio", "pruned", "edge_mass",
-        ]
-        rows = [[_csv_cell(getattr(t, k)) for k in header] for t in result.trials]
-        _write_csv(args.trials_csv, "su11sim/campaign-trials/v1", config.to_dict(), header, rows)
+        _write_records(args.trials_csv, "su11sim/campaign-trials/v1", config.to_dict(),
+                       TrialSummary, result.trials)
     return 0
 
 
@@ -283,15 +282,8 @@ def _cmd_threshold(args) -> int:
     )
     _emit_json(result.to_dict(), args.out)
     if args.csv is not None:
-        header = ["theta", "trials", "censored", "median", "q25", "q75"]
-        rows = [[_csv_cell(getattr(r, k)) for k in header] for r in result.rows]
-        _write_csv(
-            args.csv,
-            "su11sim/threshold-scan/v1",
-            {k: v for k, v in result.to_dict().items() if k != "rows"},
-            header,
-            rows,
-        )
+        config = {k: v for k, v in result.to_dict().items() if k != "rows"}
+        _write_records(args.csv, "su11sim/threshold-scan/v1", config, ThresholdRow, result.rows)
     return 0
 
 
@@ -327,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, default=-math.pi, help="lowest offset (default -pi)")
     p.add_argument("--hi", type=float, default=math.pi, help="highest offset (default pi)")
     p.add_argument("--points", type=int, default=201, help="number of offsets (default 201)")
-    _add_model_flags(p)
+    _add_table_flags(p)
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_likelihood)
 

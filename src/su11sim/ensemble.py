@@ -9,18 +9,20 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from itertools import product
+from itertools import product, repeat
+from types import SimpleNamespace
 
 import numpy as np
 
 from .analysis import benchmarks
 from .errors import CampaignError, SU11Error
-from .measurement import POLICY_EXACT_TAIL, make_model, shared_grid_tables
+from .measurement import POLICY_EXACT_TAIL, make_model
 from .posterior import PhaseGrid
-from .protocols import MODE_FIXED, ProtocolConfig, require_reals, run_trials, scheme_for_mode
+from .protocols import MODE_FIXED, ProtocolConfig, finite_real, require_reals, run_trials, scheme_for_mode
 
 # Not called here, but kept importable from this module: the span tracer in
-# perfbench/trace_spans.py wraps this name at this import site.
+# perfbench/trace_spans.py wraps these names at this import site.
+from .measurement import shared_grid_tables  # noqa: F401
 from .protocols import run_trial  # noqa: F401
 
 DEFAULT_MASTER_SEED = 7
@@ -66,18 +68,12 @@ class CampaignConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
-        require_reals(self, ("tail_tol",))
-        # type() rather than isinstance: True is an int but no count or seed
-        if not (type(self.trials) is int and self.trials >= 1):
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        for name in ("master_seed", "n_max"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_run_fields(self)
         if not self.mean_photons or not all(
-            math.isfinite(n) and n > 0 for n in self.mean_photons
+            finite_real(n) and n > 0 for n in self.mean_photons
         ):
             raise ValueError("mean_photons must be a nonempty tuple of positive numbers")
-        if not self.phi_true or not all(math.isfinite(p) for p in self.phi_true):
+        if not self.phi_true or not all(map(finite_real, self.phi_true)):
             raise ValueError("phi_true must be a nonempty tuple of finite phases")
 
     def cells(self) -> list[tuple[int, float, float]]:
@@ -111,6 +107,17 @@ class CampaignConfig:
                 raise ValueError(f"{key} must be a list of numbers, got {d[key]!r}")
             kw[key] = tuple(d[key])
         return cls(**kw)
+
+
+def _check_run_fields(obj) -> None:
+    """The checks a campaign and a threshold scan share, on obj's attributes."""
+    require_reals(obj, ("tail_tol",))
+    # type() rather than isinstance: True is an int but no count or seed
+    if not (type(obj.trials) is int and obj.trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {obj.trials!r}")
+    for name in ("master_seed", "n_max"):
+        if type(getattr(obj, name)) is not int:
+            raise ValueError(f"{name} must be an integer, got {getattr(obj, name)!r}")
 
 
 def _known_keys(what: str, d, cls) -> dict:
@@ -194,34 +201,32 @@ class CampaignResult:
         }
 
 
-# The (model, grid tables) pairs of the running run_campaign call, so cells
-# that share n-bar share one build. Keyed by all that make_model reads and by
-# the grid's values, not the grid object: a pool worker unpickles a new grid
-# with each cell. run_campaign empties it; a worker's copy dies with the pool.
+# The models of the running run_campaign call, keyed by all that make_model
+# reads, so cells that share n-bar share one model and, through its cache
+# (shared_grid_tables, keyed by the grid's values), one table per grid.
+# run_campaign empties it; a worker's copy dies with the pool.
 _MODELS: dict = {}
 
 
-def _run_cell(config: CampaignConfig, cell_index: int, phi: float, nbar: float):
-    scheme, grid = scheme_for_mode(config.protocol.mode), config.grid
-    key = (scheme, nbar, config.tail_tol, config.n_max, config.residual_policy,
-           grid.lo, grid.hi, grid.n_points)
-    entry = _MODELS.get(key)
-    if entry is None:
-        model = make_model(
+def _run_cell(config: CampaignConfig, cell: tuple[int, float, float]):
+    cell_index, phi, nbar = cell
+    scheme = scheme_for_mode(config.protocol.mode)
+    key = (scheme, nbar, config.tail_tol, config.n_max, config.residual_policy)
+    model = _MODELS.get(key)
+    if model is None:
+        model = _MODELS[key] = make_model(
             scheme,
             nbar,
             tail_tol=config.tail_tol,
             n_max=config.n_max,
             residual_policy=config.residual_policy,
         )
-        entry = _MODELS[key] = (model, shared_grid_tables(model, grid))
-    model, tables = entry
     cell_cfg = replace(config.protocol, phi_true=phi)
     summaries: list[TrialSummary] = []
     failures: list[TrialFailure] = []
     records = []
     seeds = [derive_seed(config.master_seed, cell_index, t) for t in range(config.trials)]
-    results = run_trials(cell_cfg, model, grid, seeds, tables=tables)
+    results = run_trials(cell_cfg, model, config.grid, seeds)
     for t, (seed, rec) in enumerate(zip(seeds, results)):
         if isinstance(rec, SU11Error):
             failures.append(
@@ -302,10 +307,6 @@ def _cell_stats(config, cell_index, phi, nbar, records, n_failures) -> CellStats
     )
 
 
-def _run_cell_args(args):
-    return _run_cell(*args)
-
-
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignResult:
     """Run every cell of the campaign; deterministic for any worker count.
 
@@ -315,13 +316,12 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignResult:
     if not (isinstance(workers, int) and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     cell_list = config.cells()
-    args = [(config, ci, phi, nbar) for ci, phi, nbar in cell_list]
     try:
         if workers == 1 or len(cell_list) == 1:
-            outputs = [_run_cell_args(a) for a in args]
+            outputs = [_run_cell(config, cell) for cell in cell_list]
         else:
             with ProcessPoolExecutor(max_workers=min(workers, len(cell_list))) as pool:
-                outputs = list(pool.map(_run_cell_args, args))
+                outputs = list(pool.map(_run_cell, repeat(config), cell_list))
     finally:
         _MODELS.clear()
     cells: list[CellStats] = []
@@ -406,18 +406,20 @@ def threshold_scan(
     censored quartiles of the step at which a rival mode first reached half
     the primary's height.
     """
+    inputs = SimpleNamespace(phi_true=phi_true, mean_photons=mean_photons, trials=trials,
+                             master_seed=master_seed, tail_tol=tail_tol, n_max=n_max)
+    require_reals(inputs, ("phi_true", "mean_photons"))
+    _check_run_fields(inputs)
+    thetas = list(thetas)
+    if not (thetas and all(map(finite_real, thetas))):
+        raise ValueError(f"thetas must be a nonempty list of finite numbers, got {thetas!r}")
     thetas = [float(t) for t in thetas]
-    if not thetas:
-        raise ValueError("need at least one theta")
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ValueError("thetas must be strictly increasing")
     if not all(t < phi_true for t in thetas):
         raise ValueError("every theta must sit below phi_true")
-    if not (isinstance(trials, int) and trials >= 1):
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     grid = grid if grid is not None else PhaseGrid()
     model = make_model("photon", mean_photons, tail_tol=tail_tol, n_max=n_max)
-    tables = shared_grid_tables(model, grid)
     rows = []
     for ci, theta in enumerate(thetas):
         cfg = ProtocolConfig(
@@ -428,7 +430,7 @@ def threshold_scan(
         )
         seeds = [derive_seed(master_seed, ci, t) for t in range(trials)]
         values: list[int | None] = []
-        for rec in run_trials(cfg, model, grid, seeds, tables=tables):
+        for rec in run_trials(cfg, model, grid, seeds):
             if isinstance(rec, SU11Error):
                 raise rec
             values.append(rec.m_threshold)

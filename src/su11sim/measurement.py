@@ -128,7 +128,7 @@ class LikelihoodModel:
     table: SchmidtTable
     residual_policy: str = POLICY_EXACT_TAIL
     residual_tol: float = 1e-6
-    # shared_grid_tables' cache, keyed by grid; owned here so it goes with the model
+    # shared_grid_tables' cache, keyed by grid values; it goes with the model
     _grid_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -456,9 +456,10 @@ class LikelihoodGrid:
 def shared_grid_tables(model: LikelihoodModel, grid: PhaseGrid) -> LikelihoodGrid:
     """Cached LikelihoodGrid per (model, grid) pair, built on first use.
 
-    The cache lives on the model, and the tables refer back to the model
-    only weakly, so the entry is freed with the model by reference counting
-    alone.
+    The one table cache. Grids key it by value, so equal grids (a fresh
+    PhaseGrid() or one unpickled in a pool worker) get the same tables. It
+    lives on the model, and the tables refer back to the model only weakly,
+    so the entry is freed with the model by reference counting alone.
     """
     tables = model._grid_tables.get(grid)
     if tables is None:

@@ -22,9 +22,10 @@ from .errors import DegenerateRowError
 LOG_FLOOR = -745.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PhaseGrid:
-    """Uniform grid over a half-open phase interval [lo, hi)."""
+    """Uniform grid over a half-open phase interval [lo, hi). Grids compare and
+    hash by (lo, hi, n_points), so equal grids share one likelihood table."""
 
     lo: float = 0.0
     hi: float = math.pi

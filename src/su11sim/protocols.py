@@ -36,7 +36,6 @@ import numpy as np
 from ._version import __version__
 from .errors import DegenerateRowError, ResidualMassError, SU11Error
 from .measurement import (
-    LikelihoodGrid,
     LikelihoodModel,
     Outcome,
     OutcomeLaw,
@@ -78,13 +77,17 @@ def scheme_for_mode(mode: str) -> Scheme:
     return Scheme.OPTIMAL if mode == MODE_OPTIMAL else Scheme.PHOTON_NUMBER
 
 
+def finite_real(v) -> bool:
+    """Whether v is a finite real number (a bool is none)."""
+    return isinstance(v, numbers.Real) and type(v) is not bool and math.isfinite(v)
+
+
 def require_reals(config, names, optional: bool = False) -> None:
     """Raise ValueError naming the first of config's fields `names` that holds
-    no finite real number (a bool is none); None passes if optional."""
+    no finite real number; None passes if optional."""
     for name in names:
         v = getattr(config, name)
-        real = isinstance(v, numbers.Real) and type(v) is not bool and math.isfinite(v)
-        if not (real or optional and v is None):
+        if not (finite_real(v) or optional and v is None):
             raise ValueError(f"{name} must be a finite number, got {v!r}")
 
 
@@ -269,14 +272,13 @@ def run_trial(
     seed: int,
     *,
     keep_steps: bool = True,
-    tables: LikelihoodGrid | None = None,
 ) -> TrialRecord:
     """Run one trial of whichever protocol the config selects.
 
     This is run_trials on a single seed. The SU11Error that ended the
     trial, if any, is raised.
     """
-    result = run_trials(config, model, grid, [seed], keep_steps=keep_steps, tables=tables)[0]
+    result = run_trials(config, model, grid, [seed], keep_steps=keep_steps)[0]
     if isinstance(result, SU11Error):
         raise result
     return result
@@ -292,7 +294,6 @@ def run_trials(
     seeds,
     *,
     keep_steps: bool = False,
-    tables: LikelihoodGrid | None = None,
 ) -> list:
     """Run one trial per seed; entry i is seed i's TrialRecord or SU11Error.
 
@@ -301,10 +302,11 @@ def run_trials(
     with that outcome's log row and takes the MAP from the argmax. The modes
     differ only in how theta moves; each is described in the module docstring.
 
-    Trials run in lockstep blocks of _BLOCK seeds. A block keeps its log
-    weights as one (B, N) matrix, hands log_step a view of each outcome's
-    row of the stacked log table and takes each MAP (and, in optimal mode,
-    the next feedback index) from the argmaxes log_step returns. Each
+    Trials run in lockstep blocks of _BLOCK seeds on the model's one cached
+    table for this grid (shared_grid_tables). A block keeps its log weights
+    as one (B, N) matrix, hands log_step a view of each outcome's row of
+    that stacked log table and takes each MAP (and, in optimal mode, the
+    next feedback index) from the argmaxes log_step returns. Each
     element gets the same IEEE operations as a lone trial would, so each
     record is bit-identical to running its seed alone. Outcome laws are
     cached per theta index, which is exact because phi_true is fixed for
@@ -316,7 +318,7 @@ def run_trials(
     Any other exception, such as a ValueError from an invalid config,
     propagates.
     """
-    engine = _Engine(config, model, grid, keep_steps, tables)
+    engine = _Engine(config, model, grid, keep_steps)
     seeds = list(seeds)
     results: list = []
     for start in range(0, len(seeds), _BLOCK):
@@ -345,7 +347,7 @@ class _Trial:
 class _Engine:
     """One protocol config on one model and grid; runs blocks of seeds."""
 
-    def __init__(self, config, model, grid, keep_steps, tables):
+    def __init__(self, config, model, grid, keep_steps):
         expected = scheme_for_mode(config.mode)
         if model.scheme is not expected:
             raise ValueError(
@@ -358,7 +360,7 @@ class _Engine:
         self.model = model
         self.grid = grid
         self.keep_steps = keep_steps
-        self.tables = tables if tables is not None else shared_grid_tables(model, grid)
+        self.tables = shared_grid_tables(model, grid)
         self.phi_true = grid.snap(config.phi_true)
         self.points = grid.points.tolist()
         self.laws: dict[int, OutcomeLaw] = {}

@@ -35,7 +35,6 @@ from su11sim import (
     run_campaign,
     run_trial,
     scheme_for_mode,
-    shared_grid_tables,
     threshold_scan,
 )
 from su11sim.cli import main as cli_main
@@ -173,12 +172,11 @@ def test_criterion_09_fixed_theta_bimodal():
     )
     model = make_model(scheme_for_mode(MODE_FIXED), 4.0)
     grid = PhaseGrid()
-    tables = shared_grid_tables(model, grid)
     mirror, target = 2 * 0.70 - 0.75, 0.75
     good = 0
     for t in range(50):
         seed = derive_seed(DEFAULT_MASTER_SEED, 0, t)
-        rec = run_trial(config, model, grid, seed, keep_steps=False, tables=tables)
+        rec = run_trial(config, model, grid, seed, keep_steps=False)
         peaks = rec.peaks
         if peaks.secondary is None:
             continue

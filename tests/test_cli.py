@@ -393,6 +393,14 @@ class TestSeedsAndErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_likelihood_has_no_residual_policy(self, capsys):
+        # the curves never depend on the sampling policy, so the flag is not offered
+        argv = ["likelihood", "--scheme", "photon", "--mean-photons", "4", "--points", "5"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--residual-policy", "renormalize"])
+        assert exc.value.code == 2
+        assert "--residual-policy" in capsys.readouterr().err
+
     def test_domain_error_exits_one(self, capsys):
         code, _, err = run_cli(
             ["limits", "--mean-photons", "-4", "--measurements", "10"], capsys

@@ -1,6 +1,7 @@
 """Campaign harness tests: seed derivation, worker equivalence, censored stats."""
 import gc
 import math
+import os
 import pickle
 import weakref
 
@@ -173,11 +174,28 @@ class TestModelCache:
         cfg = tiny_campaign(phi_true=(0.5,), trials=2)
         try:
             for cell in range(3):
-                ensemble_mod._run_cell(pickle.loads(pickle.dumps(cfg)), cell, 0.5, 4.0)
+                ensemble_mod._run_cell(pickle.loads(pickle.dumps(cfg)), (cell, 0.5, 4.0))
         finally:
             ensemble_mod._MODELS.clear()
         assert len(built) == 1
         assert len(grids) == 1
+
+    def test_pooled_cells_build_one_table_per_worker(self, tmp_path, monkeypatch):
+        # the pool forks, so each build appends its process id to a file
+        log = tmp_path / "builds"
+
+        class LoggingGrid(measurement_mod.LikelihoodGrid):
+            def __init__(self, model, grid):
+                super().__init__(model, grid)
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+
+        monkeypatch.setattr(measurement_mod, "LikelihoodGrid", LoggingGrid)
+        cfg = tiny_campaign(phi_true=(0.25, 0.5, 0.75, 1.0), trials=2)
+        assert len(run_campaign(cfg, workers=2).cells) == 4
+        pids = log.read_text().split()
+        assert 1 <= len(pids) <= 2
+        assert len(set(pids)) == len(pids)
 
 
 class TestThresholdScan:
@@ -215,6 +233,21 @@ class TestThresholdScan:
             threshold_scan((0.5, 0.8), 0.75, 4.0, 2, 100)  # theta past phi
         with pytest.raises(ValueError):
             threshold_scan((), 0.75, 4.0, 2, 100)
+        # the checks a CampaignConfig makes, each naming its argument
+        kw = dict(thetas=(0.7,), phi_true=0.75, mean_photons=4.0, trials=2, max_measurements=20)
+        for name, value in [
+            ("trials", True),
+            ("tail_tol", "x"),
+            ("master_seed", 1.5),
+            ("master_seed", True),
+            ("n_max", True),
+            ("mean_photons", "4"),
+            ("phi_true", math.nan),
+            ("thetas", (0.6, math.nan)),
+            ("thetas", ("0.7",)),
+        ]:
+            with pytest.raises(ValueError, match=name):
+                threshold_scan(**(kw | {name: value}))
 
 
 class TestCensoredQuartile:

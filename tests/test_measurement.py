@@ -9,6 +9,7 @@ against independent closed-form expressions.
 import functools
 import gc
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -436,6 +437,14 @@ class TestLikelihoodCurve:
         assert shared_grid_tables(photon_model, grid) is shared_grid_tables(
             photon_model, grid
         )
+
+    def test_shared_tables_keyed_by_grid_value(self, photon_model, grid):
+        # a pool worker unpickles a new grid with each cell; it must find
+        # the table that the original grid built
+        tables = shared_grid_tables(photon_model, grid)
+        assert shared_grid_tables(photon_model, pickle.loads(pickle.dumps(grid))) is tables
+        assert shared_grid_tables(photon_model, PhaseGrid()) is tables
+        assert shared_grid_tables(photon_model, PhaseGrid(n_points=256)) is not tables
 
     def test_shared_tables_freed_with_their_model(self, grid):
         # reference counting alone must free the cached tables: a cycle

@@ -79,6 +79,13 @@ class TestPhaseGrid:
         got = [grid.index_of(p) for p in grid.points.tolist()]
         assert got == list(range(n))
 
+    def test_grids_compare_and_hash_by_value(self):
+        # the likelihood table cache is keyed by grid: equal grids share a table
+        assert PhaseGrid(0, math.pi, 4096) == PhaseGrid()
+        assert hash(PhaseGrid(0, math.pi, 4096)) == hash(PhaseGrid())
+        assert PhaseGrid(n_points=4095) != PhaseGrid()
+        assert PhaseGrid(lo=0.1) != PhaseGrid()
+
     @pytest.mark.parametrize("field", ("lo", "hi"))
     @pytest.mark.parametrize("value", ("0.5", None, True))
     def test_non_number_edges_rejected_by_name(self, field, value):

@@ -488,12 +488,10 @@ def _reference_results(config, model, grid, seeds, keep_steps, tables=None):
     return out
 
 
-def _engine_results(config, model, grid, seeds, keep_steps, tables=None):
+def _engine_results(config, model, grid, seeds, keep_steps):
     return [
         (type(r), str(r)) if isinstance(r, SU11Error) else r.to_dict()
-        for r in protocols.run_trials(
-            config, model, grid, seeds, keep_steps=keep_steps, tables=tables
-        )
+        for r in protocols.run_trials(config, model, grid, seeds, keep_steps=keep_steps)
     ]
 
 
@@ -547,7 +545,7 @@ class TestLockstepEngine:
         assert 0 < len(failed) < len(want)
         assert all(f[0] is ResidualMassError for f in failed)
 
-    def test_degenerate_row_fails_only_its_trial(self, photon_model, grid, block):
+    def test_degenerate_row_fails_only_its_trial(self, photon_model, grid, block, monkeypatch):
         # a log table whose pair:9 row is -inf everywhere: a trial that draws
         # it has no finite posterior left
         tables = LikelihoodGrid(photon_model, grid)
@@ -555,10 +553,11 @@ class TestLockstepEngine:
         poisoned[9] = -np.inf
         poisoned.setflags(write=False)
         tables._log_table = poisoned
+        monkeypatch.setattr(protocols, "shared_grid_tables", lambda model, grid: tables)
         cfg = small_config(MODE_LADDER, measurements=150)
         with np.errstate(invalid="ignore"):
             want = _reference_results(cfg, photon_model, grid, _SEEDS, False, tables)
-            got = _engine_results(cfg, photon_model, grid, _SEEDS, False, tables)
+            got = _engine_results(cfg, photon_model, grid, _SEEDS, False)
         assert got == want
         failed = [r for r in want if isinstance(r, tuple)]
         assert 0 < len(failed) < len(want)
