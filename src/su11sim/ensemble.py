@@ -3,14 +3,17 @@
 Every trial's seed is derived by avalanche mixing (master seed, cell index,
 trial index), so any single trial can be replayed in isolation and results
 never depend on execution order or worker count.
+
+Campaigns and threshold scans share one cell runner: a scan's feedback
+phases are fixed-mode cells. Workers return per-trial summaries; cell
+statistics are computed from them in the parent.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from itertools import product, repeat
-from types import SimpleNamespace
+from itertools import product
 
 import numpy as np
 
@@ -68,7 +71,15 @@ class CampaignConfig:
     label: str = ""
 
     def __post_init__(self) -> None:
-        _check_run_fields(self)
+        require_reals(self, ("tail_tol",))
+        # type() rather than isinstance: True is an int but no count or seed
+        if not (type(self.trials) is int and self.trials >= 1):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        for name in ("master_seed", "n_max"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         if not self.mean_photons or not all(
             finite_real(n) and n > 0 for n in self.mean_photons
         ):
@@ -107,17 +118,6 @@ class CampaignConfig:
                 raise ValueError(f"{key} must be a list of numbers, got {d[key]!r}")
             kw[key] = tuple(d[key])
         return cls(**kw)
-
-
-def _check_run_fields(obj) -> None:
-    """The checks a campaign and a threshold scan share, on obj's attributes."""
-    require_reals(obj, ("tail_tol",))
-    # type() rather than isinstance: True is an int but no count or seed
-    if not (type(obj.trials) is int and obj.trials >= 1):
-        raise ValueError(f"trials must be an integer >= 1, got {obj.trials!r}")
-    for name in ("master_seed", "n_max"):
-        if type(getattr(obj, name)) is not int:
-            raise ValueError(f"{name} must be an integer, got {getattr(obj, name)!r}")
 
 
 def _known_keys(what: str, d, cls) -> dict:
@@ -201,14 +201,15 @@ class CampaignResult:
         }
 
 
-# The models of the running run_campaign call, keyed by all that make_model
+# The models of the running _run_cells call, keyed by all that make_model
 # reads, so cells that share n-bar share one model and, through its cache
 # (shared_grid_tables, keyed by the grid's values), one table per grid.
-# run_campaign empties it; a worker's copy dies with the pool.
+# _run_cells empties it; a worker's copy dies with the pool.
 _MODELS: dict = {}
 
 
 def _run_cell(config: CampaignConfig, cell: tuple[int, float, float]):
+    """One cell's trials: (summaries, failures), each in trial order."""
     cell_index, phi, nbar = cell
     scheme = scheme_for_mode(config.protocol.mode)
     key = (scheme, nbar, config.tail_tol, config.n_max, config.residual_policy)
@@ -224,7 +225,6 @@ def _run_cell(config: CampaignConfig, cell: tuple[int, float, float]):
     cell_cfg = replace(config.protocol, phi_true=phi)
     summaries: list[TrialSummary] = []
     failures: list[TrialFailure] = []
-    records = []
     seeds = [derive_seed(config.master_seed, cell_index, t) for t in range(config.trials)]
     results = run_trials(cell_cfg, model, config.grid, seeds)
     for t, (seed, rec) in enumerate(zip(seeds, results)):
@@ -233,7 +233,6 @@ def _run_cell(config: CampaignConfig, cell: tuple[int, float, float]):
                 TrialFailure(cell_index=cell_index, trial_index=t, seed=seed, message=str(rec))
             )
             continue
-        records.append(rec)
         summaries.append(
             TrialSummary(
                 cell_index=cell_index,
@@ -254,13 +253,25 @@ def _run_cell(config: CampaignConfig, cell: tuple[int, float, float]):
                 edge_mass=rec.edge_mass,
             )
         )
-    stats = _cell_stats(config, cell_index, phi, nbar, records, len(failures))
-    return stats, summaries, failures
+    return summaries, failures
 
 
-def _cell_stats(config, cell_index, phi, nbar, records, n_failures) -> CellStats:
+def _run_cells(configs, cells, workers: int = 1) -> list:
+    """_run_cell over paired configs and cells, in order, on up to `workers`
+    processes; the only owner of the pool and of _MODELS."""
+    try:
+        if workers == 1 or len(cells) == 1:
+            return list(map(_run_cell, configs, cells))
+        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+            return list(pool.map(_run_cell, configs, cells))
+    finally:
+        _MODELS.clear()
+
+
+def _cell_stats(config, cell, summaries, n_failures) -> CellStats:
+    cell_index, phi, nbar = cell
     bench = benchmarks(config.protocol.measurements, nbar)
-    if not records:
+    if not summaries:
         nan = float("nan")
         return CellStats(
             cell_index=cell_index,
@@ -279,8 +290,8 @@ def _cell_stats(config, cell_index, phi, nbar, records, n_failures) -> CellStats
             heisenberg=bench.heisenberg,
             shot_noise=bench.shot_noise,
         )
-    err = np.array([r.final_mean - r.phi_true for r in records])
-    post_var = np.array([r.final_variance for r in records])
+    err = np.array([s.estimate - s.phi_true for s in summaries])
+    post_var = np.array([s.posterior_variance for s in summaries])
     sq = err * err
     brng = np.random.default_rng(
         derive_seed(config.master_seed, cell_index, _BOOTSTRAP_SLOT)
@@ -291,7 +302,7 @@ def _cell_stats(config, cell_index, phi, nbar, records, n_failures) -> CellStats
     return CellStats(
         cell_index=cell_index,
         phi_true=phi,
-        phi_true_snapped=records[0].phi_true,
+        phi_true_snapped=summaries[0].phi_true,
         mean_photons=nbar,
         trials=config.trials,
         failures=n_failures,
@@ -316,32 +327,28 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignResult:
     if not (isinstance(workers, int) and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     cell_list = config.cells()
-    try:
-        if workers == 1 or len(cell_list) == 1:
-            outputs = [_run_cell(config, cell) for cell in cell_list]
-        else:
-            with ProcessPoolExecutor(max_workers=min(workers, len(cell_list))) as pool:
-                outputs = list(pool.map(_run_cell, repeat(config), cell_list))
-    finally:
-        _MODELS.clear()
+    outputs = _run_cells([config] * len(cell_list), cell_list, workers)
     cells: list[CellStats] = []
     trials: list[TrialSummary] = []
     failures: list[TrialFailure] = []
-    for stats, summaries, fails in outputs:
-        cells.append(stats)
+    for cell, (summaries, fails) in zip(cell_list, outputs):
+        cells.append(_cell_stats(config, cell, summaries, len(fails)))
         trials.extend(summaries)
         failures.extend(fails)
     total = config.trials * len(cell_list)
     if len(failures) > _MAX_FAILURE_FRACTION * total:
-        first = failures[0]
         raise CampaignError(
             f"{len(failures)} of {total} trials failed (> {_MAX_FAILURE_FRACTION:.0%}); "
-            f"first failure (cell {first.cell_index}, trial {first.trial_index}): "
-            f"{first.message}"
+            f"{_first_failure(failures)}"
         )
     return CampaignResult(
         config=config, cells=tuple(cells), trials=tuple(trials), failures=tuple(failures)
     )
+
+
+def _first_failure(failures: list[TrialFailure]) -> str:
+    first = failures[0]
+    return f"first failure (cell {first.cell_index}, trial {first.trial_index}): {first.message}"
 
 
 @dataclass(frozen=True)
@@ -371,15 +378,7 @@ class ThresholdScanResult:
     rows: tuple[ThresholdRow, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "su11sim/threshold-scan/v1",
-            "phi_true": self.phi_true,
-            "mean_photons": self.mean_photons,
-            "trials": self.trials,
-            "max_measurements": self.max_measurements,
-            "master_seed": self.master_seed,
-            "rows": [asdict(r) for r in self.rows],
-        }
+        return {"schema": "su11sim/threshold-scan/v1", **asdict(self)}
 
 
 def _censored_quartile(values: list[int | None], fraction: float) -> int | None:
@@ -401,39 +400,44 @@ def threshold_scan(
 ) -> ThresholdScanResult:
     """Fixed-theta ambiguity-breaking scan over a set of feedback phases.
 
-    Each theta is one cell (cell index = its position) of `trials`
-    fixed-protocol runs capped at max_measurements steps; rows report
-    censored quartiles of the step at which a rival mode first reached half
-    the primary's height.
+    Each theta is one fixed-mode campaign cell (cell index = its position)
+    of `trials` runs capped at max_measurements steps; rows report censored
+    quartiles of the step at which a rival mode first reached half the
+    primary's height. A failed trial aborts the scan with a CampaignError.
     """
-    inputs = SimpleNamespace(phi_true=phi_true, mean_photons=mean_photons, trials=trials,
-                             master_seed=master_seed, tail_tol=tail_tol, n_max=n_max)
-    require_reals(inputs, ("phi_true", "mean_photons"))
-    _check_run_fields(inputs)
     thetas = list(thetas)
     if not (thetas and all(map(finite_real, thetas))):
         raise ValueError(f"thetas must be a nonempty list of finite numbers, got {thetas!r}")
     thetas = [float(t) for t in thetas]
+    config = CampaignConfig(
+        protocol=ProtocolConfig(
+            mode=MODE_FIXED, measurements=max_measurements, fixed_theta=thetas[0]
+        ),
+        mean_photons=(mean_photons,),
+        phi_true=(phi_true,),
+        trials=trials,
+        master_seed=master_seed,
+        grid=grid if grid is not None else PhaseGrid(),
+        tail_tol=tail_tol,
+        n_max=n_max,
+    )
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ValueError("thetas must be strictly increasing")
     if not all(t < phi_true for t in thetas):
         raise ValueError("every theta must sit below phi_true")
-    grid = grid if grid is not None else PhaseGrid()
-    model = make_model("photon", mean_photons, tail_tol=tail_tol, n_max=n_max)
-    rows = []
-    for ci, theta in enumerate(thetas):
-        cfg = ProtocolConfig(
-            mode=MODE_FIXED,
-            measurements=max_measurements,
-            phi_true=phi_true,
-            fixed_theta=theta,
+    outputs = _run_cells(
+        [replace(config, protocol=replace(config.protocol, fixed_theta=t)) for t in thetas],
+        [(ci, phi_true, mean_photons) for ci in range(len(thetas))],
+    )
+    failures = [f for _, fails in outputs for f in fails]
+    if failures:
+        raise CampaignError(
+            f"{len(failures)} of {trials * len(thetas)} scan trials failed; "
+            f"{_first_failure(failures)}"
         )
-        seeds = [derive_seed(master_seed, ci, t) for t in range(trials)]
-        values: list[int | None] = []
-        for rec in run_trials(cfg, model, grid, seeds):
-            if isinstance(rec, SU11Error):
-                raise rec
-            values.append(rec.m_threshold)
+    rows = []
+    for theta, (summaries, _) in zip(thetas, outputs):
+        values = [s.m_threshold for s in summaries]
         rows.append(
             ThresholdRow(
                 theta=theta,

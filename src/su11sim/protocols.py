@@ -122,11 +122,11 @@ class ProtocolConfig:
             raise ValueError(f"measurements must be an integer >= 1, got {self.measurements!r}")
         if self.mode == MODE_FIXED and self.fixed_theta is None:
             raise ValueError("fixed mode needs a finite fixed_theta")
+        if type(self.pre_rounds) is not int:
+            raise ValueError(f"pre_rounds must be an integer, got {self.pre_rounds!r}")
         if self.mode == MODE_LADDER:
-            if not (type(self.pre_rounds) is int and 1 <= self.pre_rounds < self.measurements):
-                raise ValueError(
-                    f"pre_rounds must be an integer in [1, measurements), got {self.pre_rounds!r}"
-                )
+            if not 1 <= self.pre_rounds < self.measurements:
+                raise ValueError(f"pre_rounds must lie in [1, measurements), got {self.pre_rounds!r}")
             if not (0.0 < self.ramp_cap_fraction < 1.0):
                 raise ValueError(f"ramp_cap_fraction must lie in (0, 1), got {self.ramp_cap_fraction!r}")
             if not (0.0 < self.final_fraction < 1.0):
@@ -194,7 +194,7 @@ class TrialRecord:
             "final_map": self.final_map,
             "final_mean": self.final_mean,
             "final_variance": self.final_variance,
-            "peaks": _peaks_to_dict(self.peaks),
+            "peaks": asdict(self.peaks),
             "m_threshold": self.m_threshold,
             "map_jumps": self.map_jumps,
             "phi_rough": self.phi_rough,
@@ -245,17 +245,6 @@ class TrialRecord:
     @classmethod
     def from_json(cls, text: str) -> "TrialRecord":
         return cls.from_dict(json.loads(text))
-
-
-def _peaks_to_dict(report: PeakReport) -> dict:
-    def peak(p):
-        return None if p is None else {"location": p.location, "height": p.height, "mass": p.mass}
-
-    return {
-        "primary": peak(report.primary),
-        "secondary": peak(report.secondary),
-        "separation": report.separation,
-    }
 
 
 def _peaks_from_dict(d: dict) -> PeakReport:

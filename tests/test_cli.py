@@ -271,10 +271,15 @@ class TestEnsembleCommand:
             (lambda c: c.update(trials=True), "trials"),
             (lambda c: c["protocol"].update(mode="fixed", fixed_theta="0.7"), "fixed_theta"),
             (lambda c: c.update(tail_tol="x"), "tail_tol"),
+            (lambda c: c["protocol"].update(pre_rounds="x"), "pre_rounds"),
+            (lambda c: c["protocol"].update(mode="fixed", fixed_theta=0.7, pre_rounds=[1]), "pre_rounds"),
+            (lambda c: c.update(label=5), "label"),
+            (lambda c: c.update(label={"a": 1}), "label"),
         ],
         ids=[
             "unknown-protocol-key", "no-protocol", "scalar-mean-photons", "bool-trials",
-            "string-fixed-theta", "string-tail-tol",
+            "string-fixed-theta", "string-tail-tol", "string-pre-rounds-optimal",
+            "list-pre-rounds-fixed", "int-label", "object-label",
         ],
     )
     def test_malformed_config_exits_one_naming_the_key(self, edit, named, tmp_path, capsys):
@@ -314,6 +319,24 @@ class TestThresholdCommand:
         payload = json.loads(out.read_text())
         assert payload["schema"] == "su11sim/threshold-scan/v1"
         assert [r["theta"] for r in payload["rows"]] == [0.55, 0.65]
+
+    def test_scan_rows_are_pinned(self, tmp_path, capsys):
+        # integers and the input thetas only, so no machine dependence
+        out = tmp_path / "scan.json"
+        code, _, _ = run_cli(
+            [
+                "threshold", "--thetas", "0.6,0.72,0.74", "--phi-true", "0.75",
+                "--mean-photons", "4", "--trials", "5", "--max-measurements", "80",
+                "--grid-points", "512", "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["rows"] == [
+            {"censored": 0, "median": 9, "q25": 7, "q75": 11, "theta": 0.6, "trials": 5},
+            {"censored": 2, "median": 73, "q25": 41, "q75": None, "theta": 0.72, "trials": 5},
+            {"censored": 5, "median": None, "q25": None, "q75": None, "theta": 0.74, "trials": 5},
+        ]
 
 
 class TestVerifyCommand:

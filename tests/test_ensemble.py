@@ -10,14 +10,18 @@ import pytest
 from su11sim import (
     CampaignConfig,
     CampaignError,
+    MODE_FIXED,
     MODE_OPTIMAL,
+    PhaseGrid,
     ProtocolConfig,
     SU11Error,
     derive_seed,
+    make_model,
     run_campaign,
+    run_trials,
     threshold_scan,
 )
-from su11sim.ensemble import _censored_quartile
+from su11sim.ensemble import ThresholdRow, _censored_quartile
 import su11sim.ensemble as ensemble_mod
 import su11sim.measurement as measurement_mod
 
@@ -180,6 +184,24 @@ class TestModelCache:
         assert len(built) == 1
         assert len(grids) == 1
 
+    def test_threshold_scan_builds_one_model_freed_on_return(self, built):
+        res = threshold_scan((0.6, 0.7), 0.75, 4.0, 2, 20, grid=PhaseGrid(n_points=256))
+        assert len(res.rows) == 2
+        assert len(built) == 1
+        assert ensemble_mod._MODELS == {}
+        assert built[0]() is None
+
+    def test_failed_threshold_scan_raises_and_frees_its_model(self, built, monkeypatch):
+        def explode(config, model, grid, seeds, **kw):
+            return [SU11Error("synthetic failure") for _ in seeds]
+
+        monkeypatch.setattr(ensemble_mod, "run_trials", explode)
+        with pytest.raises(CampaignError, match="synthetic failure"):
+            threshold_scan((0.6, 0.7), 0.75, 4.0, 2, 20, grid=PhaseGrid(n_points=256))
+        assert len(built) == 1
+        assert ensemble_mod._MODELS == {}
+        assert built[0]() is None
+
     def test_pooled_cells_build_one_table_per_worker(self, tmp_path, monkeypatch):
         # the pool forks, so each build appends its process id to a file
         log = tmp_path / "builds"
@@ -218,6 +240,30 @@ class TestThresholdScan:
         d = res.to_dict()
         assert d["schema"] == "su11sim/threshold-scan/v1"
         assert len(d["rows"]) == 2
+
+    def test_rows_match_a_per_theta_reference_loop(self):
+        # theta position is the cell index of every trial seed
+        thetas, phi, nbar, trials, steps, master = (0.6, 0.72), 0.75, 4.0, 5, 80, 11
+        grid = PhaseGrid(n_points=512)
+        res = threshold_scan(thetas, phi, nbar, trials, steps, master_seed=master, grid=grid)
+        model = make_model("photon", nbar)
+        expected = []
+        for ci, theta in enumerate(thetas):
+            cfg = ProtocolConfig(mode=MODE_FIXED, measurements=steps, phi_true=phi, fixed_theta=theta)
+            seeds = [derive_seed(master, ci, t) for t in range(trials)]
+            values = [rec.m_threshold for rec in run_trials(cfg, model, grid, seeds)]
+            expected.append(
+                ThresholdRow(
+                    theta=theta,
+                    trials=trials,
+                    censored=values.count(None),
+                    median=_censored_quartile(values, 0.5),
+                    q25=_censored_quartile(values, 0.25),
+                    q75=_censored_quartile(values, 0.75),
+                )
+            )
+        assert res.rows == tuple(expected)
+        assert any(row.censored for row in res.rows)  # the censored path is exercised
 
     def test_replay_stability(self):
         kw = dict(
