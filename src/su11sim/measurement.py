@@ -294,9 +294,9 @@ class OutcomeLaw:
     Built by outcome_law. Exactly one of three forms is set: the geometric
     law (log_v, with p_plus/p_minus for the optimal scheme), the
     renormalized truncated table (cum, total), or error, the message of the
-    ResidualMassError every draw raises. A draw consumes the Generator the
-    same way whether the law is new or reused, so a law cached per offset
-    draws what sample draws.
+    ResidualMassError every draw raises. A draw takes one or two uniforms
+    from a zero-argument source, the same way whether the law is new or
+    reused, so a law cached per offset draws what sample draws.
     """
 
     scheme: Scheme
@@ -307,16 +307,17 @@ class OutcomeLaw:
     total: float = 0.0
     error: str | None = None
 
-    def draw_code(self, rng: np.random.Generator) -> int:
-        """Draw one outcome and return its code (see Outcome.code)."""
+    def draw_code(self, uniform) -> int:
+        """Draw one outcome and return its code (see Outcome.code); uniform()
+        returns the next uniform in [0, 1), such as Generator.random."""
         if self.error is not None:
             raise ResidualMassError(self.error)
         if self.cum is not None:
-            idx = int(np.searchsorted(self.cum, rng.random() * self.total, side="right"))
+            idx = int(np.searchsorted(self.cum, uniform() * self.total, side="right"))
             return min(idx, len(self.cum) - 1)
         base = 0
         if self.scheme is Scheme.OPTIMAL:
-            u1 = rng.random()
+            u1 = uniform()
             if u1 < self.p_plus:
                 return 0
             if u1 < self.p_plus + self.p_minus:
@@ -324,10 +325,10 @@ class OutcomeLaw:
             base = 2
         if self.log_v is None:
             return base
-        return base + int(math.log1p(-rng.random()) / self.log_v)
+        return base + int(math.log1p(-uniform()) / self.log_v)
 
     def draw(self, rng: np.random.Generator) -> Outcome:
-        return outcome_of_code(self.scheme, self.draw_code(rng))
+        return outcome_of_code(self.scheme, self.draw_code(rng.random))
 
 
 def outcome_law(model: LikelihoodModel, delta_phi: float) -> OutcomeLaw:

@@ -1,8 +1,8 @@
 """Grid-based Bayesian posterior over the unknown interferometer phase.
 
 Log weights are defined up to a constant. log_step, the one Bayes update
-(the lockstep engine in protocols and update_log both call it), adds rows
-and shifts each maximum to 0; it never renormalizes. A Posterior computes
+(the step loop in protocols and update_log both call it), adds one row in
+place and shifts its maximum to 0; it never renormalizes. A Posterior computes
 its density once, on first use: subtract logsumexp, floor at -745 (so
 vanishing weights cannot produce NaN), exponentiate. Normalization is in
 the Riemann sense: sum(density) * spacing = 1.
@@ -106,26 +106,24 @@ def uniform_posterior(grid: PhaseGrid) -> Posterior:
     return Posterior(grid=grid, log_weights=log_w)
 
 
-def log_step(log_w: np.ndarray, log_rows) -> tuple[np.ndarray, np.ndarray]:
-    """Bayes update in place on a (B, n_points) block of log weights: add
-    log_rows[i] (a row or a scalar) to row i in place, shift each row's
-    maximum to 0 and return the maxima and their first argmaxes. One argmax
-    scan serves both, exactly: the shift maps a row's maximal entries to 0
-    and every other finite entry below it. A NaN or -inf row yields a
-    non-finite maximum; it (and its argmax) is left meaningless, and the
-    caller drops it."""
-    for w, row in zip(log_w, log_rows):
-        w += row
-    tops = log_w.argmax(axis=1)
-    top = log_w[np.arange(len(tops)), tops]
-    log_w -= top[:, None]
-    return top, tops
+def log_step(log_w: np.ndarray, log_row) -> tuple[float, int]:
+    """Bayes update in place on one row of log weights: add log_row (a row
+    or a scalar), shift the maximum to 0 and return it with its first
+    argmax. One argmax scan serves both, exactly: the shift maps the maximal
+    entries to 0 and every other finite entry below it. A NaN or -inf row
+    yields a non-finite maximum; the weights (and the argmax) are then
+    meaningless, and the caller gives up the posterior."""
+    log_w += log_row
+    top = int(log_w.argmax())
+    peak = float(log_w[top])
+    log_w -= peak
+    return peak, top
 
 
 def update_log(posterior: Posterior, log_row: np.ndarray, label: str | None = None) -> Posterior:
     """Bayes update with a log-likelihood row already evaluated on the grid."""
     log_w = np.array(posterior.log_weights, dtype=np.float64)  # a copy
-    if not math.isfinite(log_step(log_w[None], [log_row])[0][0]):
+    if not math.isfinite(log_step(log_w, log_row)[0]):
         what = f"outcome {label}" if label else "likelihood row"
         raise DegenerateRowError(f"{what} leaves zero posterior mass everywhere")
     return Posterior(grid=posterior.grid, log_weights=log_w)

@@ -30,6 +30,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -273,7 +274,7 @@ def run_trial(
     return result
 
 
-_BLOCK = 8
+CHUNK = 256  # uniforms a trial draws from its Generator at a time
 
 
 def run_trials(
@@ -291,42 +292,39 @@ def run_trials(
     with that outcome's log row and takes the MAP from the argmax. The modes
     differ only in how theta moves; each is described in the module docstring.
 
-    Trials run in lockstep blocks of _BLOCK seeds on the model's one cached
-    table for this grid (shared_grid_tables). A block keeps its log weights
-    as one (B, N) matrix, hands log_step a view of each outcome's row of
-    that stacked log table and takes each MAP (and, in optimal mode, the
-    next feedback index) from the argmaxes log_step returns. Each
-    element gets the same IEEE operations as a lone trial would, so each
-    record is bit-identical to running its seed alone. Outcome laws are
-    cached per theta index, which is exact because phi_true is fixed for
-    the call and each trial still makes the same draws from its own
-    Generator in the same order.
+    Trials run one at a time, each to its end, on the model's one cached
+    table for this grid (shared_grid_tables): a step adds a view of the
+    outcome's row of the stacked log table to the trial's one row of log
+    weights. Outcome laws are cached per theta index, which is exact because
+    phi_true is fixed for the call and each trial still draws the same
+    uniforms from its own Generator in the same order (_uniform_source). So
+    a record depends only on its seed, never on the other seeds of the call.
 
     A trial that fails with an SU11Error (a ResidualMassError draw or a
-    degenerate update) leaves the block; the others carry on undisturbed.
-    Any other exception, such as a ValueError from an invalid config,
-    propagates.
+    degenerate update) ends there and yields that error; the others are
+    undisturbed. Any other exception, such as a ValueError from an invalid
+    config, propagates.
     """
     engine = _Engine(config, model, grid, keep_steps)
-    seeds = list(seeds)
-    results: list = []
-    for start in range(0, len(seeds), _BLOCK):
-        results.extend(engine.run_block(seeds[start : start + _BLOCK]))
-    return results
+    return [engine.run(seed) for seed in seeds]
+
+
+def _uniform_source(rng: np.random.Generator):
+    """A zero-argument source of the floats successive rng.random() calls
+    return, drawn CHUNK at a time. Surplus draws die with the trial's own
+    Generator, which nothing else reads."""
+    return chain.from_iterable(iter(lambda: rng.random(CHUNK).tolist(), None)).__next__
 
 
 class _Trial:
-    """The per-trial state of a lockstep block."""
+    """The state one trial carries from step to step."""
 
-    __slots__ = (
-        "seed", "rng", "j", "map_est", "steps", "phi_rough", "m_threshold", "map_jumps",
-    )
+    __slots__ = ("seed", "j", "map_est", "steps", "phi_rough", "m_threshold", "map_jumps")
 
-    def __init__(self, seed: int, j: int, map_est: float):
+    def __init__(self, seed: int, j: int):
         self.seed = int(seed)
-        self.rng = np.random.default_rng(self.seed)
         self.j = j  # feedback index of the next step
-        self.map_est = map_est
+        self.map_est: float | None = None  # fixed mode: the MAP after the last step
         self.steps: list[StepRecord] = []
         self.phi_rough: float | None = None
         self.m_threshold: int | None = None
@@ -334,7 +332,7 @@ class _Trial:
 
 
 class _Engine:
-    """One protocol config on one model and grid; runs blocks of seeds."""
+    """One protocol config on one model and grid; runs one seed at a time."""
 
     def __init__(self, config, model, grid, keep_steps):
         expected = scheme_for_mode(config.mode)
@@ -350,27 +348,32 @@ class _Engine:
         self.grid = grid
         self.keep_steps = keep_steps
         self.tables = shared_grid_tables(model, grid)
+        self.windows = self.tables.log_windows()
         self.phi_true = grid.snap(config.phi_true)
         self.points = grid.points.tolist()
         self.laws: dict[int, OutcomeLaw] = {}
         prior = uniform_posterior(grid)
         self.log_w0 = float(prior.log_weights[0])
-        self.map0 = map_estimate(prior)
         # theta policies: the first feedback index here, then the next after
-        # each step from _advance_<mode>
+        # each step from _advance_<mode>, for as long as that can move it
         if config.mode == MODE_FIXED:
             self.j_first = grid.index_of(config.fixed_theta)
         elif config.mode == MODE_LADDER:
-            self.j_first = self._ramp_index(1, self.map0, 0.0)
+            self.j_first = self._ramp_index(1, map_estimate(prior), 0.0)
         else:
             theta0 = grid.midpoint if config.initial_theta is None else config.initial_theta
             self.j_first = grid.index_of(theta0)
 
     def _advance_fixed(self, k: int, trial: _Trial, log_w: np.ndarray, top: int) -> None:
-        # m_threshold: the first step with a rival at least rival_height_ratio
-        # as tall as the primary. detect_peaks runs only where the exact
-        # log-space screen rival_possible allows one.
+        # map_jumps counts MAP moves beyond peak_min_separation. m_threshold:
+        # the first step with a rival at least rival_height_ratio as tall as
+        # the primary. detect_peaks runs only where the exact log-space screen
+        # rival_possible allows one.
         cfg = self.config
+        map_est = self.points[top]
+        if k > 1 and abs(map_est - trial.map_est) > cfg.peak_min_separation:
+            trial.map_jumps += 1
+        trial.map_est = map_est
         if trial.m_threshold is None and rival_possible(
             log_w, self.grid, cfg.peak_min_separation, cfg.rival_height_ratio
         ):
@@ -388,12 +391,13 @@ class _Engine:
         return self.grid.floor_index(max(theta_raw, self.grid.lo))
 
     def _advance_ladder(self, k: int, trial: _Trial, log_w: np.ndarray, top: int) -> None:
+        # called for the rough stage only: the lock stage holds theta
         cfg = self.config
         if k < cfg.pre_rounds:
             # the ramp never falls below the theta just measured at
-            trial.j = self._ramp_index(k + 1, trial.map_est, self.points[trial.j])
-        elif k == cfg.pre_rounds:
-            trial.phi_rough = trial.map_est
+            trial.j = self._ramp_index(k + 1, self.points[top], self.points[trial.j])
+        else:
+            trial.phi_rough = self.points[top]
             trial.j = self.grid.index_of(cfg.final_fraction * trial.phi_rough)
 
     def _advance_optimal(self, k: int, trial: _Trial, log_w: np.ndarray, top: int) -> None:
@@ -401,74 +405,46 @@ class _Engine:
         trial.j = top
 
     # -- the one stepping loop -----------------------------------------------
-    def run_block(self, seeds: list) -> list:
-        cfg, grid, model, tables = self.config, self.grid, self.model, self.tables
-        points, laws, scheme = self.points, self.laws, model.scheme
-        n_max = tables.n_max
-        windows = tables.log_windows()
-        # looked up per block: a bound method kept on self would make a cycle
+    def run(self, seed: int):
+        """Run seed's trial to its end: its TrialRecord, or the SU11Error
+        that ended it (without its traceback, which would pin this frame)."""
+        cfg, model, tables, windows = self.config, self.model, self.tables, self.windows
+        points, laws, scheme, n_max = self.points, self.laws, model.scheme, tables.n_max
+        # looked up per trial: a bound method kept on self would make a cycle
         # that holds the model until a full garbage collection
         advance, keep_steps = getattr(self, f"_advance_{cfg.mode}"), self.keep_steps
-        fixed = cfg.mode == MODE_FIXED
-        sep = cfg.peak_min_separation
-        results: list = [None] * len(seeds)
-        live = [(slot, _Trial(seed, self.j_first, self.map0)) for slot, seed in enumerate(seeds)]
-        log_w = np.full((len(live), grid.n_points), self.log_w0)
+        moving = cfg.pre_rounds if cfg.mode == MODE_LADDER else cfg.measurements
+        trial = _Trial(seed, self.j_first)
+        uniform = _uniform_source(np.random.default_rng(trial.seed))
+        log_w = np.full(self.grid.n_points, self.log_w0)
         for k in range(1, cfg.measurements + 1):
-            codes, rows = [], []
-            for slot, trial in live:
-                j = trial.j
-                law = laws.get(j)
-                if law is None:
-                    law = laws[j] = outcome_law(model, self.phi_true - points[j])
-                try:
-                    code = law.draw_code(trial.rng)
-                except ResidualMassError as exc:
-                    # without its traceback, which would pin this frame
-                    results[slot] = exc.with_traceback(None)
-                    code, row = 0, np.nan  # a stand-in row: the trial leaves below
-                else:
-                    row = windows[code, j] if code <= n_max else tables.log_row(
-                        outcome_of_code(scheme, code), j
+            j = trial.j
+            law = laws.get(j)
+            if law is None:
+                law = laws[j] = outcome_law(model, self.phi_true - points[j])
+            try:
+                code = law.draw_code(uniform)
+            except ResidualMassError as exc:
+                return exc.with_traceback(None)
+            peak, top = log_step(
+                log_w,
+                windows[code, j] if code <= n_max else tables.log_row(outcome_of_code(scheme, code), j),
+            )
+            if not math.isfinite(peak):
+                label = outcome_of_code(scheme, code).label()
+                return DegenerateRowError(f"outcome {label} at step {k} leaves zero posterior mass")
+            if keep_steps:
+                trial.steps.append(
+                    StepRecord(
+                        step=k,
+                        theta=points[j],
+                        outcome=outcome_of_code(scheme, code),
+                        map_estimate=points[top],
                     )
-                codes.append(code)
-                rows.append(row)
-            peak, tops = log_step(log_w, rows)
-            tops = tops.tolist()
-            if not all(map(math.isfinite, peak.tolist())):
-                keep = []
-                for i, (slot, trial) in enumerate(live):
-                    if math.isfinite(peak[i]):
-                        keep.append(i)
-                    elif results[slot] is None:
-                        label = outcome_of_code(scheme, codes[i]).label()
-                        results[slot] = DegenerateRowError(
-                            f"outcome {label} at step {k} leaves zero posterior mass"
-                        )
-                live = [live[i] for i in keep]
-                codes = [codes[i] for i in keep]
-                tops = [tops[i] for i in keep]
-                log_w = log_w[keep]
-                if not live:
-                    break
-            for i, ((slot, trial), top) in enumerate(zip(live, tops)):
-                map_est = points[top]
-                if fixed and k > 1 and abs(map_est - trial.map_est) > sep:
-                    trial.map_jumps += 1
-                trial.map_est = map_est
-                if keep_steps:
-                    trial.steps.append(
-                        StepRecord(
-                            step=k,
-                            theta=points[trial.j],
-                            outcome=outcome_of_code(scheme, codes[i]),
-                            map_estimate=map_est,
-                        )
-                    )
-                advance(k, trial, log_w[i], top)
-        for i, (slot, trial) in enumerate(live):
-            results[slot] = self._finish(trial, log_w[i])
-        return results
+                )
+            if k <= moving:
+                advance(k, trial, log_w, top)
+        return self._finish(trial, log_w)
 
     def _finish(self, trial: _Trial, log_w: np.ndarray) -> TrialRecord:
         # the peak report, the prune valley, the edge mass and the moments

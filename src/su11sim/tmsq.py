@@ -132,12 +132,18 @@ def build_schmidt_table(
     for the deepest default column); actual truncation error shrinks like
     x^p once past the column bulk and cannot stall there. The achieved
     closure is recorded as tail_bound. Exceeding the hard cap of 4096
-    raises TruncationError.
+    raises TruncationError, at once if n_max + 8 already does.
     """
     if not (0.0 < tail_tol < 1.0):
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     if not (isinstance(n_max, int) and n_max >= 1):
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
+    if n_max + 8 > HARD_PAIR_CAP:
+        # the start depth n_max + 8 cannot fit under the cap, so no column closes
+        raise TruncationError(
+            f"n_max {n_max} leaves no room under the pair ladder cap {HARD_PAIR_CAP}; "
+            f"reduce n_max to at most {HARD_PAIR_CAP - 8}"
+        )
     r = params.squeeze_r
     x = math.tanh(r) ** 2
     p = min(_vacuum_p_start(x, tail_tol, n_max), HARD_PAIR_CAP)

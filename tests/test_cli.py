@@ -202,7 +202,7 @@ class TestEnsembleCommand:
         assert len(trial_lines) == 3 + 6
 
     def test_artifacts_identical_for_one_and_two_workers(self, tmp_path, capsys):
-        # 17 trials per cell cross the engine's lockstep block boundary
+        # two cells of 17 trials, run in one process and then spread over two workers
         artifacts = {}
         for workers in (1, 2):
             paths = [tmp_path / f"w{workers}_{name}" for name in ("c.json", "cells.csv", "trials.csv")]
@@ -295,6 +295,22 @@ class TestEnsembleCommand:
         code, out, err = run_cli(["ensemble", "--config", str(cfg_path)], capsys)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("via", ("flag", "config"))
+    def test_n_max_beyond_pair_cap_exits_one(self, via, tmp_path, capsys):
+        # refused before any table build, which at this depth would take minutes
+        argv = ["ensemble", "--protocol", "optimal", "--phi-true", "0.75", "--trials", "2",
+                "--measurements", "20", "--n-max", "5000"]
+        if via == "config":
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps({
+                "protocol": {"mode": "optimal", "measurements": 20},
+                "mean_photons": [4.0], "phi_true": [0.75], "trials": 2, "n_max": 5000,
+            }))
+            argv = ["ensemble", "--config", str(cfg_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "n_max 5000" in err
 
     def test_config_that_is_not_an_object_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"

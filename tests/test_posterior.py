@@ -368,8 +368,9 @@ class TestRivalScreen:
 
 
 def _five_pass_step(log_w, log_rows):
-    """The step before rows were added in place: gather the rows into one
-    (B, N) copy, add it, take the maxima, subtract them, then take argmaxes."""
+    """The step before rows were added in place, on a (B, N) block of
+    trials: gather the rows into one (B, N) copy, add it, take the maxima,
+    subtract them, then take argmaxes."""
     gathered = np.empty_like(log_w)
     for i, row in enumerate(log_rows):
         gathered[i] = row
@@ -412,7 +413,7 @@ def _oracle_row(kind, rng, n, log_w_row):
     if kind == "tail":
         # tail rows synthesized beyond n_max reach far below the floor
         return LOG_FLOOR + rng.uniform(-2000.0, 5.0, size=n)
-    return np.nan  # the scalar stand-in for a trial whose draw failed
+    return np.nan  # a scalar row, which log_step broadcasts
 
 
 @given(
@@ -437,7 +438,9 @@ def test_log_step_matches_five_pass_step(b, n, kinds, seed, steps):
         rows = [_oracle_row(kinds[(i + step) % 8], rng, n, want_w[i]) for i in range(b)]
         with np.errstate(invalid="ignore"):
             want_top, want_arg = _five_pass_step(want_w, rows)
-            got_top, got_arg = log_step(log_w, rows)
+            got = [log_step(w, row) for w, row in zip(log_w, rows)]  # each row in place
+        got_top = np.array([peak for peak, _ in got])
+        got_arg = np.array([top for _, top in got])
         assert np.array_equal(got_top, want_top, equal_nan=True)
         assert np.array_equal(log_w, want_w, equal_nan=True)
         # the argmax of a row whose maximum is not finite is meaningless

@@ -333,12 +333,12 @@ class TestDispatchErrors:
             run_trial(cfg, models[Scheme.OPTIMAL], grid, 1)
 
 
-# -- the lockstep engine against the serial loop it replaced ----------------
+# -- the engine against the serial loop it replaced --------------------------
 #
 # _reference_sample and _reference_trial are the per-draw sampler and the
-# one-trial-at-a-time step loop that production used before run_trials
-# batched trials and cached outcome laws. The arithmetic is unchanged, so
-# records must be equal, not merely close.
+# step loop that production used before run_trials cached outcome laws, read
+# rows from the stacked table's windows and drew uniforms in chunks. The
+# arithmetic is unchanged, so records must be equal, not merely close.
 
 
 def _reference_sample(model, delta_phi, rng):
@@ -495,16 +495,17 @@ def _engine_results(config, model, grid, seeds, keep_steps):
     ]
 
 
-_SEEDS = list(range(1000, 1017))  # 17 seeds: blocks of 7 leave a partial block
+_SEEDS = list(range(1000, 1017))
 
 
-@pytest.fixture(params=(1, 7, 64), ids=lambda b: f"B{b}")
-def block(request, monkeypatch):
-    monkeypatch.setattr(protocols, "_BLOCK", request.param)
+@pytest.fixture(params=(1, 7, protocols.CHUNK), ids=lambda c: f"C{c}")
+def chunk(request, monkeypatch):
+    # records must not depend on how many uniforms a trial draws at a time
+    monkeypatch.setattr(protocols, "CHUNK", request.param)
     return request.param
 
 
-class TestLockstepEngine:
+class TestStepEngine:
     @pytest.mark.parametrize("keep_steps", (True, False))
     @pytest.mark.parametrize(
         "mode, kw",
@@ -514,7 +515,7 @@ class TestLockstepEngine:
             (MODE_OPTIMAL, dict(measurements=200)),
         ],
     )
-    def test_records_match_serial_loop(self, models, grid, block, mode, kw, keep_steps):
+    def test_records_match_serial_loop(self, models, grid, chunk, mode, kw, keep_steps):
         cfg = small_config(mode, **kw)
         model = models[scheme_for_mode(mode)]
         want = _reference_results(cfg, model, grid, _SEEDS, keep_steps)
@@ -526,7 +527,7 @@ class TestLockstepEngine:
             assert 0 < sum(r["pruned"] for r in want) < len(want)
 
     @pytest.mark.parametrize("mode", (MODE_LADDER, MODE_OPTIMAL))
-    def test_tail_rows_beyond_n_max(self, grid, block, mode):
+    def test_tail_rows_beyond_n_max(self, grid, chunk, mode):
         model = make_model(scheme_for_mode(mode), 4.0, n_max=2)
         cfg = small_config(mode, phi_true=1.2, measurements=150)
         want = _reference_results(cfg, model, grid, _SEEDS, True)
@@ -534,7 +535,7 @@ class TestLockstepEngine:
         counts = [Outcome.parse_label(s["outcome"]).n for r in want for s in r["steps"]]
         assert any(n is not None and n > 2 for n in counts)
 
-    def test_residual_mass_error_fails_only_its_trial(self, grid, block):
+    def test_residual_mass_error_fails_only_its_trial(self, grid, chunk):
         model = make_model(
             Scheme.OPTIMAL, 4.0, n_max=10, residual_policy=POLICY_RENORMALIZE, residual_tol=1e-3
         )
@@ -545,7 +546,7 @@ class TestLockstepEngine:
         assert 0 < len(failed) < len(want)
         assert all(f[0] is ResidualMassError for f in failed)
 
-    def test_degenerate_row_fails_only_its_trial(self, photon_model, grid, block, monkeypatch):
+    def test_degenerate_row_fails_only_its_trial(self, photon_model, grid, chunk, monkeypatch):
         # a log table whose pair:9 row is -inf everywhere: a trial that draws
         # it has no finite posterior left
         tables = LikelihoodGrid(photon_model, grid)
@@ -581,6 +582,86 @@ class TestLockstepEngine:
         assert protocols.run_trials(small_config(MODE_OPTIMAL), models[Scheme.OPTIMAL], grid, []) == []
 
 
+def _domain_phase(lo, hi, n_points):
+    # anywhere in [lo, hi), with the first and last cells and both edges drawn often
+    spacing = (hi - lo) / n_points
+    edges = (lo, lo + 0.49 * spacing, hi - spacing, math.nextafter(hi, lo))
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi, exclude_max=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    mode=st.sampled_from((MODE_FIXED, MODE_LADDER, MODE_OPTIMAL)),
+    domain=st.sampled_from(((0.0, math.pi), (-0.5 * math.pi, 0.5 * math.pi))),
+    n_points=st.integers(64, 256),
+    measurements=st.integers(2, 40),
+    keep_steps=st.booleans(),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+)
+def test_engine_matches_serial_loop_over_the_domain(
+    models, data, mode, domain, n_points, measurements, keep_steps, seeds
+):
+    grid = PhaseGrid(*domain, n_points)
+    phase = _domain_phase(*domain, n_points)
+    kw = dict(measurements=measurements, phi_true=data.draw(phase, label="phi_true"))
+    if mode == MODE_FIXED:
+        kw["fixed_theta"] = data.draw(phase, label="fixed_theta")
+    elif mode == MODE_LADDER:
+        kw["pre_rounds"] = data.draw(st.integers(1, measurements - 1), label="pre_rounds")
+    else:
+        kw["initial_theta"] = data.draw(st.one_of(st.none(), phase), label="initial_theta")
+    cfg = ProtocolConfig(mode=mode, **kw)
+    model = models[scheme_for_mode(mode)]
+    want = _reference_results(cfg, model, grid, seeds, keep_steps)
+    assert _engine_results(cfg, model, grid, seeds, keep_steps) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mode=st.sampled_from((MODE_FIXED, MODE_LADDER, MODE_OPTIMAL)),
+    seeds=st.lists(st.integers(0, 2**32 - 1), max_size=6),
+    cuts=st.lists(st.integers(0, 6), max_size=3),
+)
+def test_results_do_not_depend_on_how_seeds_are_split(models, mode, seeds, cuts):
+    # what a split of one campaign cell into trial-range tasks relies on
+    grid = PhaseGrid(n_points=256)
+    cfg = small_config(mode, measurements=60)
+    model = models[scheme_for_mode(mode)]
+    whole = _engine_results(cfg, model, grid, seeds, True)
+    bounds = sorted({0, len(seeds), *(min(c, len(seeds)) for c in cuts)})
+    parts = [
+        r for a, b in zip(bounds, bounds[1:]) for r in _engine_results(cfg, model, grid, seeds[a:b], True)
+    ]
+    assert parts == whole
+
+
+class TestUniformSource:
+    def test_yields_successive_generator_floats(self):
+        source = protocols._uniform_source(np.random.default_rng(2024))
+        rng = np.random.default_rng(2024)
+        n = 2 * protocols.CHUNK + 17  # across two chunk boundaries
+        assert [source() for _ in range(n)] == [rng.random() for _ in range(n)]
+
+    @pytest.mark.parametrize("offset", (0.3, 1.0))
+    def test_optimal_draws_across_chunk_boundaries(self, optimal_model, offset):
+        # an optimal draw takes one uniform for plus or minus and two for a
+        # null count, so draws straddle the chunk boundaries at varying places
+        law = outcome_law(optimal_model, offset)
+        source = protocols._uniform_source(np.random.default_rng(7))
+        used = []
+
+        def counted():
+            used.append(1)
+            return source()
+
+        rng = np.random.default_rng(7)
+        n = 3 * protocols.CHUNK
+        got = [law.draw_code(counted) for _ in range(n)]
+        assert got == [law.draw(rng).code() for _ in range(n)]
+        assert 2 * protocols.CHUNK < n < len(used) < 2 * n
+
+
 _LAW_MODELS: dict = {}
 
 
@@ -605,23 +686,28 @@ def _law_model(scheme, policy):
     draws=st.integers(1, 12),
 )
 def test_cached_law_draws_as_sample(scheme, policy, offset, seed, draws):
-    # one law reused for every draw, sample, and the old per-draw sampler
-    # agree on each outcome (or error) and leave the Generator in one state
+    # one law reused for every draw, sample, the old per-draw sampler and the
+    # law on the engine's chunked uniform source agree on each outcome (or
+    # error); the first three leave the Generator in one state
     model = _law_model(scheme, policy)
     law = outcome_law(model, offset)
-    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    rngs = [np.random.default_rng(seed) for _ in range(4)]
+    source = protocols._uniform_source(rngs[3])
+    drawers = (
+        law.draw,
+        lambda r: sample(model, offset, r),
+        lambda r: _reference_sample(model, offset, r),
+        lambda r: outcome_of_code(scheme, law.draw_code(source)),
+    )
     for _ in range(draws):
         got = []
-        for draw, rng in zip(
-            (law.draw, lambda r: sample(model, offset, r), lambda r: _reference_sample(model, offset, r)),
-            rngs,
-        ):
+        for draw, rng in zip(drawers, rngs):
             try:
                 got.append(draw(rng))
             except ResidualMassError as exc:
                 got.append(str(exc))
-        assert got[0] == got[1] == got[2]
+        assert got[0] == got[1] == got[2] == got[3]
         if isinstance(got[0], Outcome):
             assert outcome_of_code(scheme, got[0].code()) == got[0]
-    states = [rng.bit_generator.state for rng in rngs]
+    states = [rng.bit_generator.state for rng in rngs[:3]]
     assert states[0] == states[1] == states[2]

@@ -21,6 +21,7 @@ from su11sim import (
     pair_amplitude_matrix,
     pair_ratio,
 )
+import su11sim.tmsq as tmsq
 from su11sim.tmsq import _coeff_matrix
 
 NBAR_SWEEP = (2.0, 4.0, 6.0, 8.0)
@@ -199,6 +200,18 @@ class TestValidation:
         # x -> 1 pushes the required depth far past the hard cap
         with pytest.raises(TruncationError):
             build_schmidt_table(OpaParams.from_mean_photons(1e6))
+
+    def test_n_max_beyond_cap_raises_before_any_build(self, monkeypatch):
+        # n_max + 8 > HARD_PAIR_CAP: a build at the cap would take minutes
+        # and still leak, so the table is refused before any coefficient
+        def no_build(*args):
+            raise AssertionError("_coeff_matrix called")
+
+        monkeypatch.setattr(tmsq, "_coeff_matrix", no_build)
+        params = OpaParams.from_mean_photons(4.0)
+        for n_max in (tmsq.HARD_PAIR_CAP - 7, 5000):
+            with pytest.raises(TruncationError, match=f"n_max {n_max} "):
+                build_schmidt_table(params, n_max=n_max)
 
 
 class TestParamRelations:
