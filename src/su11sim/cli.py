@@ -31,13 +31,7 @@ from .ensemble import (
     threshold_scan,
 )
 from .errors import SU11Error
-from .measurement import (
-    POLICY_EXACT_TAIL,
-    POLICY_RENORMALIZE,
-    make_model,
-    outcome_of_code,
-    outcome_probabilities,
-)
+from .measurement import make_model, outcome_of_code, outcome_probabilities
 from .posterior import PhaseGrid
 from .protocols import (
     MODE_FIXED,
@@ -127,16 +121,6 @@ def _add_table_flags(parser) -> None:
     )
 
 
-def _add_model_flags(parser) -> None:
-    _add_table_flags(parser)
-    parser.add_argument(
-        "--residual-policy",
-        choices=[POLICY_EXACT_TAIL, POLICY_RENORMALIZE],
-        default=POLICY_EXACT_TAIL,
-        help="how sampling treats pair counts beyond n-max (default exact_tail)",
-    )
-
-
 def _add_protocol_flags(p) -> None:
     p.add_argument("--theta", type=float, default=None, help="feedback phase (fixed mode)")
     p.add_argument("--pre-rounds", type=int, default=100, help="ladder rough-stage length")
@@ -212,11 +196,7 @@ def _cmd_run(args) -> int:
     config = _protocol_config_from_args(args, phi_true=args.phi_true)
     grid = _grid_from_args(args)
     model = make_model(
-        scheme_for_mode(config.mode),
-        args.mean_photons,
-        tail_tol=args.tail_tol,
-        n_max=args.n_max,
-        residual_policy=args.residual_policy,
+        scheme_for_mode(config.mode), args.mean_photons, tail_tol=args.tail_tol, n_max=args.n_max
     )
     seed = _resolve_seed(args.seed)
     record = run_trial(config, model, grid, seed)
@@ -254,7 +234,6 @@ def _cmd_ensemble(args) -> int:
             grid=_grid_from_args(args),
             tail_tol=args.tail_tol,
             n_max=args.n_max,
-            residual_policy=args.residual_policy,
             label=args.label,
         )
     result = run_campaign(config, workers=args.workers)
@@ -331,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="trial seed (default: SU11_SEED or 7)")
     _add_protocol_flags(p)
     _add_grid_flags(p)
-    _add_model_flags(p)
+    _add_table_flags(p)
     p.add_argument("--out", default=None, help="write the trial record JSON here")
     p.add_argument("--trajectory-out", default=None, help="write per-step CSV here")
     p.set_defaults(func=_cmd_run)
@@ -353,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1, help="worker processes over cells")
     p.add_argument("--label", default="", help="free-form label echoed in outputs")
     _add_grid_flags(p)
-    _add_model_flags(p)
+    _add_table_flags(p)
     p.add_argument("--out", default=None, help="write campaign JSON here instead of stdout")
     p.add_argument("--cells-csv", default=None, help="write per-cell statistics CSV here")
     p.add_argument("--trials-csv", default=None, help="write per-trial estimates CSV here")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import benchmarks
 from .errors import CampaignError, SU11Error
-from .measurement import POLICY_EXACT_TAIL, make_model
+from .measurement import make_model
 from .posterior import PhaseGrid
 from .protocols import MODE_FIXED, ProtocolConfig, finite_real, require_reals, run_trials, scheme_for_mode
 
@@ -34,6 +34,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _BOOTSTRAP_SLOT = (1 << 63) - 1
 _BOOTSTRAP_RESAMPLES = 1000
 _MAX_FAILURE_FRACTION = 0.01
+# campaign JSON still names the one sampling law, the exact geometric tail,
+# so configs keep their bytes and those written by earlier versions still load
+_SAMPLING_LAW = "exact_tail"
 
 
 def _splitmix64(z: int) -> int:
@@ -67,7 +70,6 @@ class CampaignConfig:
     grid: PhaseGrid = field(default_factory=PhaseGrid)
     tail_tol: float = 1e-12
     n_max: int = 16
-    residual_policy: str = POLICY_EXACT_TAIL
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -103,13 +105,19 @@ class CampaignConfig:
             "grid": {"lo": self.grid.lo, "hi": self.grid.hi, "n_points": self.grid.n_points},
             "tail_tol": self.tail_tol,
             "n_max": self.n_max,
-            "residual_policy": self.residual_policy,
+            "residual_policy": _SAMPLING_LAW,
             "label": self.label,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignConfig":
         """Read to_dict's layout; a missing, unknown or mistyped key raises ValueError."""
+        if isinstance(d, dict) and "residual_policy" in d:
+            if d["residual_policy"] != _SAMPLING_LAW:
+                raise ValueError(
+                    f"residual_policy must be {_SAMPLING_LAW!r}, got {d['residual_policy']!r}"
+                )
+            d = {k: v for k, v in d.items() if k != "residual_policy"}
         kw = _known_keys("campaign config", d, cls)
         kw["protocol"] = ProtocolConfig(**_known_keys("protocol", d["protocol"], ProtocolConfig))
         kw["grid"] = PhaseGrid(**_known_keys("grid", d.get("grid", {}), PhaseGrid))
@@ -212,16 +220,10 @@ def _run_cell(config: CampaignConfig, cell: tuple[int, float, float]):
     """One cell's trials: (summaries, failures), each in trial order."""
     cell_index, phi, nbar = cell
     scheme = scheme_for_mode(config.protocol.mode)
-    key = (scheme, nbar, config.tail_tol, config.n_max, config.residual_policy)
+    key = (scheme, nbar, config.tail_tol, config.n_max)
     model = _MODELS.get(key)
     if model is None:
-        model = _MODELS[key] = make_model(
-            scheme,
-            nbar,
-            tail_tol=config.tail_tol,
-            n_max=config.n_max,
-            residual_policy=config.residual_policy,
-        )
+        model = _MODELS[key] = make_model(scheme, nbar, tail_tol=config.tail_tol, n_max=config.n_max)
     cell_cfg = replace(config.protocol, phi_true=phi)
     summaries: list[TrialSummary] = []
     failures: list[TrialFailure] = []

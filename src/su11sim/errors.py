@@ -9,10 +9,6 @@ class TruncationError(SU11Error):
     """Requested tail tolerance cannot be met within the hard ladder cap."""
 
 
-class ResidualMassError(SU11Error):
-    """Truncated outcome distribution leaks more mass than the configured tolerance."""
-
-
 class DegenerateRowError(SU11Error):
     """A likelihood row is identically zero over the whole phase grid."""
 

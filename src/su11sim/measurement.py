@@ -10,10 +10,10 @@ A closed-form route exists for every probability because the output state is
 always a phase-twisted twin-beam state: the pair distribution is geometric,
 p(n) = (1 - v) v^n, with v the pair ratio below. Production likelihoods for
 outcome codes up to n_max come from the truncated amplitude tables through
-one route, outcome_probabilities; likelihood, pmf, the renormalized
-outcome_law, LikelihoodGrid and the CLI's likelihood curves all read it.
-The geometric form drives exact sampling and the n > n_max tail. Tests
-cross-check the two routes against each other and against brute-force sums.
+one route, outcome_probabilities; likelihood, pmf, LikelihoodGrid and the
+CLI's likelihood curves all read it. The geometric form is the one sampling
+law (outcome_law) and gives the n > n_max tail rows. Tests cross-check the
+two routes against each other and against brute-force sums.
 LikelihoodGrid stores only the log table; its linear row is exp(log_row).
 It evaluates outcome_probabilities at the non-negative offsets only and fills
 the negative ones by mirroring (plus and minus swap places), which is exact:
@@ -30,12 +30,8 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ResidualMassError
 from .posterior import LOG_FLOOR, PhaseGrid
 from .tmsq import OpaParams, SchmidtTable, build_schmidt_table, pair_amplitude_matrix
-
-POLICY_EXACT_TAIL = "exact_tail"
-POLICY_RENORMALIZE = "renormalize"
 
 _PMF_FLOOR = 1e-14
 _CHUNK = 1024
@@ -100,7 +96,7 @@ class Outcome:
         """Index of this outcome within its scheme: plus 0, minus 1, else the pair count.
 
         Codes up to n_max are the row indices of LikelihoodGrid's stacked
-        tables and of the renormalized outcome set.
+        tables.
         """
         if self.kind == "plus":
             return 0
@@ -126,16 +122,8 @@ class LikelihoodModel:
 
     scheme: Scheme
     table: SchmidtTable
-    residual_policy: str = POLICY_EXACT_TAIL
-    residual_tol: float = 1e-6
     # shared_grid_tables' cache, keyed by grid values; it goes with the model
     _grid_tables: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.residual_policy not in (POLICY_EXACT_TAIL, POLICY_RENORMALIZE):
-            raise ValueError(f"unknown residual policy {self.residual_policy!r}")
-        if not (0.0 < self.residual_tol < 1.0):
-            raise ValueError(f"residual_tol must lie in (0, 1), got {self.residual_tol!r}")
 
     @property
     def params(self) -> OpaParams:
@@ -157,8 +145,6 @@ def make_model(
     params: OpaParams | None = None,
     tail_tol: float = 1e-12,
     n_max: int = 16,
-    residual_policy: str = POLICY_EXACT_TAIL,
-    residual_tol: float = 1e-6,
 ) -> LikelihoodModel:
     """Convenience builder: amplifier params, coefficient table, model."""
     if (mean_photons is None) == (params is None):
@@ -166,12 +152,7 @@ def make_model(
     if params is None:
         params = OpaParams.from_mean_photons(mean_photons)
     table = build_schmidt_table(params, tail_tol=tail_tol, n_max=n_max)
-    return LikelihoodModel(
-        scheme=Scheme(scheme),
-        table=table,
-        residual_policy=residual_policy,
-        residual_tol=residual_tol,
-    )
+    return LikelihoodModel(scheme=Scheme(scheme), table=table)
 
 
 def pair_ratio(params: OpaParams, delta_phi):
@@ -291,30 +272,20 @@ def _tail_counts(v: float, n_max: int, floor: float):
 class OutcomeLaw:
     """The sampling law of one scheme at one phase offset.
 
-    Built by outcome_law. Exactly one of three forms is set: the geometric
-    law (log_v, with p_plus/p_minus for the optimal scheme), the
-    renormalized truncated table (cum, total), or error, the message of the
-    ResidualMassError every draw raises. A draw takes one or two uniforms
-    from a zero-argument source, the same way whether the law is new or
-    reused, so a law cached per offset draws what sample draws.
+    Built by outcome_law: the exact geometric law, log_v, with p_plus and
+    p_minus for the optimal scheme. A draw takes one or two uniforms from a
+    zero-argument source, the same way whether the law is new or reused, so
+    a law cached per offset draws what sample draws.
     """
 
     scheme: Scheme
     log_v: float | None = None  # log of the pair ratio v; None when v == 0
     p_plus: float = 0.0
     p_minus: float = 0.0
-    cum: np.ndarray | None = None
-    total: float = 0.0
-    error: str | None = None
 
     def draw_code(self, uniform) -> int:
         """Draw one outcome and return its code (see Outcome.code); uniform()
         returns the next uniform in [0, 1), such as Generator.random."""
-        if self.error is not None:
-            raise ResidualMassError(self.error)
-        if self.cum is not None:
-            idx = int(np.searchsorted(self.cum, uniform() * self.total, side="right"))
-            return min(idx, len(self.cum) - 1)
         base = 0
         if self.scheme is Scheme.OPTIMAL:
             u1 = uniform()
@@ -334,26 +305,10 @@ class OutcomeLaw:
 def outcome_law(model: LikelihoodModel, delta_phi: float) -> OutcomeLaw:
     """Precompute everything a draw at this offset needs.
 
-    Under the exact_tail policy the pair count comes from inverting the
-    geometric law directly, so no truncation enters the sampling at all.
-    Under the renormalize policy the enumerated set up to n_max is rescaled
-    to unit mass, and a residual above residual_tol makes every draw raise.
+    The pair count comes from inverting the geometric law directly, so no
+    truncation enters the sampling at all.
     """
     u = float(delta_phi)
-    if model.residual_policy == POLICY_RENORMALIZE:
-        probs = outcome_probabilities(model, np.array([u]))[0]
-        total = float(probs.sum())
-        residual = 1.0 - total
-        if residual > model.residual_tol:
-            return OutcomeLaw(
-                model.scheme,
-                error=(
-                    f"truncated outcome set leaks {residual:.3e} at offset {u:.4f} "
-                    f"(tolerance {model.residual_tol:.1e}); raise n_max or switch to "
-                    f"the exact_tail policy"
-                ),
-            )
-        return OutcomeLaw(model.scheme, cum=np.cumsum(probs), total=total)
     v = pair_ratio(model.params, u)
     log_v = math.log(v) if v > 0.0 else None
     if model.scheme is Scheme.PHOTON_NUMBER:
@@ -369,7 +324,7 @@ def outcome_law(model: LikelihoodModel, delta_phi: float) -> OutcomeLaw:
 
 
 def sample(model: LikelihoodModel, delta_phi: float, rng: np.random.Generator) -> Outcome:
-    """Draw one outcome at the given offset (see outcome_law for the policies)."""
+    """Draw one outcome at the given offset from the exact law (see outcome_law)."""
     return outcome_law(model, delta_phi).draw(rng)
 
 

@@ -2,7 +2,7 @@
 
 Log weights are defined up to a constant. log_step, the one Bayes update
 (the step loop in protocols and update_log both call it), adds one row in
-place and shifts its maximum to 0; it never renormalizes. A Posterior computes
+place and shifts its maximum to 0; it never normalizes. A Posterior computes
 its density once, on first use: subtract logsumexp, floor at -745 (so
 vanishing weights cannot produce NaN), exponentiate. Normalization is in
 the Riemann sense: sum(density) * spacing = 1.

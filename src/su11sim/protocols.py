@@ -35,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from ._version import __version__
-from .errors import DegenerateRowError, ResidualMassError, SU11Error
+from .errors import DegenerateRowError, SU11Error
 from .measurement import (
     LikelihoodModel,
     Outcome,
@@ -300,10 +300,9 @@ def run_trials(
     uniforms from its own Generator in the same order (_uniform_source). So
     a record depends only on its seed, never on the other seeds of the call.
 
-    A trial that fails with an SU11Error (a ResidualMassError draw or a
-    degenerate update) ends there and yields that error; the others are
-    undisturbed. Any other exception, such as a ValueError from an invalid
-    config, propagates.
+    A trial that fails with an SU11Error (a degenerate update) ends there
+    and yields that error; the others are undisturbed. Any other exception,
+    such as a ValueError from an invalid config, propagates.
     """
     engine = _Engine(config, model, grid, keep_steps)
     return [engine.run(seed) for seed in seeds]
@@ -407,7 +406,7 @@ class _Engine:
     # -- the one stepping loop -----------------------------------------------
     def run(self, seed: int):
         """Run seed's trial to its end: its TrialRecord, or the SU11Error
-        that ended it (without its traceback, which would pin this frame)."""
+        that ended it (returned, not raised: a traceback would pin this frame)."""
         cfg, model, tables, windows = self.config, self.model, self.tables, self.windows
         points, laws, scheme, n_max = self.points, self.laws, model.scheme, tables.n_max
         # looked up per trial: a bound method kept on self would make a cycle
@@ -422,10 +421,7 @@ class _Engine:
             law = laws.get(j)
             if law is None:
                 law = laws[j] = outcome_law(model, self.phi_true - points[j])
-            try:
-                code = law.draw_code(uniform)
-            except ResidualMassError as exc:
-                return exc.with_traceback(None)
+            code = law.draw_code(uniform)
             peak, top = log_step(
                 log_w,
                 windows[code, j] if code <= n_max else tables.log_row(outcome_of_code(scheme, code), j),

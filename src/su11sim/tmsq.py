@@ -132,7 +132,10 @@ def build_schmidt_table(
     for the deepest default column); actual truncation error shrinks like
     x^p once past the column bulk and cannot stall there. The achieved
     closure is recorded as tail_bound. Exceeding the hard cap of 4096
-    raises TruncationError, at once if n_max + 8 already does.
+    raises TruncationError, at once if n_max + 8 already does. So does a
+    defect that is not finite or exceeds 1, which no exact column can have:
+    it is cancellation error in the alternating sums, and that only grows
+    with depth.
     """
     if not (0.0 < tail_tol < 1.0):
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
@@ -149,8 +152,15 @@ def build_schmidt_table(
     p = min(_vacuum_p_start(x, tail_tol, n_max), HARD_PAIR_CAP)
     prev_defect = math.inf
     while True:
-        coeffs = _coeff_matrix(r, p, n_max)
-        defect = float(np.abs(1.0 - (coeffs * coeffs).sum(axis=0)).max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = _coeff_matrix(r, p, n_max)
+            defect = float(np.abs(1.0 - (coeffs * coeffs).sum(axis=0)).max())
+        if not defect <= 1.0:  # also catches NaN
+            raise TruncationError(
+                f"the alternating coefficient sums lose all precision at pair depth {p}: "
+                f"the worst column's defect reads {defect:.3e}, but an exact one lies "
+                f"in [0, 1]; reduce n_max or squeeze_r"
+            )
         if defect <= tail_tol:
             break
         if defect <= _STALL_CEILING and defect > 0.5 * prev_defect:

@@ -275,11 +275,12 @@ class TestEnsembleCommand:
             (lambda c: c["protocol"].update(mode="fixed", fixed_theta=0.7, pre_rounds=[1]), "pre_rounds"),
             (lambda c: c.update(label=5), "label"),
             (lambda c: c.update(label={"a": 1}), "label"),
+            (lambda c: c.update(residual_policy="renormalize"), "residual_policy"),
         ],
         ids=[
             "unknown-protocol-key", "no-protocol", "scalar-mean-photons", "bool-trials",
             "string-fixed-theta", "string-tail-tol", "string-pre-rounds-optimal",
-            "list-pre-rounds-fixed", "int-label", "object-label",
+            "list-pre-rounds-fixed", "int-label", "object-label", "renormalize-policy",
         ],
     )
     def test_malformed_config_exits_one_naming_the_key(self, edit, named, tmp_path, capsys):
@@ -432,9 +433,17 @@ class TestSeedsAndErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_likelihood_has_no_residual_policy(self, capsys):
-        # the curves never depend on the sampling policy, so the flag is not offered
-        argv = ["likelihood", "--scheme", "photon", "--mean-photons", "4", "--points", "5"]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["likelihood", "--scheme", "photon", "--mean-photons", "4", "--points", "5"],
+            ["run", "--protocol", "optimal", "--phi-true", "0.75", "--mean-photons", "4"],
+            ["ensemble", "--phi-true", "0.75"],
+        ],
+        ids=["likelihood", "run", "ensemble"],
+    )
+    def test_likelihood_has_no_residual_policy(self, argv, capsys):
+        # sampling follows the one exact law, so no subcommand offers the flag
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--residual-policy", "renormalize"])
         assert exc.value.code == 2

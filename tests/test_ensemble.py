@@ -73,6 +73,16 @@ class TestCampaignConfig:
         again = CampaignConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
 
+    def test_residual_policy_is_a_fixed_echo(self):
+        # the JSON still names the one sampling law; configs may omit it,
+        # and any other law is refused by name
+        d = tiny_campaign().to_dict()
+        assert d["residual_policy"] == "exact_tail"
+        bare = {k: v for k, v in d.items() if k != "residual_policy"}
+        assert CampaignConfig.from_dict(bare).to_dict() == d
+        with pytest.raises(ValueError, match="residual_policy"):
+            CampaignConfig.from_dict({**d, "residual_policy": "renormalize"})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             tiny_campaign(trials=0)
@@ -156,9 +166,12 @@ class TestModelCache:
         assert ensemble_mod._MODELS == {}
         assert all(ref() is None for ref in built)
 
-    def test_models_freed_when_the_campaign_fails(self, built):
-        # every draw at offset 0.75 - pi/2 leaks more than the tolerance
-        cfg = tiny_campaign(residual_policy="renormalize", phi_true=(0.75,))
+    def test_models_freed_when_the_campaign_fails(self, built, monkeypatch):
+        def explode(config, model, grid, seeds, **kw):
+            return [SU11Error("synthetic failure") for _ in seeds]
+
+        monkeypatch.setattr(ensemble_mod, "run_trials", explode)
+        cfg = tiny_campaign(phi_true=(0.75,))
         with pytest.raises(CampaignError):
             run_campaign(cfg, workers=1)
         assert len(built) == 1

@@ -21,8 +21,6 @@ from su11sim import (
     LikelihoodGrid,
     Outcome,
     PhaseGrid,
-    POLICY_RENORMALIZE,
-    ResidualMassError,
     Scheme,
     detection_asymmetry,
     likelihood,
@@ -342,20 +340,6 @@ class TestSampling:
         # dof > 30 here, so chi2 ~ dof +- few sqrt(2 dof); 4 sigma guard
         assert chi2 < dof + 4.0 * math.sqrt(2.0 * dof)
 
-    def test_renormalize_policy_small_offset(self):
-        model = make_model(Scheme.PHOTON_NUMBER, 4.0, residual_policy=POLICY_RENORMALIZE)
-        rng = np.random.default_rng(31)
-        labels = [sample(model, 0.05, rng).label() for _ in range(2000)]
-        v = pair_ratio(model.params, 0.05)
-        frac0 = labels.count("pair:0") / len(labels)
-        assert abs(frac0 - (1.0 - v)) < 4.0 * math.sqrt(v * (1.0 - v) / 2000)
-
-    def test_renormalize_policy_hard_error_on_leak(self):
-        model = make_model(Scheme.PHOTON_NUMBER, 4.0, residual_policy=POLICY_RENORMALIZE)
-        assert residual(model, 0.75) > model.residual_tol
-        with pytest.raises(ResidualMassError):
-            sample(model, 0.75, np.random.default_rng(0))
-
     def test_exact_tail_reaches_beyond_table(self, photon_model):
         # v(pi) = 0.96 at nbar = 4, so counts past n_max = 16 are common
         rng = np.random.default_rng(41)
@@ -477,10 +461,6 @@ class TestOutcomeType:
 
 
 class TestModelFactory:
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            make_model(Scheme.PHOTON_NUMBER, 4.0, residual_policy="fold")
-
     def test_mean_photons_shortcut_matches_params(self, photon_model):
         assert photon_model.params.mean_photons == pytest.approx(4.0, rel=1e-12)
 

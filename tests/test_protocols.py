@@ -12,15 +12,12 @@ from su11sim import (
     MODE_FIXED,
     MODE_LADDER,
     MODE_OPTIMAL,
-    POLICY_EXACT_TAIL,
-    POLICY_RENORMALIZE,
     DegenerateRowError,
     LikelihoodGrid,
     Outcome,
     PhaseGrid,
     Posterior,
     ProtocolConfig,
-    ResidualMassError,
     Scheme,
     StepRecord,
     SU11Error,
@@ -30,7 +27,6 @@ from su11sim import (
     detection_asymmetry,
     make_model,
     map_estimate,
-    pair_amplitude_matrix,
     pair_ratio,
     posterior_mean,
     posterior_variance,
@@ -343,31 +339,6 @@ class TestDispatchErrors:
 
 def _reference_sample(model, delta_phi, rng):
     u = float(delta_phi)
-    if model.residual_policy == POLICY_RENORMALIZE:
-        amps = pair_amplitude_matrix(model.table, np.array([u]))[0]
-        pair_probs = np.abs(amps) ** 2
-        if model.scheme is Scheme.PHOTON_NUMBER:
-            outcomes = [Outcome.pair(n) for n in range(model.table.n_max + 1)]
-            probs = pair_probs
-        else:
-            a0, a1 = amps[0], amps[1]
-            p0, p1 = np.abs(a0) ** 2, np.abs(a1) ** 2
-            cross = np.imag(a0 * np.conj(a1))
-            p_plus, p_minus = 0.5 * (p0 + p1) + cross, 0.5 * (p0 + p1) - cross
-            outcomes = [Outcome.plus(), Outcome.minus()]
-            outcomes += [Outcome.null(n) for n in range(2, model.table.n_max + 1)]
-            probs = np.concatenate(([max(p_plus, 0.0), max(p_minus, 0.0)], pair_probs[2:]))
-        total = float(probs.sum())
-        residual = 1.0 - total
-        if residual > model.residual_tol:
-            raise ResidualMassError(
-                f"truncated outcome set leaks {residual:.3e} at offset {u:.4f} "
-                f"(tolerance {model.residual_tol:.1e}); raise n_max or switch to "
-                f"the exact_tail policy"
-            )
-        cum = np.cumsum(probs)
-        idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        return outcomes[min(idx, len(outcomes) - 1)]
 
     def geometric(v):
         if v <= 0.0:
@@ -498,6 +469,18 @@ def _engine_results(config, model, grid, seeds, keep_steps):
 _SEEDS = list(range(1000, 1017))
 
 
+def _poison_pair_9(model, grid, monkeypatch):
+    # a log table whose pair:9 row is -inf everywhere, served to the engine:
+    # a trial that draws it has no finite posterior left
+    tables = LikelihoodGrid(model, grid)
+    poisoned = tables._log_table.copy()
+    poisoned[9] = -np.inf
+    poisoned.setflags(write=False)
+    tables._log_table = poisoned
+    monkeypatch.setattr(protocols, "shared_grid_tables", lambda model, grid: tables)
+    return tables
+
+
 @pytest.fixture(params=(1, 7, protocols.CHUNK), ids=lambda c: f"C{c}")
 def chunk(request, monkeypatch):
     # records must not depend on how many uniforms a trial draws at a time
@@ -535,26 +518,8 @@ class TestStepEngine:
         counts = [Outcome.parse_label(s["outcome"]).n for r in want for s in r["steps"]]
         assert any(n is not None and n > 2 for n in counts)
 
-    def test_residual_mass_error_fails_only_its_trial(self, grid, chunk):
-        model = make_model(
-            Scheme.OPTIMAL, 4.0, n_max=10, residual_policy=POLICY_RENORMALIZE, residual_tol=1e-3
-        )
-        cfg = small_config(MODE_OPTIMAL, phi_true=1.6)
-        want = _reference_results(cfg, model, grid, _SEEDS, False)
-        assert _engine_results(cfg, model, grid, _SEEDS, False) == want
-        failed = [r for r in want if isinstance(r, tuple)]
-        assert 0 < len(failed) < len(want)
-        assert all(f[0] is ResidualMassError for f in failed)
-
     def test_degenerate_row_fails_only_its_trial(self, photon_model, grid, chunk, monkeypatch):
-        # a log table whose pair:9 row is -inf everywhere: a trial that draws
-        # it has no finite posterior left
-        tables = LikelihoodGrid(photon_model, grid)
-        poisoned = tables._log_table.copy()
-        poisoned[9] = -np.inf
-        poisoned.setflags(write=False)
-        tables._log_table = poisoned
-        monkeypatch.setattr(protocols, "shared_grid_tables", lambda model, grid: tables)
+        tables = _poison_pair_9(photon_model, grid, monkeypatch)
         cfg = small_config(MODE_LADDER, measurements=150)
         with np.errstate(invalid="ignore"):
             want = _reference_results(cfg, photon_model, grid, _SEEDS, False, tables)
@@ -570,13 +535,14 @@ class TestStepEngine:
         (batch,) = protocols.run_trials(cfg, models[Scheme.OPTIMAL], grid, [5])
         assert one.to_dict() == batch.to_dict()
 
-    def test_run_trial_raises_the_trial_error(self, grid):
-        model = make_model(
-            Scheme.OPTIMAL, 4.0, n_max=10, residual_policy=POLICY_RENORMALIZE, residual_tol=1e-3
-        )
-        cfg = small_config(MODE_OPTIMAL, phi_true=1.6)
-        with pytest.raises(ResidualMassError, match="leaks"):
-            run_trial(cfg, model, grid, _SEEDS[8])
+    def test_run_trial_raises_the_trial_error(self, photon_model, grid, monkeypatch):
+        _poison_pair_9(photon_model, grid, monkeypatch)
+        cfg = small_config(MODE_LADDER, measurements=150)
+        with np.errstate(invalid="ignore"):
+            results = protocols.run_trials(cfg, photon_model, grid, _SEEDS)
+            seed = next(s for s, r in zip(_SEEDS, results) if isinstance(r, SU11Error))
+            with pytest.raises(DegenerateRowError, match="pair:9"):
+                run_trial(cfg, photon_model, grid, seed)
 
     def test_empty_seed_list(self, models, grid):
         assert protocols.run_trials(small_config(MODE_OPTIMAL), models[Scheme.OPTIMAL], grid, []) == []
@@ -665,19 +631,15 @@ class TestUniformSource:
 _LAW_MODELS: dict = {}
 
 
-def _law_model(scheme, policy):
-    key = (scheme, policy)
-    if key not in _LAW_MODELS:
-        _LAW_MODELS[key] = make_model(
-            scheme, 4.0, n_max=8, residual_policy=policy, residual_tol=1e-3
-        )
-    return _LAW_MODELS[key]
+def _law_model(scheme):
+    if scheme not in _LAW_MODELS:
+        _LAW_MODELS[scheme] = make_model(scheme, 4.0, n_max=8)
+    return _LAW_MODELS[scheme]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     scheme=st.sampled_from((Scheme.PHOTON_NUMBER, Scheme.OPTIMAL)),
-    policy=st.sampled_from((POLICY_EXACT_TAIL, POLICY_RENORMALIZE)),
     offset=st.one_of(
         st.floats(-math.pi, math.pi, allow_nan=False),
         st.sampled_from((0.0, -0.0, 1e-300, math.pi)),
@@ -685,11 +647,11 @@ def _law_model(scheme, policy):
     seed=st.integers(0, 2**64 - 1),
     draws=st.integers(1, 12),
 )
-def test_cached_law_draws_as_sample(scheme, policy, offset, seed, draws):
+def test_cached_law_draws_as_sample(scheme, offset, seed, draws):
     # one law reused for every draw, sample, the old per-draw sampler and the
-    # law on the engine's chunked uniform source agree on each outcome (or
-    # error); the first three leave the Generator in one state
-    model = _law_model(scheme, policy)
+    # law on the engine's chunked uniform source agree on each outcome; the
+    # first three leave the Generator in one state
+    model = _law_model(scheme)
     law = outcome_law(model, offset)
     rngs = [np.random.default_rng(seed) for _ in range(4)]
     source = protocols._uniform_source(rngs[3])
@@ -700,14 +662,8 @@ def test_cached_law_draws_as_sample(scheme, policy, offset, seed, draws):
         lambda r: outcome_of_code(scheme, law.draw_code(source)),
     )
     for _ in range(draws):
-        got = []
-        for draw, rng in zip(drawers, rngs):
-            try:
-                got.append(draw(rng))
-            except ResidualMassError as exc:
-                got.append(str(exc))
+        got = [draw(rng) for draw, rng in zip(drawers, rngs)]
         assert got[0] == got[1] == got[2] == got[3]
-        if isinstance(got[0], Outcome):
-            assert outcome_of_code(scheme, got[0].code()) == got[0]
+        assert outcome_of_code(scheme, got[0].code()) == got[0]
     states = [rng.bit_generator.state for rng in rngs[:3]]
     assert states[0] == states[1] == states[2]

@@ -7,6 +7,7 @@ bookkeeping would show up as a block-wide mismatch.
 """
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -212,6 +213,39 @@ class TestValidation:
         for n_max in (tmsq.HARD_PAIR_CAP - 7, 5000):
             with pytest.raises(TruncationError, match=f"n_max {n_max} "):
                 build_schmidt_table(params, n_max=n_max)
+
+    def test_cancellation_raises_at_the_first_depth(self, monkeypatch):
+        # at n-bar 4 the n_max = 64 columns read a defect near 3e8 at the start
+        # depth 72, far above the 1 no exact column exceeds; deeper ladders
+        # only lose more precision, so the build stops there, silently
+        depths = []
+
+        def counting(r, p_max, n_max):
+            depths.append(p_max)
+            return _coeff_matrix(r, p_max, n_max)
+
+        monkeypatch.setattr(tmsq, "_coeff_matrix", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationError, match="precision at pair depth 72"):
+                build_schmidt_table(OpaParams.from_mean_photons(4.0), n_max=64)
+        assert depths == [72]
+
+    def test_overflowing_sums_raise_without_warnings(self, monkeypatch):
+        # the sums themselves overflow at the first depth only from n_max
+        # near 580 at n-bar 4, seconds into the build; a stand-in whose last
+        # column overflows to inf - inf = NaN keeps the case quick
+        def overflowing(r, p_max, n_max):
+            coeffs = _coeff_matrix(r, p_max, n_max)
+            big = np.exp(coeffs[:, -1] + 1000.0)
+            coeffs[:, -1] = big - big
+            return coeffs
+
+        monkeypatch.setattr(tmsq, "_coeff_matrix", overflowing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationError, match="defect reads nan"):
+                build_schmidt_table(OpaParams.from_mean_photons(4.0))
 
 
 class TestParamRelations:
