@@ -5,25 +5,19 @@ photon-number and bound-saturating detection models, grid-based Bayesian
 posteriors, adaptive feedback protocols, and seeded ensemble campaigns
 benchmarked against the quantum Cramer-Rao, Heisenberg, and shot-noise
 limits.
+
+The package exports what the CLI, the scripts and the README examples use,
+plus the SU11Error family; everything else is imported from its module.
 """
 from ._version import __version__
-from .checks import CheckResult, run_verify
-from .analysis import (
-    Benchmarks,
-    benchmarks,
-    error_propagation_variance,
-    fisher_information,
-    quantum_fisher,
-)
+from .analysis import benchmarks, quantum_fisher
+from .checks import run_verify
 from .ensemble import (
     CampaignConfig,
-    CampaignResult,
     CellStats,
     DEFAULT_MASTER_SEED,
     ThresholdRow,
-    ThresholdScanResult,
     TrialSummary,
-    derive_seed,
     run_campaign,
     threshold_scan,
 )
@@ -34,117 +28,42 @@ from .errors import (
     SU11Error,
     TruncationError,
 )
-from .measurement import (
-    LikelihoodGrid,
-    LikelihoodModel,
-    Outcome,
-    Scheme,
-    detection_asymmetry,
-    likelihood,
-    likelihood_curve,
-    make_model,
-    pair_ratio,
-    outcome_of_code,
-    outcome_probabilities,
-    pmf,
-    sample,
-    shared_grid_tables,
-)
-from .posterior import (
-    Peak,
-    PeakReport,
-    PhaseGrid,
-    Posterior,
-    density,
-    detect_peaks,
-    map_estimate,
-    posterior_mean,
-    posterior_variance,
-    prune_secondary,
-    uniform_posterior,
-    update,
-    update_log,
-)
+from .measurement import make_model, outcome_of_code, outcome_probabilities
+from .posterior import PhaseGrid
 from .protocols import (
     MODE_FIXED,
     MODE_LADDER,
     MODE_OPTIMAL,
     ProtocolConfig,
-    StepRecord,
-    TrialRecord,
     run_trial,
-    run_trials,
     scheme_for_mode,
-)
-from .tmsq import (
-    OpaParams,
-    SchmidtTable,
-    build_schmidt_table,
-    pair_amplitude_matrix,
 )
 
 __all__ = [
     "__version__",
-    "Benchmarks",
     "CampaignConfig",
     "CampaignError",
-    "CampaignResult",
     "CellStats",
-    "CheckResult",
     "DEFAULT_MASTER_SEED",
     "DegenerateRowError",
     "DerivativeCheckError",
-    "LikelihoodGrid",
-    "LikelihoodModel",
     "MODE_FIXED",
     "MODE_LADDER",
     "MODE_OPTIMAL",
-    "OpaParams",
-    "Outcome",
-    "Peak",
-    "PeakReport",
     "PhaseGrid",
-    "Posterior",
     "ProtocolConfig",
     "SU11Error",
-    "Scheme",
-    "SchmidtTable",
-    "StepRecord",
     "ThresholdRow",
-    "ThresholdScanResult",
-    "TrialRecord",
     "TrialSummary",
     "TruncationError",
     "benchmarks",
-    "build_schmidt_table",
-    "density",
-    "derive_seed",
-    "detect_peaks",
-    "detection_asymmetry",
-    "error_propagation_variance",
-    "fisher_information",
-    "likelihood",
-    "likelihood_curve",
     "make_model",
-    "map_estimate",
     "outcome_of_code",
     "outcome_probabilities",
-    "pair_amplitude_matrix",
-    "pair_ratio",
-    "pmf",
-    "posterior_mean",
-    "posterior_variance",
-    "prune_secondary",
     "quantum_fisher",
     "run_campaign",
     "run_trial",
-    "run_trials",
     "run_verify",
-    "sample",
     "scheme_for_mode",
-    "shared_grid_tables",
     "threshold_scan",
-    "uniform_posterior",
-    "update",
-    "update_log",
 ]

@@ -36,7 +36,7 @@ def quantum_fisher(mean_photons: float) -> float:
 
 
 def benchmarks(measurements: int, mean_photons: float) -> Benchmarks:
-    if not (isinstance(measurements, int) and measurements >= 1):
+    if not (type(measurements) is int and measurements >= 1):
         raise ValueError(f"measurements must be an integer >= 1, got {measurements!r}")
     qfi = quantum_fisher(mean_photons)
     return Benchmarks(
@@ -100,7 +100,7 @@ def error_propagation_variance(
         raise ValueError(
             f"offset {u!r} outside the linear-response window |u| <= {_LINEAR_WINDOW}"
         )
-    if not (isinstance(measurements, int) and measurements >= 1):
+    if not (type(measurements) is int and measurements >= 1):
         raise ValueError(f"measurements must be an integer >= 1, got {measurements!r}")
     r = model.params.squeeze_r
     lam = 2.0 * math.sinh(r) * math.cosh(r)

@@ -17,14 +17,14 @@ from .measurement import (
     Outcome,
     detection_asymmetry,
     likelihood,
-    likelihood_curve,
     make_model,
     outcome_probabilities,
     pair_ratio,
     pmf,
     sample,
+    shared_grid_tables,
 )
-from .posterior import PhaseGrid, density, detect_peaks, prune_secondary, uniform_posterior, update
+from .posterior import PhaseGrid, density, detect_peaks, prune_secondary, uniform_posterior, update_log
 from .protocols import MODE_LADDER, MODE_OPTIMAL, ProtocolConfig, run_trial
 from .tmsq import OpaParams, build_schmidt_table, pair_amplitude_matrix
 
@@ -145,12 +145,13 @@ def _posterior_batch_equivalence() -> CheckResult:
     model = make_model("photon", 4.0)
     rng = np.random.default_rng(123)
     theta = grid.snap(0.4)
+    tables, j = shared_grid_tables(model, grid), grid.index_of(theta)
     outcomes = [sample(model, 0.9 - theta, rng) for _ in range(12)]
-    rows = [likelihood_curve(model, o, grid, theta) for o in outcomes]
+    rows = [tables.log_row(o, j) for o in outcomes]
     seq = uniform_posterior(grid)
     for o, row in zip(outcomes, rows):
-        seq = update(seq, row, label=o.label())
-    batch = update(uniform_posterior(grid), np.prod(rows, axis=0), label="batch")
+        seq = update_log(seq, row, label=o.label())
+    batch = update_log(uniform_posterior(grid), np.sum(rows, axis=0), label="batch")
     diff = float(np.abs(density(seq) - density(batch)).max())
     return _check("posterior_batch_equivalence", diff <= 1e-10, f"max density diff {diff:.3e}")
 
@@ -232,11 +233,12 @@ def _pruning_removes_rival() -> CheckResult:
     grid = PhaseGrid(n_points=512)
     model = make_model("photon", 4.0)
     theta = grid.snap(0.7)
+    tables, j = shared_grid_tables(model, grid), grid.index_of(theta)
     post = uniform_posterior(grid)
     rng = np.random.default_rng(7)
     for _ in range(30):
         o = sample(model, 1.0 - theta, rng)
-        post = update(post, likelihood_curve(model, o, grid, theta), label=o.label())
+        post = update_log(post, tables.log_row(o, j), label=o.label())
     report = detect_peaks(post)
     if report.secondary is None:
         return _check("pruning_removes_rival", False, "setup never went bimodal")

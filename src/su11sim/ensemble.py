@@ -326,7 +326,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignResult:
     Trials that fail with a domain error are recorded and skipped, but a
     failure fraction above 1% aborts the whole campaign.
     """
-    if not (isinstance(workers, int) and workers >= 1):
+    if not (type(workers) is int and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     cell_list = config.cells()
     outputs = _run_cells([config] * len(cell_list), cell_list, workers)

@@ -14,9 +14,9 @@ one route, outcome_probabilities; likelihood, pmf, LikelihoodGrid and the
 CLI's likelihood curves all read it. The geometric form is the one sampling
 law (outcome_law) and gives the n > n_max tail rows. Tests cross-check the
 two routes against each other and against brute-force sums.
-LikelihoodGrid stores only the log table; its linear row is exp(log_row).
-It evaluates outcome_probabilities at the non-negative offsets only and fills
-the negative ones by mirroring (plus and minus swap places), which is exact:
+LikelihoodGrid stores only the log table. It evaluates outcome_probabilities
+at the non-negative offsets only and fills the negative ones by mirroring
+(plus and minus swap places), which is exact:
 the offsets are exactly antisymmetric and amplitudes at -u are the complex
 conjugates of those at u.
 """
@@ -86,11 +86,6 @@ class Outcome:
         if self.n is None:
             return self.kind
         return f"{self.kind}:{self.n}"
-
-    @classmethod
-    def parse_label(cls, label: str) -> "Outcome":
-        kind, _, tail = label.partition(":")
-        return cls(kind=kind, n=int(tail) if tail else None)
 
     def code(self) -> int:
         """Index of this outcome within its scheme: plus 0, minus 1, else the pair count.
@@ -335,9 +330,8 @@ class LikelihoodGrid:
     grid, so one extended row per outcome serves every feedback setting via
     slicing. The log rows are stacked by outcome code (Outcome.code) into
     one table, built from outcome_probabilities at the N non-negative
-    offsets and mirrored onto the N - 1 negative ones; log_row, row and
-    log_windows all read it, and row is exp(log_row), with 0 wherever
-    log_row sits at LOG_FLOOR. Rows for pair counts beyond n_max are
+    offsets and mirrored onto the N - 1 negative ones; log_row and
+    log_windows both read it. Rows for pair counts beyond n_max are
     synthesized from the geometric tail on demand.
 
     The grid keeps its model only through a weak reference: the model
@@ -403,11 +397,6 @@ class LikelihoodGrid:
         np.maximum(row, LOG_FLOOR, out=row)
         return row
 
-    def row(self, outcome: Outcome, theta_index: int) -> np.ndarray:
-        """Linear likelihood row: exp(log_row), with 0 where log_row sits at LOG_FLOOR."""
-        log_row = self.log_row(outcome, theta_index)
-        return np.where(log_row > LOG_FLOOR, np.exp(log_row), 0.0)
-
 
 def shared_grid_tables(model: LikelihoodModel, grid: PhaseGrid) -> LikelihoodGrid:
     """Cached LikelihoodGrid per (model, grid) pair, built on first use.
@@ -423,21 +412,3 @@ def shared_grid_tables(model: LikelihoodModel, grid: PhaseGrid) -> LikelihoodGri
         model._grid_tables[grid] = tables
     return tables
 
-
-def likelihood_curve(
-    model: LikelihoodModel, outcome: Outcome, grid: PhaseGrid, theta: float
-) -> np.ndarray:
-    """Likelihood of one outcome across the whole grid at feedback theta.
-
-    curve[i] equals likelihood(model, outcome, grid.points[i] - theta). When
-    theta sits on the grid the cached extended tables serve the row; off the
-    grid each point is evaluated through the scalar path.
-    """
-    h = grid.spacing
-    idx = (float(theta) - grid.lo) / h
-    nearest = int(round(idx))
-    if 0 <= nearest < grid.n_points and abs(idx - nearest) < 1e-9:
-        return shared_grid_tables(model, grid).row(outcome, nearest)
-    return np.array(
-        [likelihood(model, outcome, float(p) - float(theta)) for p in grid.points]
-    )

@@ -47,7 +47,6 @@ from .measurement import (
 )
 from .posterior import (
     PeakReport,
-    Peak,
     PhaseGrid,
     Posterior,
     density,
@@ -150,7 +149,12 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Everything needed to audit or replay one trial."""
+    """Everything needed to audit or replay one trial.
+
+    Replay means re-running: config on make_model(scheme, mean_photons) and
+    the recorded grid with seed gives the same record. The table's n_max and
+    tail_tol are not recorded, so only a default table replays.
+    """
 
     seed: int
     config: ProtocolConfig
@@ -206,53 +210,6 @@ class TrialRecord:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialRecord":
-        if d.get("schema") != TRIAL_SCHEMA:
-            raise ValueError(f"unsupported trial schema {d.get('schema')!r}")
-        cfg = ProtocolConfig(**d["config"])
-        steps = tuple(
-            StepRecord(
-                step=s["step"],
-                theta=s["theta"],
-                outcome=Outcome.parse_label(s["outcome"]),
-                map_estimate=s["map_estimate"],
-            )
-            for s in d["steps"]
-        )
-        return cls(
-            seed=d["seed"],
-            config=cfg,
-            scheme=d["scheme"],
-            mean_photons=d["mean_photons"],
-            squeeze_r=d["squeeze_r"],
-            grid_lo=d["grid"]["lo"],
-            grid_hi=d["grid"]["hi"],
-            grid_points=d["grid"]["n_points"],
-            phi_true=d["phi_true"],
-            steps=steps,
-            final_map=d["final_map"],
-            final_mean=d["final_mean"],
-            final_variance=d["final_variance"],
-            peaks=_peaks_from_dict(d["peaks"]),
-            m_threshold=d["m_threshold"],
-            map_jumps=d["map_jumps"],
-            phi_rough=d["phi_rough"],
-            pruned=d["pruned"],
-            edge_mass=d["edge_mass"],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrialRecord":
-        return cls.from_dict(json.loads(text))
-
-
-def _peaks_from_dict(d: dict) -> PeakReport:
-    def peak(p):
-        return None if p is None else Peak(location=p["location"], height=p["height"], mass=p["mass"])
-
-    return PeakReport(primary=peak(d["primary"]), secondary=peak(d["secondary"]), separation=d["separation"])
 
 
 def run_trial(

@@ -24,20 +24,15 @@ class OpaParams:
     """Parametric amplifier settings.
 
     squeeze_r is the amplifier gain parameter (dimensionless, positive).
-    pump_phase only rotates the internal amplitudes; it cancels in every
-    probability this package computes and is retained for reporting.
     """
 
     squeeze_r: float
-    pump_phase: float = 0.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.squeeze_r) and self.squeeze_r > 0.0):
             raise ValueError(
                 f"squeeze_r must be finite and positive, got {self.squeeze_r!r}"
             )
-        if not math.isfinite(self.pump_phase):
-            raise ValueError(f"pump_phase must be finite, got {self.pump_phase!r}")
 
     @property
     def mean_photons(self) -> float:
@@ -45,11 +40,11 @@ class OpaParams:
         return 2.0 * math.sinh(self.squeeze_r) ** 2
 
     @classmethod
-    def from_mean_photons(cls, nbar: float, pump_phase: float = 0.0) -> "OpaParams":
+    def from_mean_photons(cls, nbar: float) -> "OpaParams":
         """Invert mean_photons = 2 sinh^2 r for the gain parameter."""
         if not (math.isfinite(nbar) and nbar > 0.0):
             raise ValueError(f"mean photon number must be positive, got {nbar!r}")
-        return cls(squeeze_r=math.asinh(math.sqrt(nbar / 2.0)), pump_phase=pump_phase)
+        return cls(squeeze_r=math.asinh(math.sqrt(nbar / 2.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +134,7 @@ def build_schmidt_table(
     """
     if not (0.0 < tail_tol < 1.0):
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
-    if not (isinstance(n_max, int) and n_max >= 1):
+    if not (type(n_max) is int and n_max >= 1):
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     if n_max + 8 > HARD_PAIR_CAP:
         # the start depth n_max + 8 cannot fit under the cap, so no column closes

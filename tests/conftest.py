@@ -1,7 +1,8 @@
 """Shared fixtures. Heavy coefficient tables are built once per session."""
 import pytest
 
-from su11sim import PhaseGrid, Scheme, make_model
+from su11sim import PhaseGrid, make_model
+from su11sim.measurement import Scheme
 
 
 @pytest.fixture(scope="session")

@@ -21,22 +21,18 @@ from su11sim import (
     MODE_FIXED,
     MODE_LADDER,
     MODE_OPTIMAL,
-    Outcome,
     PhaseGrid,
     ProtocolConfig,
-    Scheme,
     benchmarks,
-    derive_seed,
-    error_propagation_variance,
-    fisher_information,
-    likelihood,
     make_model,
-    pmf,
     run_campaign,
     run_trial,
     scheme_for_mode,
     threshold_scan,
 )
+from su11sim.analysis import error_propagation_variance, fisher_information
+from su11sim.ensemble import derive_seed
+from su11sim.measurement import Outcome, Scheme, likelihood, pmf
 from su11sim.cli import main as cli_main
 
 MEAN_PHOTON_LADDER = (2.0, 4.0, 6.0, 8.0)

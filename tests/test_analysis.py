@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su11sim import (
+    CampaignConfig,
     DerivativeCheckError,
-    Scheme,
+    MODE_OPTIMAL,
+    ProtocolConfig,
     benchmarks,
-    error_propagation_variance,
-    fisher_information,
-    make_model,
     quantum_fisher,
+    run_campaign,
 )
-from su11sim.analysis import _checked_derivative
+from su11sim.analysis import _checked_derivative, error_propagation_variance, fisher_information
+from su11sim.tmsq import OpaParams, build_schmidt_table
 
 
 class TestBenchmarks:
@@ -123,3 +124,26 @@ class TestCheckedDerivative:
     def test_discontinuity_detected(self):
         with pytest.raises(DerivativeCheckError):
             _checked_derivative(lambda x: float(np.sign(x)), 0.0, 1e-5)
+
+
+_COUNTS = {
+    "benchmarks": lambda model: benchmarks(True, 4.0),
+    "error_propagation_variance": lambda model: error_propagation_variance(model, 1e-3, True),
+    "build_schmidt_table": lambda model: build_schmidt_table(
+        OpaParams.from_mean_photons(4.0), n_max=True
+    ),
+    "run_campaign": lambda model: run_campaign(
+        CampaignConfig(
+            protocol=ProtocolConfig(mode=MODE_OPTIMAL, measurements=5),
+            mean_photons=(4.0,), phi_true=(0.75,), trials=1,
+        ),
+        workers=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _COUNTS.values(), ids=_COUNTS.keys())
+def test_a_bool_is_no_count(call, optimal_model):
+    # True is an int, but no number of measurements, pairs or workers
+    with pytest.raises(ValueError):
+        call(optimal_model)

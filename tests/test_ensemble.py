@@ -15,12 +15,12 @@ from su11sim import (
     PhaseGrid,
     ProtocolConfig,
     SU11Error,
-    derive_seed,
     make_model,
     run_campaign,
-    run_trials,
     threshold_scan,
 )
+from su11sim.ensemble import derive_seed
+from su11sim.protocols import run_trials
 from su11sim.ensemble import ThresholdRow, _censored_quartile
 import su11sim.ensemble as ensemble_mod
 import su11sim.measurement as measurement_mod

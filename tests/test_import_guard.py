@@ -1,11 +1,19 @@
-"""The CLI and the example scripts use only the public su11sim API."""
+"""The CLI and the example scripts use only the public su11sim API, and the
+package exports what they and the README examples import, and no more."""
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
 
+import su11sim
+from su11sim.errors import SU11Error
+
 ROOT = Path(__file__).resolve().parents[1]
-FRONT_ENDS = [ROOT / "src" / "su11sim" / "cli.py", *sorted((ROOT / "scripts").glob("*.py"))]
+CLI = ROOT / "src" / "su11sim" / "cli.py"
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+FRONT_ENDS = [CLI, *SCRIPTS]
 
 
 def private_imports(path: Path) -> list[str]:
@@ -38,3 +46,54 @@ def test_guard_sees_relative_and_absolute_imports(tmp_path):
         "from numpy import _core\n"
     )
     assert private_imports(probe) == [".measurement._CHUNK", "su11sim.posterior._private"]
+
+
+def imported_names(source: str, package_only: bool) -> set[str]:
+    """Names a source imports from su11sim itself (package_only) or from any
+    su11sim module, relative imports included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if package_only:
+            ours = node.level == 0 and module == "su11sim"
+        else:
+            ours = node.level > 0 or module.split(".")[0] == "su11sim"
+        if ours:
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def readme_blocks() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+
+
+def test_front_ends_import_only_exported_names():
+    assert readme_blocks()
+    sources = [p.read_text() for p in SCRIPTS] + readme_blocks()
+    used = set().union(*(imported_names(src, package_only=True) for src in sources))
+    assert used - set(su11sim.__all__) == set()
+
+
+def test_every_export_resolves_and_nothing_else_is_exported():
+    assert len(su11sim.__all__) == len(set(su11sim.__all__))
+    for name in su11sim.__all__:
+        assert hasattr(su11sim, name), name
+    public = {
+        name
+        for name, value in vars(su11sim).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(su11sim.__all__) - {"__version__"}
+
+
+def test_every_export_has_a_caller():
+    sources = [CLI.read_text(), *(p.read_text() for p in SCRIPTS), *readme_blocks()]
+    used = set().union(*(imported_names(src, package_only=False) for src in sources))
+    errors = {
+        name
+        for name in su11sim.__all__
+        if inspect.isclass(getattr(su11sim, name)) and issubclass(getattr(su11sim, name), SU11Error)
+    }
+    assert set(su11sim.__all__) - used - errors - {"__version__"} == set()

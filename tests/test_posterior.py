@@ -6,16 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su11sim import (
-    DegenerateRowError,
-    Outcome,
-    PhaseGrid,
+from su11sim import DegenerateRowError, PhaseGrid, outcome_probabilities
+from su11sim.measurement import Outcome, shared_grid_tables
+from su11sim.posterior import (
     Posterior,
     density,
     detect_peaks,
-    likelihood_curve,
     map_estimate,
-    outcome_probabilities,
     posterior_mean,
     posterior_variance,
     prune_secondary,
@@ -104,10 +101,9 @@ class TestUpdate:
         assert float(np.sum(density(post))) * grid.spacing == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_row_symmetric_about_theta(self, photon_model, grid):
-        theta = grid.snap(0.70)
-        j = grid.index_of(theta)
-        row = likelihood_curve(photon_model, Outcome.pair(0), grid, theta)
-        post = update(uniform_posterior(grid), row)
+        j = grid.index_of(0.70)
+        log_row = shared_grid_tables(photon_model, grid).log_row(Outcome.pair(0), j)
+        post = update_log(uniform_posterior(grid), log_row)
         d = density(post)
         k = np.arange(1, min(j, grid.n_points - 1 - j))
         assert np.max(np.abs(d[j + k] - d[j - k])) < 1e-9 * d[j]

@@ -15,13 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su11sim import (
-    OpaParams,
-    TruncationError,
-    build_schmidt_table,
-    pair_amplitude_matrix,
-    pair_ratio,
-)
+from su11sim import TruncationError
+from su11sim.measurement import pair_ratio
+from su11sim.tmsq import OpaParams, build_schmidt_table, pair_amplitude_matrix
 import su11sim.tmsq as tmsq
 from su11sim.tmsq import _coeff_matrix
 
