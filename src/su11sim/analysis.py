@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .errors import DerivativeCheckError
 from .measurement import LikelihoodModel, Outcome, Scheme, likelihood, pmf
 
-_SUPPORT_FLOOR = 1e-14
 _LINEAR_WINDOW = 0.2
 
 
@@ -67,19 +66,20 @@ def _checked_derivative(f, u: float, step: float) -> float:
     return d2
 
 
-def fisher_information(model: LikelihoodModel, delta_phi: float, step: float = 1e-5) -> float:
+def fisher_information(model: LikelihoodModel, delta_phi: float) -> float:
     """Classical Fisher information of the detection scheme at one offset.
 
     Sums (dp/du)^2 / p over every outcome with probability above 1e-14,
-    with derivatives from guarded central differences. Note the pair-count
-    scheme has a removable 0/0 at zero offset: the pointwise value reported
-    there is 0 even though the limit from either side is positive.
+    with derivatives from guarded central differences at step 1e-5. Note
+    the pair-count scheme has a removable 0/0 at zero offset: the pointwise
+    value reported there is 0 even though the limit from either side is
+    positive.
     """
     u = float(delta_phi)
-    outcomes, probs = pmf(model, u, floor=_SUPPORT_FLOOR)
+    outcomes, probs = pmf(model, u)
     total = 0.0
     for outcome, p in zip(outcomes, probs):
-        dp = _checked_derivative(lambda w: likelihood(model, outcome, w), u, step)
+        dp = _checked_derivative(lambda w: likelihood(model, outcome, w), u, 1e-5)
         total += dp * dp / p
     return total
 

@@ -271,49 +271,36 @@ def _run_cells(configs, cells, workers: int = 1) -> list:
 
 
 def _cell_stats(config, cell, summaries, n_failures) -> CellStats:
+    """The cell's statistics; those of an empty cell (every trial failed) read NaN."""
     cell_index, phi, nbar = cell
     bench = benchmarks(config.protocol.measurements, nbar)
-    if not summaries:
-        nan = float("nan")
-        return CellStats(
-            cell_index=cell_index,
-            phi_true=phi,
-            phi_true_snapped=config.grid.snap(phi),
-            mean_photons=nbar,
-            trials=config.trials,
-            failures=n_failures,
-            mse=nan,
-            mse_ci_low=nan,
-            mse_ci_high=nan,
-            bias=nan,
-            mean_posterior_variance=nan,
-            median_posterior_variance=nan,
-            qcrb=bench.qcrb,
-            heisenberg=bench.heisenberg,
-            shot_noise=bench.shot_noise,
+    mse = ci_low = ci_high = bias = mean_var = median_var = float("nan")
+    if summaries:
+        err = np.array([s.estimate - s.phi_true for s in summaries])
+        post_var = np.array([s.posterior_variance for s in summaries])
+        sq = err * err
+        brng = np.random.default_rng(
+            derive_seed(config.master_seed, cell_index, _BOOTSTRAP_SLOT)
         )
-    err = np.array([s.estimate - s.phi_true for s in summaries])
-    post_var = np.array([s.posterior_variance for s in summaries])
-    sq = err * err
-    brng = np.random.default_rng(
-        derive_seed(config.master_seed, cell_index, _BOOTSTRAP_SLOT)
-    )
-    idx = brng.integers(0, len(sq), size=(_BOOTSTRAP_RESAMPLES, len(sq)))
-    boot = sq[idx].mean(axis=1)
-    ci_low, ci_high = np.percentile(boot, [2.5, 97.5])
+        idx = brng.integers(0, len(sq), size=(_BOOTSTRAP_RESAMPLES, len(sq)))
+        boot = sq[idx].mean(axis=1)
+        ci_low, ci_high = (float(q) for q in np.percentile(boot, [2.5, 97.5]))
+        mse, bias = float(sq.mean()), float(err.mean())
+        mean_var, median_var = float(post_var.mean()), float(np.median(post_var))
     return CellStats(
         cell_index=cell_index,
         phi_true=phi,
-        phi_true_snapped=summaries[0].phi_true,
+        # equals each summary's phi_true: run_trials snaps the same phi on this grid
+        phi_true_snapped=config.grid.snap(phi),
         mean_photons=nbar,
         trials=config.trials,
         failures=n_failures,
-        mse=float(sq.mean()),
-        mse_ci_low=float(ci_low),
-        mse_ci_high=float(ci_high),
-        bias=float(err.mean()),
-        mean_posterior_variance=float(post_var.mean()),
-        median_posterior_variance=float(np.median(post_var)),
+        mse=mse,
+        mse_ci_low=ci_low,
+        mse_ci_high=ci_high,
+        bias=bias,
+        mean_posterior_variance=mean_var,
+        median_posterior_variance=median_var,
         qcrb=bench.qcrb,
         heisenberg=bench.heisenberg,
         shot_noise=bench.shot_noise,

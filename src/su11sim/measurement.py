@@ -55,13 +55,13 @@ class Outcome:
 
     def __post_init__(self) -> None:
         if self.kind == "pair":
-            if not (isinstance(self.n, int) and self.n >= 0):
+            if not (type(self.n) is int and self.n >= 0):
                 raise ValueError(f"pair outcome needs n >= 0, got {self.n!r}")
         elif self.kind in ("plus", "minus"):
             if self.n is not None:
                 raise ValueError(f"{self.kind} outcome carries no pair count")
         elif self.kind == "null":
-            if not (isinstance(self.n, int) and self.n >= 2):
+            if not (type(self.n) is int and self.n >= 2):
                 raise ValueError(f"null outcome needs n >= 2, got {self.n!r}")
         else:
             raise ValueError(f"unknown outcome kind {self.kind!r}")
@@ -134,18 +134,10 @@ class LikelihoodModel:
 
 
 def make_model(
-    scheme: Scheme | str,
-    mean_photons: float | None = None,
-    *,
-    params: OpaParams | None = None,
-    tail_tol: float = 1e-12,
-    n_max: int = 16,
+    scheme: Scheme | str, mean_photons: float, *, tail_tol: float = 1e-12, n_max: int = 16
 ) -> LikelihoodModel:
     """Convenience builder: amplifier params, coefficient table, model."""
-    if (mean_photons is None) == (params is None):
-        raise ValueError("give exactly one of mean_photons or params")
-    if params is None:
-        params = OpaParams.from_mean_photons(mean_photons)
+    params = OpaParams.from_mean_photons(mean_photons)
     table = build_schmidt_table(params, tail_tol=tail_tol, n_max=n_max)
     return LikelihoodModel(scheme=Scheme(scheme), table=table)
 
@@ -238,28 +230,26 @@ def _require_scheme(scheme: Scheme, outcome: Outcome) -> None:
         )
 
 
-def pmf(model: LikelihoodModel, delta_phi: float, floor: float = _PMF_FLOOR):
-    """Enumerate all outcomes with probability above floor at one offset.
+def pmf(model: LikelihoodModel, delta_phi: float):
+    """Enumerate all outcomes with probability above 1e-14 at one offset.
 
     Returns (outcomes, probabilities) in code order (Outcome.code): pair
     counts ascending for the photon scheme; plus, minus, then null counts
     ascending for the optimal scheme. The geometric tail is followed past
-    n_max until it drops below floor, which must lie in (0, 1).
+    n_max until it drops below that floor.
     """
-    if not (0.0 < floor < 1.0):
-        raise ValueError(f"floor must lie in (0, 1), got {floor!r}")
     u = float(delta_phi)
     probs = list(outcome_probabilities(model, np.array([u]))[0])
     v = pair_ratio(model.params, u)
-    probs += [math.exp(_tail_log_prob(v, n)) for n in _tail_counts(v, model.n_max, floor)]
-    keep = [c for c, p in enumerate(probs) if p > floor]
+    probs += [math.exp(_tail_log_prob(v, n)) for n in _tail_counts(v, model.n_max)]
+    keep = [c for c, p in enumerate(probs) if p > _PMF_FLOOR]
     return [outcome_of_code(model.scheme, c) for c in keep], np.array([probs[c] for c in keep])
 
 
-def _tail_counts(v: float, n_max: int, floor: float):
+def _tail_counts(v: float, n_max: int):
     if v <= 0.0:
         return range(0)
-    n_stop = int(math.ceil((math.log(floor) - math.log1p(-v)) / math.log(v)))
+    n_stop = int(math.ceil((math.log(_PMF_FLOOR) - math.log1p(-v)) / math.log(v)))
     return range(n_max + 1, max(n_stop, n_max + 1))
 
 

@@ -1,9 +1,9 @@
 """Single-trial estimation protocols with per-step feedback.
 
-Three strategies share one measurement loop (run_trials). All of them
-measure at a feedback phase theta on the grid, observe an outcome at offset
-phi_true - theta, and apply a grid Bayes update; they differ only in how
-theta is chosen.
+One function, run_trials, runs all three strategies in one loop. Each
+measures at a feedback phase theta on the grid, observes an outcome at
+offset phi_true - theta, and applies a grid Bayes update; they differ only
+in how theta moves after a step, which one branch of that loop decides.
 
 fixed      theta never moves. Useful for studying when the posterior first
            resolves the sign ambiguity of a symmetric likelihood:
@@ -39,7 +39,6 @@ from .errors import DegenerateRowError, SU11Error
 from .measurement import (
     LikelihoodModel,
     Outcome,
-    OutcomeLaw,
     Scheme,
     outcome_law,
     outcome_of_code,
@@ -247,7 +246,8 @@ def run_trials(
     Every trial measures at a feedback index theta_j, draws an outcome at
     the offset phi_true - theta_j from its own Generator, applies log_step
     with that outcome's log row and takes the MAP from the argmax. The modes
-    differ only in how theta moves; each is described in the module docstring.
+    differ only in how theta moves after each step, which one branch of the
+    loop decides; each policy is described in the module docstring.
 
     Trials run one at a time, each to its end, on the model's one cached
     table for this grid (shared_grid_tables): a step adds a view of the
@@ -261,8 +261,91 @@ def run_trials(
     and yields that error; the others are undisturbed. Any other exception,
     such as a ValueError from an invalid config, propagates.
     """
-    engine = _Engine(config, model, grid, keep_steps)
-    return [engine.run(seed) for seed in seeds]
+    mode = config.mode
+    expected = scheme_for_mode(mode)
+    if model.scheme is not expected:
+        raise ValueError(
+            f"mode {mode!r} needs scheme {expected.value!r}, got {model.scheme.value!r}"
+        )
+    if config.phi_true is None:
+        raise ValueError("phi_true must be set before running a trial")
+    tables = shared_grid_tables(model, grid)
+    windows, n_max, scheme = tables.log_windows(), tables.n_max, model.scheme
+    phi_true = grid.snap(config.phi_true)
+    points = grid.points.tolist()
+    laws = {}
+    prior = uniform_posterior(grid)
+    log_w0 = float(prior.log_weights[0])
+    sep, ratio = config.peak_min_separation, config.rival_height_ratio
+    # the first feedback index; theta moves after each of the first `moving` steps
+    moving = config.measurements
+    if mode == MODE_FIXED:
+        j_first = grid.index_of(config.fixed_theta)
+    elif mode == MODE_LADDER:
+        j_first, moving = _ramp_index(config, grid, 1, map_estimate(prior), 0.0), config.pre_rounds
+    else:
+        theta0 = grid.midpoint if config.initial_theta is None else config.initial_theta
+        j_first = grid.index_of(theta0)
+    results = []
+    for seed in seeds:
+        seed, j, steps = int(seed), j_first, []
+        map_prev = phi_rough = m_threshold = None
+        map_jumps = 0 if mode == MODE_FIXED else None
+        uniform = _uniform_source(np.random.default_rng(seed))
+        log_w = np.full(grid.n_points, log_w0)
+        for k in range(1, config.measurements + 1):
+            law = laws.get(j)
+            if law is None:
+                law = laws[j] = outcome_law(model, phi_true - points[j])
+            code = law.draw_code(uniform)
+            peak, top = log_step(
+                log_w,
+                windows[code, j] if code <= n_max else tables.log_row(outcome_of_code(scheme, code), j),
+            )
+            if not math.isfinite(peak):
+                label = outcome_of_code(scheme, code).label()
+                error = f"outcome {label} at step {k} leaves zero posterior mass"
+                results.append(DegenerateRowError(error))
+                break
+            if keep_steps:
+                steps.append(
+                    StepRecord(
+                        step=k,
+                        theta=points[j],
+                        outcome=outcome_of_code(scheme, code),
+                        map_estimate=points[top],
+                    )
+                )
+            if k > moving:  # the ladder's lock stage holds theta
+                continue
+            if mode == MODE_OPTIMAL:
+                j = top  # the MAP's own index: grid.index_of(points[t]) == t
+            elif mode == MODE_LADDER:
+                if k < config.pre_rounds:
+                    # the ramp never falls below the theta just measured at
+                    j = _ramp_index(config, grid, k + 1, points[top], points[j])
+                else:
+                    phi_rough = points[top]
+                    j = grid.index_of(config.final_fraction * phi_rough)
+            else:
+                # map_jumps counts MAP moves beyond peak_min_separation.
+                # m_threshold: the first step with a rival at least
+                # rival_height_ratio as tall as the primary. detect_peaks runs
+                # only where the exact log-space screen rival_possible allows one.
+                map_est = points[top]
+                if k > 1 and abs(map_est - map_prev) > sep:
+                    map_jumps += 1
+                map_prev = map_est
+                if m_threshold is None and rival_possible(log_w, grid, sep, ratio):
+                    if detect_peaks(Posterior(grid, log_w), sep, ratio).secondary is not None:
+                        m_threshold = k
+        else:
+            results.append(
+                _finish(config, model, grid, log_w, seed=seed, phi_true=phi_true,
+                        steps=tuple(steps), phi_rough=phi_rough, m_threshold=m_threshold,
+                        map_jumps=map_jumps)
+            )
+    return results
 
 
 def _uniform_source(rng: np.random.Generator):
@@ -272,163 +355,40 @@ def _uniform_source(rng: np.random.Generator):
     return chain.from_iterable(iter(lambda: rng.random(CHUNK).tolist(), None)).__next__
 
 
-class _Trial:
-    """The state one trial carries from step to step."""
-
-    __slots__ = ("seed", "j", "map_est", "steps", "phi_rough", "m_threshold", "map_jumps")
-
-    def __init__(self, seed: int, j: int):
-        self.seed = int(seed)
-        self.j = j  # feedback index of the next step
-        self.map_est: float | None = None  # fixed mode: the MAP after the last step
-        self.steps: list[StepRecord] = []
-        self.phi_rough: float | None = None
-        self.m_threshold: int | None = None
-        self.map_jumps = 0
+def _ramp_index(config, grid, k: int, map_est: float, theta_prev: float) -> int:
+    """The ladder's rough-stage feedback index for step k: the linear ramp
+    toward ramp_cap_fraction of map_est, at least theta_prev and at most
+    the cap, snapped down onto the grid."""
+    cap = config.ramp_cap_fraction * map_est
+    ramp = (k / config.pre_rounds) * cap
+    theta_raw = min(max(theta_prev, ramp), cap)
+    return grid.floor_index(max(theta_raw, grid.lo))
 
 
-class _Engine:
-    """One protocol config on one model and grid; runs one seed at a time."""
-
-    def __init__(self, config, model, grid, keep_steps):
-        expected = scheme_for_mode(config.mode)
-        if model.scheme is not expected:
-            raise ValueError(
-                f"mode {config.mode!r} needs scheme {expected.value!r}, "
-                f"got {model.scheme.value!r}"
-            )
-        if config.phi_true is None:
-            raise ValueError("phi_true must be set before running a trial")
-        self.config = config
-        self.model = model
-        self.grid = grid
-        self.keep_steps = keep_steps
-        self.tables = shared_grid_tables(model, grid)
-        self.windows = self.tables.log_windows()
-        self.phi_true = grid.snap(config.phi_true)
-        self.points = grid.points.tolist()
-        self.laws: dict[int, OutcomeLaw] = {}
-        prior = uniform_posterior(grid)
-        self.log_w0 = float(prior.log_weights[0])
-        # theta policies: the first feedback index here, then the next after
-        # each step from _advance_<mode>, for as long as that can move it
-        if config.mode == MODE_FIXED:
-            self.j_first = grid.index_of(config.fixed_theta)
-        elif config.mode == MODE_LADDER:
-            self.j_first = self._ramp_index(1, map_estimate(prior), 0.0)
-        else:
-            theta0 = grid.midpoint if config.initial_theta is None else config.initial_theta
-            self.j_first = grid.index_of(theta0)
-
-    def _advance_fixed(self, k: int, trial: _Trial, log_w: np.ndarray, top: int) -> None:
-        # map_jumps counts MAP moves beyond peak_min_separation. m_threshold:
-        # the first step with a rival at least rival_height_ratio as tall as
-        # the primary. detect_peaks runs only where the exact log-space screen
-        # rival_possible allows one.
-        cfg = self.config
-        map_est = self.points[top]
-        if k > 1 and abs(map_est - trial.map_est) > cfg.peak_min_separation:
-            trial.map_jumps += 1
-        trial.map_est = map_est
-        if trial.m_threshold is None and rival_possible(
-            log_w, self.grid, cfg.peak_min_separation, cfg.rival_height_ratio
-        ):
-            report = detect_peaks(
-                Posterior(self.grid, log_w), cfg.peak_min_separation, cfg.rival_height_ratio
-            )
-            if report.secondary is not None:
-                trial.m_threshold = k
-
-    def _ramp_index(self, k: int, map_est: float, theta_prev: float) -> int:
-        cfg = self.config
-        cap = cfg.ramp_cap_fraction * map_est
-        ramp = (k / cfg.pre_rounds) * cap
-        theta_raw = min(max(theta_prev, ramp), cap)
-        return self.grid.floor_index(max(theta_raw, self.grid.lo))
-
-    def _advance_ladder(self, k: int, trial: _Trial, log_w: np.ndarray, top: int) -> None:
-        # called for the rough stage only: the lock stage holds theta
-        cfg = self.config
-        if k < cfg.pre_rounds:
-            # the ramp never falls below the theta just measured at
-            trial.j = self._ramp_index(k + 1, self.points[top], self.points[trial.j])
-        else:
-            trial.phi_rough = self.points[top]
-            trial.j = self.grid.index_of(cfg.final_fraction * trial.phi_rough)
-
-    def _advance_optimal(self, k: int, trial: _Trial, log_w: np.ndarray, top: int) -> None:
-        # the MAP's own index: grid.index_of(points[t]) == t for every t
-        trial.j = top
-
-    # -- the one stepping loop -----------------------------------------------
-    def run(self, seed: int):
-        """Run seed's trial to its end: its TrialRecord, or the SU11Error
-        that ended it (returned, not raised: a traceback would pin this frame)."""
-        cfg, model, tables, windows = self.config, self.model, self.tables, self.windows
-        points, laws, scheme, n_max = self.points, self.laws, model.scheme, tables.n_max
-        # looked up per trial: a bound method kept on self would make a cycle
-        # that holds the model until a full garbage collection
-        advance, keep_steps = getattr(self, f"_advance_{cfg.mode}"), self.keep_steps
-        moving = cfg.pre_rounds if cfg.mode == MODE_LADDER else cfg.measurements
-        trial = _Trial(seed, self.j_first)
-        uniform = _uniform_source(np.random.default_rng(trial.seed))
-        log_w = np.full(self.grid.n_points, self.log_w0)
-        for k in range(1, cfg.measurements + 1):
-            j = trial.j
-            law = laws.get(j)
-            if law is None:
-                law = laws[j] = outcome_law(model, self.phi_true - points[j])
-            code = law.draw_code(uniform)
-            peak, top = log_step(
-                log_w,
-                windows[code, j] if code <= n_max else tables.log_row(outcome_of_code(scheme, code), j),
-            )
-            if not math.isfinite(peak):
-                label = outcome_of_code(scheme, code).label()
-                return DegenerateRowError(f"outcome {label} at step {k} leaves zero posterior mass")
-            if keep_steps:
-                trial.steps.append(
-                    StepRecord(
-                        step=k,
-                        theta=points[j],
-                        outcome=outcome_of_code(scheme, code),
-                        map_estimate=points[top],
-                    )
-                )
-            if k <= moving:
-                advance(k, trial, log_w, top)
-        return self._finish(trial, log_w)
-
-    def _finish(self, trial: _Trial, log_w: np.ndarray) -> TrialRecord:
-        # the peak report, the prune valley, the edge mass and the moments
-        # all read the posterior's one density
-        cfg, grid, model = self.config, self.grid, self.model
-        post = Posterior(grid, log_w)
-        report = detect_peaks(post, cfg.peak_min_separation, cfg.peak_height_floor)
-        pruned = cfg.mode == MODE_LADDER and report.secondary is not None
-        if pruned:
-            post = prune_secondary(post, report)
-        d = density(post)
-        edge = float(d[:_EDGE_CELLS].sum() + d[-_EDGE_CELLS:].sum()) * grid.spacing > _EDGE_MASS_TOL
-        fixed = cfg.mode == MODE_FIXED
-        return TrialRecord(
-            seed=trial.seed,
-            config=cfg,
-            scheme=model.scheme.value,
-            mean_photons=model.mean_photons,
-            squeeze_r=model.params.squeeze_r,
-            grid_lo=grid.lo,
-            grid_hi=grid.hi,
-            grid_points=grid.n_points,
-            phi_true=self.phi_true,
-            steps=tuple(trial.steps),
-            final_map=map_estimate(post),
-            final_mean=posterior_mean(post),
-            final_variance=posterior_variance(post),
-            peaks=report,
-            m_threshold=trial.m_threshold if fixed else None,
-            map_jumps=trial.map_jumps if fixed else None,
-            phi_rough=trial.phi_rough,
-            pruned=pruned,
-            edge_mass=edge,
-        )
+def _finish(config, model, grid, log_w, **trial) -> TrialRecord:
+    """The record of a trial whose posterior ended at log_w; trial holds its
+    per-trial fields. The peak report, the prune valley, the edge mass and
+    the moments all read the posterior's one density."""
+    post = Posterior(grid, log_w)
+    report = detect_peaks(post, config.peak_min_separation, config.peak_height_floor)
+    pruned = config.mode == MODE_LADDER and report.secondary is not None
+    if pruned:
+        post = prune_secondary(post, report)
+    d = density(post)
+    edge = float(d[:_EDGE_CELLS].sum() + d[-_EDGE_CELLS:].sum()) * grid.spacing > _EDGE_MASS_TOL
+    return TrialRecord(
+        config=config,
+        scheme=model.scheme.value,
+        mean_photons=model.mean_photons,
+        squeeze_r=model.params.squeeze_r,
+        grid_lo=grid.lo,
+        grid_hi=grid.hi,
+        grid_points=grid.n_points,
+        final_map=map_estimate(post),
+        final_mean=posterior_mean(post),
+        final_variance=posterior_variance(post),
+        peaks=report,
+        pruned=pruned,
+        edge_mass=edge,
+        **trial,
+    )

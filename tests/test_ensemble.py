@@ -131,6 +131,23 @@ class TestRunCampaign:
         with pytest.raises(CampaignError):
             run_campaign(tiny_campaign(), workers=1)
 
+    def test_a_cell_whose_trials_all_fail_reads_nan(self, monkeypatch):
+        def explode(config, model, grid, seeds, **kw):
+            return [SU11Error("synthetic failure") for _ in seeds]
+
+        monkeypatch.setattr(ensemble_mod, "run_trials", explode)
+        monkeypatch.setattr(ensemble_mod, "_MAX_FAILURE_FRACTION", 1.0)
+        cfg = tiny_campaign()
+        res = run_campaign(cfg, workers=1)
+        assert res.trials == ()
+        assert len(res.failures) == len(cfg.cells()) * cfg.trials
+        stats = ("mse", "mse_ci_low", "mse_ci_high", "bias",
+                 "mean_posterior_variance", "median_posterior_variance")
+        for cell, (_, phi, _) in zip(res.cells, cfg.cells()):
+            assert cell.failures == cell.trials == cfg.trials
+            assert cell.phi_true_snapped == cfg.grid.snap(phi)
+            assert all(math.isnan(getattr(cell, name)) for name in stats)
+
 
 class TestModelCache:
     """Cells that share n-bar share one model, and only for one call."""

@@ -97,3 +97,55 @@ def test_every_export_has_a_caller():
         if inspect.isclass(getattr(su11sim, name)) and issubclass(getattr(su11sim, name), SU11Error)
     }
     assert set(su11sim.__all__) - used - errors - {"__version__"} == set()
+
+
+MODULES = sorted((ROOT / "src" / "su11sim").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never uses, bar those on `# noqa: F401`
+    lines. A use is a name read anywhere, in a quoted annotation or in
+    __all__."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            or "# noqa: F401" in lines[node.lineno - 1]
+        ):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            quoted = ast.parse(annotation.value)
+            used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return sorted(name for name in imported if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_guard_sees_stale_names():
+    probe = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from itertools import chain, product\n"
+        "from .measurement import OutcomeLaw, sample  # noqa: F401\n"
+        "from .posterior import PhaseGrid, Posterior\n"
+        "from .tmsq import OpaParams\n"
+        "__all__ = ['PhaseGrid']\n"
+        "def f(p: 'OpaParams') -> int:\n"
+        "    return len(list(product(p)))\n"
+    )
+    assert unused_imports(probe) == ["Posterior", "chain", "os"]

@@ -259,11 +259,6 @@ class TestPmfAndResidual:
         assert np.all(probs >= 0.0)
         assert np.all(np.isfinite(probs))
 
-    @pytest.mark.parametrize("floor", (0.0, -1e-14, 1.0, 2.0, math.nan))
-    def test_floor_outside_unit_interval_rejected(self, photon_model, floor):
-        with pytest.raises(ValueError, match="floor"):
-            pmf(photon_model, 1.2, floor=floor)
-
     def test_outcome_order_deterministic(self, photon_model):
         o1, _ = pmf(photon_model, 0.6)
         o2, _ = pmf(photon_model, 0.6)
@@ -421,6 +416,11 @@ class TestOutcomeType:
             Outcome(kind="bogus")
         with pytest.raises(ValueError):
             Outcome(kind="plus", n=3)
+
+    @pytest.mark.parametrize("flag", (True, False))
+    def test_a_bool_is_no_pair_count(self, flag):
+        with pytest.raises(ValueError):
+            Outcome.pair(flag)
 
 
 class TestModelFactory:
