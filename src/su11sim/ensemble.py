@@ -259,13 +259,26 @@ def _run_cell(config: CampaignConfig, cell: tuple[int, float, float]):
 
 
 def _run_cells(configs, cells, workers: int = 1) -> list:
-    """_run_cell over paired configs and cells, in order, on up to `workers`
-    processes; the only owner of the pool and of _MODELS."""
+    """_run_cell over paired configs and cells on up to `workers` processes,
+    outputs in cell order; the only owner of the pool and of _MODELS.
+
+    A pool gets the cells costliest first: in descending n-bar, ties in
+    cell order. The cells of one call share trials and measurements, so
+    n-bar, which sets the depth of the table each new model builds, ranks
+    their cost. The costliest cell then starts first instead of being the
+    last one a worker picks up. Outputs never depend on this order: every
+    trial's seed comes from its cell and trial indices.
+    """
     try:
         if workers == 1 or len(cells) == 1:
             return list(map(_run_cell, configs, cells))
+        order = sorted(range(len(cells)), key=lambda i: cells[i][2], reverse=True)
+        outputs = [None] * len(cells)
         with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-            return list(pool.map(_run_cell, configs, cells))
+            done = pool.map(_run_cell, [configs[i] for i in order], [cells[i] for i in order])
+            for i, output in zip(order, done):
+                outputs[i] = output
+        return outputs
     finally:
         _MODELS.clear()
 

@@ -178,9 +178,13 @@ def outcome_probabilities(model: LikelihoodModel, offsets) -> np.ndarray:
     Returns an array of shape (len(offsets), n_max + 1) whose [j, c] entry
     is the probability of outcome_of_code(model.scheme, c) at offsets[j].
     This is the one route from the amplitude table to probabilities. Plus
-    and minus are clamped at 0, and the amplitudes are built _CHUNK offsets
-    at a time, which bounds the transient phase matrix to
-    _CHUNK x (p_max + 1).
+    and minus are clamped at 0. The amplitudes are asked for _CHUNK offsets
+    at a time, and pair_amplitude_matrix builds each chunk in small blocks,
+    which bounds the transient phase matrix. The chunks are kept for their
+    bits: a one-offset chunk (len(offsets) % _CHUNK == 1, or a single
+    offset) takes BLAS's matrix-vector path, whose rounding differs, and
+    every other row comes from a matrix-matrix product, as in every table
+    built before the blocks.
     """
     u = np.asarray(offsets, dtype=np.float64)
     if u.ndim != 1:

@@ -17,6 +17,10 @@ from scipy.special import gammaln
 from .errors import TruncationError
 
 HARD_PAIR_CAP = 4096
+# offsets per phase-matrix block in pair_amplitude_matrix
+_BLOCK = 128
+# relative rounding allowed to a column's sum of squares in _coeff_matrix
+_CLOSURE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,13 @@ def _coeff_matrix(r: float, p_max: int, n_max: int) -> np.ndarray:
     accumulated in log space so large m stays finite; signs are applied
     after exponentiation. For n <= 16 the terms are modest and the direct
     sum loses no significant precision.
+
+    Each column's sum of squares is checked as soon as the column is done.
+    An exact column's lies in [0, 1]; one above 2, beyond _CLOSURE_SLACK
+    (which covers the summation order build_schmidt_table's own check
+    uses), is a defect above 1 that the whole-table check would reject
+    anyway, so TruncationError is raised at once rather than after the
+    remaining, ever costlier columns (n_max = 1000 took seconds).
     """
     lnt = math.log(math.tanh(r))
     lns = math.log(math.sinh(r))
@@ -99,7 +110,18 @@ def _coeff_matrix(r: float, p_max: int, n_max: int) -> np.ndarray:
         signs = np.where((n - k) % 2 == 0, 1.0, -1.0)
         terms = np.where(valid, signs[None, :] * np.exp(logmag), 0.0)
         out[:, n] = terms.sum(axis=1)
+        closure = float(out[:, n] @ out[:, n])
+        if not closure <= 2.0 * (1.0 + _CLOSURE_SLACK):  # also catches NaN
+            raise _precision_lost(p_max, f"column {n}'s", closure - 1.0)
     return out
+
+
+def _precision_lost(p: int, which: str, defect: float) -> TruncationError:
+    return TruncationError(
+        f"the alternating coefficient sums lose all precision at pair depth {p}: "
+        f"{which} defect reads {defect:.3e}, but an exact one lies "
+        f"in [0, 1]; reduce n_max or squeeze_r"
+    )
 
 
 def _vacuum_p_start(x: float, tail_tol: float, n_max: int) -> int:
@@ -151,11 +173,7 @@ def build_schmidt_table(
             coeffs = _coeff_matrix(r, p, n_max)
             defect = float(np.abs(1.0 - (coeffs * coeffs).sum(axis=0)).max())
         if not defect <= 1.0:  # also catches NaN
-            raise TruncationError(
-                f"the alternating coefficient sums lose all precision at pair depth {p}: "
-                f"the worst column's defect reads {defect:.3e}, but an exact one lies "
-                f"in [0, 1]; reduce n_max or squeeze_r"
-            )
+            raise _precision_lost(p, "the worst column's", defect)
         if defect <= tail_tol:
             break
         if defect <= _STALL_CEILING and defect > 0.5 * prev_defect:
@@ -190,16 +208,31 @@ def pair_amplitude_matrix(table: SchmidtTable, delta_phis: np.ndarray) -> np.nda
     [j, n] entry is the amplitude for n detected pairs at offset
     delta_phis[j]: the sum over m of exp(i m delta_phis[j]) pair_kernel[m, n].
 
-    The phase factors are written as cos and sin straight into the real and
+    The phase factors are written as cos and sin into the real and
     imaginary parts of one complex matrix, which is cheaper than a complex
     exponential and agrees with it bit for bit (the tests check this). The
-    kernel is real and cos and sin are even and odd, so the amplitudes at
-    -u are exactly the conjugates of those at u.
+    angles go straight into the imaginary part, whose cos fills the real
+    part before its sin overwrites it in place, so no separate angle matrix
+    is made. The kernel is real and cos and sin are even and odd, so the
+    amplitudes at -u are exactly the conjugates of those at u.
+
+    The phase matrix is built _BLOCK rows at a time in one reused buffer
+    (a few MB up to the pair cap); a one-row remainder joins the block
+    before it. A lone row takes BLAS's matrix-vector path, whose bits
+    differ from the matrix-matrix product's, so this keeps the result equal
+    to one product over all rows, bit for bit: a one-row block occurs only
+    when there is one offset.
     """
     dphi = np.asarray(delta_phis, dtype=np.float64)
-    angles = dphi[:, None] * np.arange(table.p_max + 1)
-    phases = np.empty(angles.shape, dtype=np.complex128)
-    np.cos(angles, out=phases.real)
-    np.sin(angles, out=phases.imag)
-    return phases @ table.pair_kernel
+    m = np.arange(table.p_max + 1)
+    out = np.empty((len(dphi), table.n_max + 1), dtype=np.complex128)
+    buf = np.empty((min(len(dphi), _BLOCK + 1), len(m)), dtype=np.complex128)
+    starts = list(range(0, max(len(dphi) - 1, 1), _BLOCK))
+    for start, stop in zip(starts, starts[1:] + [len(dphi)]):
+        phases = buf[: stop - start]
+        np.multiply(dphi[start:stop, None], m, out=phases.imag)
+        np.cos(phases.imag, out=phases.real)
+        np.sin(phases.imag, out=phases.imag)
+        out[start:stop] = phases @ table.pair_kernel
+    return out
 

@@ -2,8 +2,9 @@
 
 Every seeded JSON/CSV must stay byte-identical for a given (config, seed)
 unless a change means to move it. These small runs cover the three step
-loops (some trials cross the engine's uniform-chunk boundary), a two-cell
-campaign with both CSVs and a threshold scan. The digests were recorded
+loops (some trials cross the engine's uniform-chunk boundary), two grid
+sizes whose table builds end in a lone offset or a 129-offset chunk, a
+two-cell campaign with both CSVs and a threshold scan. The digests were recorded
 with NumPy 2.4.6; an intended change to any artifact re-records them and
 says why.
 """
@@ -14,6 +15,7 @@ import pytest
 from su11sim.cli import main
 
 _RUN = ["run", "--phi-true", "0.75", "--mean-photons", "4", "--grid-points", "512", "--seed", "11"]
+_RUN_1 = ["run", "--phi-true", "0.75", "--mean-photons", "4", "--seed", "11"]
 
 _CASES = {
     "run_fixed": (
@@ -35,6 +37,18 @@ _CASES = {
             "--grid-points", "256", "--seed", "5",
         ],
         ("--out", "--cells-csv", "--trials-csv"),
+    ),
+    # 1025 and 1153 grid points put 1025 and 1153 offsets into the table
+    # build: a lone last offset and a 129-offset last chunk (see
+    # measurement.outcome_probabilities)
+    "run_grid_1025": (
+        _RUN_1
+        + ["--grid-points", "1025", "--protocol", "ladder", "--pre-rounds", "40", "--measurements", "150"],
+        ("--out", "--trajectory-out"),
+    ),
+    "run_grid_1153": (
+        _RUN_1 + ["--grid-points", "1153", "--protocol", "optimal", "--measurements", "300"],
+        ("--out", "--trajectory-out"),
     ),
     "threshold": (
         [
@@ -62,6 +76,14 @@ _DIGESTS = {
     "run_optimal": {
         "--out": "bbccb3aec5961220e4e1d378ba6a1c56667ff77ef57be4d14b41c29197c265ab",
         "--trajectory-out": "b311b076504135fc1cc349d867b7762eaa82025db9bf5087e144c417cc46a4b7",
+    },
+    "run_grid_1025": {
+        "--out": "33f133708f2b3d6e655a67cfba54d99c329569ded4bc6df05ac47d940d3caa21",
+        "--trajectory-out": "c402322f3cef6000b65ab5dc03d80d7cbdd20932e824447ea3983c1a3545f0c8",
+    },
+    "run_grid_1153": {
+        "--out": "530713bd21ef86a39c8a0d6557c4b5b4c4338994f4d233046ba7705d898a2843",
+        "--trajectory-out": "6fa88f09a1970160667761917d7c1393e6160df0495974ff1ebbe5e2fbebb600",
     },
     "threshold": {
         "--out": "c6a902e319e151b4e0f2c1cb9f10a5e3d8348a015cb7c7c7804931b3344b65fa",

@@ -250,6 +250,58 @@ class TestModelCache:
         assert len(set(pids)) == len(pids)
 
 
+class TestCostliestFirst:
+    """A pool gets cells in descending n-bar; outputs stay in cell order."""
+
+    @staticmethod
+    def campaign() -> CampaignConfig:
+        return tiny_campaign(
+            protocol=ProtocolConfig(mode=MODE_OPTIMAL, measurements=30),
+            mean_photons=(0.5, 8.0, 2.0),
+            phi_true=(0.5, 0.75),
+            trials=2,
+            grid=PhaseGrid(n_points=256),
+        )
+
+    def test_results_do_not_depend_on_the_worker_count(self):
+        cfg = self.campaign()
+        results = [run_campaign(cfg, workers=w) for w in (1, 2, 3)]
+        assert [c.cell_index for c in results[1].cells] == list(range(6))
+        assert [(c.phi_true, c.mean_photons) for c in results[2].cells] == [
+            (phi, nbar) for phi in cfg.phi_true for nbar in cfg.mean_photons
+        ]
+        assert results[1].to_dict() == results[0].to_dict() == results[2].to_dict()
+        assert results[1].trials == results[0].trials == results[2].trials
+
+    def test_pool_gets_cells_in_descending_nbar(self, monkeypatch):
+        submitted = []
+
+        class RecordingPool:
+            """Runs the cells in this process, recording the order it gets them in."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, configs, cells):
+                cells = list(cells)
+                submitted.extend(cell[0] for cell in cells)
+                return map(fn, configs, cells)
+
+        monkeypatch.setattr(ensemble_mod, "ProcessPoolExecutor", RecordingPool)
+        cfg = self.campaign()
+        pooled = run_campaign(cfg, workers=2)
+        # n-bar 8 in both phi rows, then 2, then 0.5; ties keep cell order
+        assert submitted == [1, 4, 2, 5, 0, 3]
+        assert [c.cell_index for c in pooled.cells] == list(range(6))
+        assert pooled.to_dict() == run_campaign(cfg, workers=1).to_dict()
+
+
 class TestThresholdScan:
     def test_small_scan_contract(self):
         res = threshold_scan(

@@ -10,6 +10,7 @@ import functools
 import gc
 import math
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -54,16 +55,15 @@ def closed_form_pair_ratio(nbar: float, u: float) -> float:
     return 2.0 * x * (1.0 - math.cos(u)) / dsq
 
 
-def full_offset_log_table(model, grid: PhaseGrid) -> np.ndarray:
-    """Test oracle: LikelihoodGrid's log table built the way it was before
-    the mirrored build, from all 2N - 1 offsets with complex-exponential
-    amplitudes, _CHUNK offsets per product."""
-    n = grid.n_points
-    u = (np.arange(2 * n - 1, dtype=np.float64) - (n - 1)) * grid.spacing
+def chunked_probabilities(model, u: np.ndarray) -> np.ndarray:
+    """Test oracle: outcome_probabilities as it was built before the
+    bounded phase-matrix blocks, with complex-exponential amplitudes and
+    one product per 1024 offsets (a lone last offset takes the
+    matrix-vector path)."""
     m = np.arange(model.table.p_max + 1)[None, :]
     probs = np.empty((len(u), model.n_max + 1))
-    for start in range(0, len(u), _CHUNK):
-        amps = np.exp(1j * u[start : start + _CHUNK, None] * m) @ model.table.pair_kernel
+    for start in range(0, len(u), 1024):
+        amps = np.exp(1j * u[start : start + 1024, None] * m) @ model.table.pair_kernel
         block = probs[start : start + len(amps)]
         block[:] = np.abs(amps) ** 2
         if model.scheme is Scheme.OPTIMAL:
@@ -71,7 +71,15 @@ def full_offset_log_table(model, grid: PhaseGrid) -> np.ndarray:
             cross = np.imag(amps[:, 0] * np.conj(amps[:, 1]))
             np.maximum(mean + cross, 0.0, out=block[:, 0])
             np.maximum(mean - cross, 0.0, out=block[:, 1])
-    log_table = np.ascontiguousarray(probs.T)
+    return probs
+
+
+def full_offset_log_table(model, grid: PhaseGrid) -> np.ndarray:
+    """Test oracle: LikelihoodGrid's log table built the way it was before
+    the mirrored build, from all 2N - 1 offsets."""
+    n = grid.n_points
+    u = (np.arange(2 * n - 1, dtype=np.float64) - (n - 1)) * grid.spacing
+    log_table = np.ascontiguousarray(chunked_probabilities(model, u).T)
     with np.errstate(divide="ignore"):
         np.log(log_table, out=log_table)
     return np.maximum(log_table, LOG_FLOOR)
@@ -199,6 +207,17 @@ class TestOutcomeProbabilities:
             alone = outcome_probabilities(model, u[j : j + 1])[0]
             assert np.max(np.abs(whole[j] - alone)) < 1e-15
 
+    @pytest.mark.parametrize("scheme", (Scheme.PHOTON_NUMBER, Scheme.OPTIMAL))
+    @pytest.mark.parametrize("n_offsets", (129, 1025, 1153, 4096, 4097))
+    def test_blocks_keep_the_chunked_bits(self, scheme, n_offsets, photon_model, optimal_model):
+        # 1025 and 4097 end in a lone offset, whose one-row product takes
+        # BLAS's matrix-vector path and so other bits; the blocks must keep
+        # it exactly there and make no other one-row product (129 and 1153
+        # end in a 128 + 1 split that would)
+        model = photon_model if scheme is Scheme.PHOTON_NUMBER else optimal_model
+        u = np.linspace(0.0, math.pi, n_offsets)
+        assert np.array_equal(outcome_probabilities(model, u), chunked_probabilities(model, u))
+
     def test_empty_and_bad_shapes(self, photon_model):
         assert outcome_probabilities(photon_model, []).shape == (0, photon_model.n_max + 1)
         with pytest.raises(ValueError):
@@ -247,6 +266,17 @@ class TestMirroredGridBuild:
         grid = PhaseGrid(n_points=n_points)
         got = LikelihoodGrid(model, grid)._log_table
         assert np.array_equal(got, full_offset_log_table(model, grid))
+
+    def test_build_transient_memory_stays_bounded(self):
+        # n-bar 32 builds to p_max 3672; one 1024-offset phase matrix with
+        # its angles once took about 88 MiB
+        tracemalloc.start()
+        try:
+            LikelihoodGrid(make_model("photon", 32), PhaseGrid())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestPmfAndResidual:

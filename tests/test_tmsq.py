@@ -7,6 +7,7 @@ bookkeeping would show up as a block-wide mismatch.
 """
 import functools
 import math
+import re
 import warnings
 
 import mpmath
@@ -148,8 +149,9 @@ EDGE_OFFSETS = (0.0, 1e-12, -1e-12, math.pi, -math.pi)
 
 class TestRealTrigAmplitudes:
     @pytest.mark.parametrize("nbar", (0.5, 4.0, 32.0))
-    @pytest.mark.parametrize("rows", (1024, 1025))
+    @pytest.mark.parametrize("rows", (1024, 1025, 130, 257))
     def test_bit_identical_to_complex_exp(self, nbar, rows):
+        # blocks of 128, 128 + 2 and 128 + 129 rows equal one product
         table = table_at(nbar)
         u = np.concatenate([EDGE_OFFSETS, np.linspace(-3.1, 3.1, rows - len(EDGE_OFFSETS))])
         assert np.array_equal(
@@ -226,6 +228,29 @@ class TestValidation:
             with pytest.raises(TruncationError, match="precision at pair depth 72"):
                 build_schmidt_table(OpaParams.from_mean_photons(4.0), n_max=64)
         assert depths == [72]
+
+    @pytest.mark.parametrize("nbar, column", [(4.0, 35), (0.5, 53)])
+    def test_hopeless_n_max_raises_at_its_first_bad_column(self, nbar, column):
+        # at the start depth 1008 the whole n_max = 1000 table took 22 s
+        # to build before its check raised; the first column past the bound
+        # stops it at once
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationError, match=f"depth 1008: column {column}'s defect"):
+                build_schmidt_table(OpaParams.from_mean_photons(nbar), n_max=1000)
+
+    def test_column_check_fires_only_where_the_table_check_would(self, monkeypatch):
+        # n_max = 64 at n-bar 4 stops at depth 72 on a column past the bound;
+        # built without the column check, that column fails the whole-table
+        # check too
+        r = OpaParams.from_mean_photons(4.0).squeeze_r
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TruncationError, match=r"column \d+'s") as raised:
+                _coeff_matrix(r, 72, 64)
+            monkeypatch.setattr(tmsq, "_CLOSURE_SLACK", math.inf)
+            coeffs = _coeff_matrix(r, 72, 64)
+        column = int(re.search(r"column (\d+)'s", str(raised.value)).group(1))
+        assert np.abs(1.0 - (coeffs * coeffs).sum(axis=0))[column] > 1.0
 
     def test_overflowing_sums_raise_without_warnings(self, monkeypatch):
         # the sums themselves overflow at the first depth only from n_max
