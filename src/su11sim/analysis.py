@@ -30,7 +30,9 @@ class Benchmarks:
 def quantum_fisher(mean_photons: float) -> float:
     """Per-shot quantum Fisher information nbar (nbar + 2) of the probe."""
     if not (math.isfinite(mean_photons) and mean_photons > 0.0):
-        raise ValueError(f"mean photon number must be positive, got {mean_photons!r}")
+        raise ValueError(
+            f"mean photon number must be a finite positive number, got {mean_photons!r}"
+        )
     return mean_photons * (mean_photons + 2.0)
 
 

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from ._version import __version__
 from .analysis import benchmarks, error_propagation_variance, fisher_information, quantum_fisher
@@ -179,6 +178,8 @@ def _optimal_row_mirror() -> CheckResult:
 
 
 def _sampling_matches_pmf(fast: bool) -> CheckResult:
+    from scipy.special import chdtrc  # here, so that of all commands only verify loads scipy
+
     draws = 4000 if fast else 20000
     model = make_model("photon", 4.0)
     rng = np.random.default_rng(2024)

@@ -148,6 +148,10 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_likelihood(args) -> int:
+    if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
+        raise SU11Error(f"--lo and --hi must be finite, got {args.lo!r} and {args.hi!r}")
+    if args.points < 0:
+        raise SU11Error(f"--points must be a nonnegative integer, got {args.points!r}")
     model = make_model(
         args.scheme, args.mean_photons, tail_tol=args.tail_tol, n_max=args.n_max
     )

@@ -5,7 +5,8 @@ Log weights are defined up to a constant. log_step, the one Bayes update
 place and shifts its maximum to 0; it never normalizes. A Posterior computes
 its density once, on first use: subtract logsumexp, floor at -745 (so
 vanishing weights cannot produce NaN), exponentiate. Normalization is in
-the Riemann sense: sum(density) * spacing = 1.
+the Riemann sense: sum(density) * spacing = 1. The logsumexp is this
+module's own, a NumPy replica of SciPy's that matches it bit for bit.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateRowError
 
@@ -94,8 +94,31 @@ class Posterior:
         return d
 
 
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """scipy.special.logsumexp(a) of a 1-D float64 array, bit for bit.
+
+    The steps of SciPy 1.17's real path, on shape-(1,) arrays as there: the
+    maximal entries are taken out of the sum and counted (m), the rest are
+    shifted by the maximum, exponentiated and summed (s, then s / m unless
+    0), and the result is log1p(s) + log(m) + max. SciPy also computes
+    log(sum(exp(a))) over all entries and returns it where that result is
+    not finite, which happens exactly when the maximum is not (+-inf or
+    NaN); only then is that pass made here.
+    """
+    a_max = a.max(keepdims=True)
+    if not np.isfinite(a_max[0]):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.log(np.exp(a).sum(keepdims=True))[0]
+    top = a == a_max
+    m = top.sum(keepdims=True, dtype=np.float64)
+    s = np.exp(np.where(top, -np.inf, a) - a_max).sum(keepdims=True)
+    if s[0] != 0.0:
+        s = s / m
+    return (np.log1p(s) + np.log(m) + a_max)[0]
+
+
 def _normalized(grid: PhaseGrid, log_w: np.ndarray) -> np.ndarray:
-    log_norm = logsumexp(log_w) + math.log(grid.spacing)
+    log_norm = _logsumexp(log_w) + math.log(grid.spacing)
     out = log_w - log_norm
     np.maximum(out, LOG_FLOOR, out=out)
     return out

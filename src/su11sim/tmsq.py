@@ -8,11 +8,11 @@ builds those tables and the complex detection amplitudes derived from them.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import TruncationError
 
@@ -21,6 +21,41 @@ HARD_PAIR_CAP = 4096
 _BLOCK = 128
 # relative rounding allowed to a column's sum of squares in _coeff_matrix
 _CLOSURE_SLACK = 1e-9
+# Stirling-series coefficients of cephes lgam, highest power first
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+@functools.cache
+def _log_factorials() -> np.ndarray:
+    """log(n!) for n = 0 ... HARD_PAIR_CAP + 1, read-only, built on first use.
+
+    This is cephes lgam(n + 1), the routine behind scipy.special.gammaln,
+    for integer arguments, so it equals gammaln(n + 1.0) bit for bit (the
+    tests check every entry). For x = n + 1 < 13 it is the log of the exact
+    product n!; from 13 up, Stirling's series with lgam's coefficients.
+    lgam takes a shorter series from x = 1000 on; the two corrections differ
+    by far less than an ulp of the sum, and one series gives the same bits
+    over the whole table. The logs are math.log, the C library's log that
+    lgam calls; every other step is one rounded IEEE operation, as in C.
+    _coeff_matrix indexes no deeper than HARD_PAIR_CAP + 1.
+    """
+    x = np.arange(13.0, HARD_PAIR_CAP + 3.0)
+    log_x = np.fromiter(map(math.log, range(13, HARD_PAIR_CAP + 3)), np.float64, len(x))
+    q = (x - 0.5) * log_x - x + 0.91893853320467274178
+    p = 1.0 / (x * x)
+    poly = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        poly = poly * p + c
+    q += poly / x
+    table = np.concatenate([[math.log(math.factorial(n)) for n in range(12)], q])
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -47,7 +82,9 @@ class OpaParams:
     def from_mean_photons(cls, nbar: float) -> "OpaParams":
         """Invert mean_photons = 2 sinh^2 r for the gain parameter."""
         if not (math.isfinite(nbar) and nbar > 0.0):
-            raise ValueError(f"mean photon number must be positive, got {nbar!r}")
+            raise ValueError(
+                f"mean photon number must be a finite positive number, got {nbar!r}"
+            )
         return cls(squeeze_r=math.asinh(math.sqrt(nbar / 2.0)))
 
 
@@ -90,7 +127,7 @@ def _coeff_matrix(r: float, p_max: int, n_max: int) -> np.ndarray:
     lns = math.log(math.sinh(r))
     lnc = math.log(math.cosh(r))
     m = np.arange(p_max + 1, dtype=np.int64)
-    lgf = gammaln(np.arange(max(p_max, n_max) + 2, dtype=np.float64) + 1.0)
+    lgf = _log_factorials()
     out = np.empty((p_max + 1, n_max + 1), dtype=np.float64)
     for n in range(n_max + 1):
         k = np.arange(n + 1, dtype=np.int64)

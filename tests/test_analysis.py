@@ -41,6 +41,11 @@ class TestBenchmarks:
         with pytest.raises(ValueError):
             benchmarks(1000, -1.0)
 
+    @pytest.mark.parametrize("nbar", (math.nan, math.inf))
+    def test_non_finite_mean_photons_named_as_such(self, nbar):
+        with pytest.raises(ValueError, match="a finite positive number, got"):
+            benchmarks(1000, nbar)
+
     def test_qcrb_approaches_heisenberg_at_large_photon_number(self):
         b = benchmarks(1, 1e6)
         assert b.qcrb / b.heisenberg == pytest.approx(1.0, abs=1e-5)

@@ -124,6 +124,28 @@ class TestLikelihood:
         assert sum(blocks) == 2500
         assert max(blocks) <= measurement._CHUNK
 
+    @pytest.mark.parametrize(
+        "offsets", (["--lo", "nan"], ["--lo", "inf"], ["--hi", "nan"], ["--hi=-inf"])
+    )
+    def test_non_finite_offsets_exit_one(self, offsets, capsys):
+        code, out, err = run_cli(
+            ["likelihood", "--scheme", "photon", "--mean-photons", "4", "--points", "3", *offsets],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--lo" in err and "--hi" in err
+
+    def test_negative_points_exit_one(self, capsys):
+        code, out, err = run_cli(
+            ["likelihood", "--scheme", "photon", "--mean-photons", "4", "--points", "-1"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--points" in err
+        assert "Number of samples" not in err
+
 
 class TestRun:
     def test_record_and_trajectory(self, tmp_path, capsys):
@@ -458,9 +480,10 @@ class TestSeedsAndErrors:
 
 
 class TestImportCost:
-    def test_cli_import_leaves_out_scipy_stats(self):
-        # scipy.stats alone costs about a second of start-up on every call
-        probe = "import sys, su11sim.cli; print('scipy.stats' in sys.modules)"
+    # scipy.special alone was about two thirds of the CLI's start-up; only
+    # verify's chi-square tail still imports scipy
+    @staticmethod
+    def scipy_modules_after(probe: str) -> list[str]:
         src = os.path.dirname(os.path.dirname(su11sim.__file__))
         out = subprocess.run(
             [sys.executable, "-c", probe],
@@ -470,4 +493,34 @@ class TestImportCost:
             timeout=120,
             env=dict(os.environ, PYTHONPATH=src),
         )
-        assert out.stdout.strip() == "False"
+        return json.loads(out.stdout.splitlines()[-1])
+
+    def test_cli_import_loads_no_scipy(self):
+        probe = (
+            "import json, sys, su11sim.cli\n"
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+        )
+        assert self.scipy_modules_after(probe) == []
+
+    def test_commands_load_no_scipy(self, tmp_path):
+        small = ["--grid-points", "256", "--seed", "3"]
+        calls = [
+            ["run", "--protocol", "optimal", "--phi-true", "0.75", "--mean-photons", "2",
+             "--measurements", "20", *small],
+            ["ensemble", "--protocol", "ladder", "--phi-true", "0.75", "--mean-photons", "2",
+             "--trials", "2", "--measurements", "20", "--pre-rounds", "10", "--workers", "1",
+             *small],
+            ["threshold", "--thetas", "0.7", "--phi-true", "0.75", "--mean-photons", "2",
+             "--trials", "2", "--max-measurements", "20", *small],
+            ["likelihood", "--scheme", "photon", "--mean-photons", "2", "--points", "5"],
+        ]
+        calls = [[*argv, "--out", str(tmp_path / f"{i}.out")] for i, argv in enumerate(calls)]
+        probe = (
+            "import json, sys\n"
+            "from su11sim.cli import main\n"
+            f"codes = [main(argv) for argv in {calls!r}]\n"
+            "assert codes == [0, 0, 0, 0], codes\n"
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+        )
+        assert self.scipy_modules_after(probe) == []
+        assert all((tmp_path / f"{i}.out").stat().st_size > 0 for i in range(len(calls)))

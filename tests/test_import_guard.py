@@ -150,3 +150,47 @@ def test_unused_import_guard_sees_stale_names():
         "    return len(list(product(p)))\n"
     )
     assert unused_imports(probe) == ["Posterior", "chain", "os"]
+
+
+def scipy_imports(path: Path) -> list[tuple[str, str, str]]:
+    """(file, enclosing function or "<module>", name) for each scipy import."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [f"{child.module}.{alias.name}" for alias in child.names]
+            found.extend((path.name, scope, n) for n in names if n.split(".")[0] == "scipy")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_scipy_is_imported_only_for_verifys_chi_square_tail():
+    found = [hit for path in MODULES for hit in scipy_imports(path)]
+    assert found == [("checks.py", "_sampling_matches_pmf", "scipy.special.chdtrc")]
+
+
+def test_scipy_import_guard_sees_module_and_function_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import scipy\n"
+        "from numpy import log\n"
+        "if True:\n"
+        "    from scipy.special import gammaln\n"
+        "def f():\n"
+        "    import scipy.stats as st\n"
+        "    return st\n"
+    )
+    assert scipy_imports(probe) == [
+        ("probe.py", "<module>", "scipy"),
+        ("probe.py", "<module>", "scipy.special.gammaln"),
+        ("probe.py", "f", "scipy.stats"),
+    ]

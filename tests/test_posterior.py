@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from su11sim import DegenerateRowError, PhaseGrid, outcome_probabilities
 from su11sim.measurement import Outcome, shared_grid_tables
@@ -20,7 +21,7 @@ from su11sim.posterior import (
     update,
     update_log,
 )
-from su11sim.posterior import LOG_FLOOR, log_step, rival_possible
+from su11sim.posterior import LOG_FLOOR, _logsumexp, log_step, rival_possible
 
 
 def gaussian_posterior(grid: PhaseGrid, center: float, sigma: float) -> Posterior:
@@ -448,3 +449,28 @@ def test_log_step_matches_five_pass_step(b, n, kinds, seed, steps):
             break
         log_w, want_w = log_w[keep], want_w[keep]
         b = keep.size
+
+
+@given(
+    n=st.one_of(st.just(1), st.just(4096), st.integers(min_value=2, max_value=300)),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 700.0, 1e5]),
+    ties=st.integers(min_value=0, max_value=3),
+    neg_inf=st.sampled_from(["none", "some", "all"]),
+    special=st.sampled_from([None, math.inf, math.nan]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_logsumexp_matches_scipy_bit_for_bit(n, scale, ties, neg_inf, special, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, scale, size=n)
+    a[rng.integers(0, n, size=ties)] = a.max()  # ties at the maximum
+    if neg_inf == "some":
+        a[rng.integers(0, n, size=max(1, n // 4))] = -np.inf
+    elif neg_inf == "all":
+        a[:] = -np.inf
+    if special is not None:
+        a[rng.integers(0, n)] = special
+    want = logsumexp(a)
+    got = _logsumexp(a)
+    assert type(got) is type(want)
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)

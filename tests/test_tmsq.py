@@ -7,7 +7,10 @@ bookkeeping would show up as a block-wide mismatch.
 """
 import functools
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from su11sim import TruncationError
 from su11sim.measurement import pair_ratio
@@ -186,6 +190,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             OpaParams.from_mean_photons(0.0)
 
+    @pytest.mark.parametrize("nbar", (math.nan, math.inf, -math.inf))
+    def test_non_finite_mean_photons_named_as_such(self, nbar):
+        with pytest.raises(ValueError, match="a finite positive number, got"):
+            OpaParams.from_mean_photons(nbar)
+
     def test_rejects_bad_build_arguments(self):
         params = OpaParams.from_mean_photons(4.0)
         with pytest.raises(ValueError):
@@ -286,3 +295,35 @@ class TestParamRelations:
         assert 1.0 - 2.0 * table.tail_bound <= mass <= 1.0 + 1e-13
         gram = table.coeffs.T @ table.coeffs
         assert np.max(np.abs(gram - np.eye(7))) < 1e-6
+
+
+class TestLogFactorials:
+    def test_bit_identical_to_gammaln_over_the_whole_domain(self):
+        # _coeff_matrix indexes log(n!) for n up to HARD_PAIR_CAP + 1
+        table = tmsq._log_factorials()
+        want = gammaln(np.arange(tmsq.HARD_PAIR_CAP + 2, dtype=np.float64) + 1.0)
+        assert table.shape == want.shape
+        assert table.dtype == np.float64
+        assert np.array_equal(table.view(np.int64), want.view(np.int64))
+
+    def test_built_once_and_read_only(self):
+        table = tmsq._log_factorials()
+        build_schmidt_table(OpaParams.from_mean_photons(2.0), n_max=6)
+        assert tmsq._log_factorials() is table
+        assert not table.flags.writeable
+
+    def test_not_built_at_import(self):
+        probe = (
+            "import su11sim.cli, su11sim.tmsq as t; "
+            "print(t._log_factorials.cache_info().currsize == 0)"
+        )
+        src = os.path.dirname(os.path.dirname(tmsq.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.stdout.strip() == "True"
