@@ -37,16 +37,27 @@ def quantum_fisher(mean_photons: float) -> float:
 
 
 def benchmarks(measurements: int, mean_photons: float) -> Benchmarks:
+    """The three limits; ValueError if any is not a finite positive double."""
     if not (type(measurements) is int and measurements >= 1):
         raise ValueError(f"measurements must be an integer >= 1, got {measurements!r}")
     qfi = quantum_fisher(mean_photons)
-    return Benchmarks(
-        mean_photons=mean_photons,
-        measurements=measurements,
-        qcrb=1.0 / (measurements * qfi),
-        heisenberg=1.0 / (measurements * mean_photons**2),
-        shot_noise=1.0 / (measurements * mean_photons),
-    )
+    try:
+        b = Benchmarks(
+            mean_photons=mean_photons,
+            measurements=measurements,
+            qcrb=1.0 / (measurements * qfi),
+            heisenberg=1.0 / (measurements * mean_photons**2),
+            shot_noise=1.0 / (measurements * mean_photons),
+        )
+        finite = all(0.0 < v < math.inf for v in (b.qcrb, b.heisenberg, b.shot_noise))
+    except (OverflowError, ZeroDivisionError):  # a product left the double range
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"mean photon number {mean_photons!r} with {measurements} measurements puts "
+            f"a variance limit outside the range of finite positive doubles"
+        )
+    return b
 
 
 def _checked_derivative(f, u: float, step: float) -> float:

@@ -42,7 +42,7 @@ def _check(name, passed, detail) -> CheckResult:
 def _table_orthonormality() -> CheckResult:
     worst = 0.0
     for nbar in (2.0, 8.0):
-        table = build_schmidt_table(OpaParams.from_mean_photons(nbar), 1e-12, n_max=12)
+        table = build_schmidt_table(OpaParams.from_mean_photons(nbar), n_max=12)
         gram = table.coeffs.T @ table.coeffs
         defect = float(np.abs(gram - np.eye(13)).max())
         worst = max(worst, defect)

@@ -41,6 +41,7 @@ from .protocols import (
     run_trial,
     scheme_for_mode,
 )
+from .tmsq import TAIL_TOL
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -116,9 +117,6 @@ def _add_table_flags(parser) -> None:
     parser.add_argument(
         "--n-max", type=int, default=16, help="deepest tabulated pair count (default 16)"
     )
-    parser.add_argument(
-        "--tail-tol", type=float, default=1e-12, help="table truncation tolerance (default 1e-12)"
-    )
 
 
 def _add_protocol_flags(p) -> None:
@@ -152,9 +150,7 @@ def _cmd_likelihood(args) -> int:
         raise SU11Error(f"--lo and --hi must be finite, got {args.lo!r} and {args.hi!r}")
     if args.points < 0:
         raise SU11Error(f"--points must be a nonnegative integer, got {args.points!r}")
-    model = make_model(
-        args.scheme, args.mean_photons, tail_tol=args.tail_tol, n_max=args.n_max
-    )
+    model = make_model(args.scheme, args.mean_photons, n_max=args.n_max)
     offsets = np.linspace(args.lo, args.hi, args.points)
     table = outcome_probabilities(model, offsets)
     labels = [outcome_of_code(model.scheme, c).label() for c in range(model.n_max + 1)]
@@ -163,7 +159,7 @@ def _cmd_likelihood(args) -> int:
         "scheme": model.scheme.value,
         "mean_photons": args.mean_photons,
         "n_max": args.n_max,
-        "tail_tol": args.tail_tol,
+        "tail_tol": TAIL_TOL,
         "lo": args.lo,
         "hi": args.hi,
         "points": args.points,
@@ -199,9 +195,7 @@ def _protocol_config_from_args(args, *, phi_true: float | None = None) -> Protoc
 def _cmd_run(args) -> int:
     config = _protocol_config_from_args(args, phi_true=args.phi_true)
     grid = _grid_from_args(args)
-    model = make_model(
-        scheme_for_mode(config.mode), args.mean_photons, tail_tol=args.tail_tol, n_max=args.n_max
-    )
+    model = make_model(scheme_for_mode(config.mode), args.mean_photons, n_max=args.n_max)
     seed = _resolve_seed(args.seed)
     record = run_trial(config, model, grid, seed)
     _emit_json(record.to_dict(), args.out)
@@ -236,7 +230,6 @@ def _cmd_ensemble(args) -> int:
             trials=args.trials,
             master_seed=_resolve_seed(args.seed),
             grid=_grid_from_args(args),
-            tail_tol=args.tail_tol,
             n_max=args.n_max,
             label=args.label,
         )
@@ -260,7 +253,6 @@ def _cmd_threshold(args) -> int:
         max_measurements=args.max_measurements,
         master_seed=_resolve_seed(args.seed),
         grid=_grid_from_args(args),
-        tail_tol=args.tail_tol,
         n_max=args.n_max,
     )
     _emit_json(result.to_dict(), args.out)
@@ -320,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("ensemble", help="run a seeded campaign over phase/photon cells")
-    p.add_argument("--config", default=None, help="campaign JSON (flags override the seed)")
+    p.add_argument("--config", default=None, help="campaign JSON; of the campaign flags only --seed then applies")
     p.add_argument("--protocol", choices=[MODE_FIXED, MODE_LADDER, MODE_OPTIMAL], default=MODE_OPTIMAL)
     p.add_argument("--phi-true", default=None, help="comma-separated true phases")
     p.add_argument(

@@ -21,7 +21,8 @@ from .analysis import benchmarks
 from .errors import CampaignError, SU11Error
 from .measurement import make_model
 from .posterior import PhaseGrid
-from .protocols import MODE_FIXED, ProtocolConfig, finite_real, require_reals, run_trials, scheme_for_mode
+from .protocols import MODE_FIXED, ProtocolConfig, finite_real, run_trials, scheme_for_mode
+from .tmsq import TAIL_TOL
 
 # Not called here, but kept importable from this module: the span tracer in
 # perfbench/trace_spans.py wraps these names at this import site.
@@ -34,9 +35,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _BOOTSTRAP_SLOT = (1 << 63) - 1
 _BOOTSTRAP_RESAMPLES = 1000
 _MAX_FAILURE_FRACTION = 0.01
-# campaign JSON still names the one sampling law, the exact geometric tail,
-# so configs keep their bytes and those written by earlier versions still load
-_SAMPLING_LAW = "exact_tail"
+# Settings that are no longer settable: campaign JSON still writes each with
+# its one value, so configs keep their bytes and those written by earlier
+# versions still load; from_dict refuses any other value. residual_policy
+# names the one sampling law, the exact geometric tail; tail_tol is the
+# table's one truncation tolerance.
+_FIXED_ECHOES = {"residual_policy": "exact_tail", "tail_tol": TAIL_TOL}
 
 
 def _splitmix64(z: int) -> int:
@@ -68,12 +72,10 @@ class CampaignConfig:
     trials: int
     master_seed: int = DEFAULT_MASTER_SEED
     grid: PhaseGrid = field(default_factory=PhaseGrid)
-    tail_tol: float = 1e-12
     n_max: int = 16
     label: str = ""
 
     def __post_init__(self) -> None:
-        require_reals(self, ("tail_tol",))
         # type() rather than isinstance: True is an int but no count or seed
         if not (type(self.trials) is int and self.trials >= 1):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
@@ -96,28 +98,17 @@ class CampaignConfig:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": asdict(self.protocol),
-            "mean_photons": list(self.mean_photons),
-            "phi_true": list(self.phi_true),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "grid": {"lo": self.grid.lo, "hi": self.grid.hi, "n_points": self.grid.n_points},
-            "tail_tol": self.tail_tol,
-            "n_max": self.n_max,
-            "residual_policy": _SAMPLING_LAW,
-            "label": self.label,
-        }
+        lists = {"mean_photons": list(self.mean_photons), "phi_true": list(self.phi_true)}
+        return asdict(self) | lists | _FIXED_ECHOES
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignConfig":
         """Read to_dict's layout; a missing, unknown or mistyped key raises ValueError."""
-        if isinstance(d, dict) and "residual_policy" in d:
-            if d["residual_policy"] != _SAMPLING_LAW:
-                raise ValueError(
-                    f"residual_policy must be {_SAMPLING_LAW!r}, got {d['residual_policy']!r}"
-                )
-            d = {k: v for k, v in d.items() if k != "residual_policy"}
+        if isinstance(d, dict):
+            for key, value in _FIXED_ECHOES.items():
+                if key in d and d[key] != value:
+                    raise ValueError(f"{key} must be {value!r}, got {d[key]!r}")
+            d = {k: v for k, v in d.items() if k not in _FIXED_ECHOES}
         kw = _known_keys("campaign config", d, cls)
         kw["protocol"] = ProtocolConfig(**_known_keys("protocol", d["protocol"], ProtocolConfig))
         kw["grid"] = PhaseGrid(**_known_keys("grid", d.get("grid", {}), PhaseGrid))
@@ -210,8 +201,9 @@ class CampaignResult:
 
 
 # The models of the running _run_cells call, keyed by all that make_model
-# reads, so cells that share n-bar share one model and, through its cache
-# (shared_grid_tables, keyed by the grid's values), one table per grid.
+# reads (scheme, n-bar, n_max), so cells that share n-bar share one model
+# and, through its cache (shared_grid_tables, keyed by the grid's values),
+# one table per grid.
 # _run_cells empties it; a worker's copy dies with the pool.
 _MODELS: dict = {}
 
@@ -220,10 +212,10 @@ def _run_cell(config: CampaignConfig, cell: tuple[int, float, float]):
     """One cell's trials: (summaries, failures), each in trial order."""
     cell_index, phi, nbar = cell
     scheme = scheme_for_mode(config.protocol.mode)
-    key = (scheme, nbar, config.tail_tol, config.n_max)
+    key = (scheme, nbar, config.n_max)
     model = _MODELS.get(key)
     if model is None:
-        model = _MODELS[key] = make_model(scheme, nbar, tail_tol=config.tail_tol, n_max=config.n_max)
+        model = _MODELS[key] = make_model(scheme, nbar, n_max=config.n_max)
     cell_cfg = replace(config.protocol, phi_true=phi)
     summaries: list[TrialSummary] = []
     failures: list[TrialFailure] = []
@@ -283,10 +275,9 @@ def _run_cells(configs, cells, workers: int = 1) -> list:
         _MODELS.clear()
 
 
-def _cell_stats(config, cell, summaries, n_failures) -> CellStats:
+def _cell_stats(config, cell, bench, summaries, n_failures) -> CellStats:
     """The cell's statistics; those of an empty cell (every trial failed) read NaN."""
     cell_index, phi, nbar = cell
-    bench = benchmarks(config.protocol.measurements, nbar)
     mse = ci_low = ci_high = bias = mean_var = median_var = float("nan")
     if summaries:
         err = np.array([s.estimate - s.phi_true for s in summaries])
@@ -329,12 +320,14 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignResult:
     if not (type(workers) is int and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     cell_list = config.cells()
+    # a limit outside the double range raises here, before any trial runs
+    benches = [benchmarks(config.protocol.measurements, nbar) for _, _, nbar in cell_list]
     outputs = _run_cells([config] * len(cell_list), cell_list, workers)
     cells: list[CellStats] = []
     trials: list[TrialSummary] = []
     failures: list[TrialFailure] = []
-    for cell, (summaries, fails) in zip(cell_list, outputs):
-        cells.append(_cell_stats(config, cell, summaries, len(fails)))
+    for cell, bench, (summaries, fails) in zip(cell_list, benches, outputs):
+        cells.append(_cell_stats(config, cell, bench, summaries, len(fails)))
         trials.extend(summaries)
         failures.extend(fails)
     total = config.trials * len(cell_list)
@@ -397,7 +390,6 @@ def threshold_scan(
     max_measurements: int,
     master_seed: int = DEFAULT_MASTER_SEED,
     grid: PhaseGrid | None = None,
-    tail_tol: float = 1e-12,
     n_max: int = 16,
 ) -> ThresholdScanResult:
     """Fixed-theta ambiguity-breaking scan over a set of feedback phases.
@@ -420,7 +412,6 @@ def threshold_scan(
         trials=trials,
         master_seed=master_seed,
         grid=grid if grid is not None else PhaseGrid(),
-        tail_tol=tail_tol,
         n_max=n_max,
     )
     if any(b <= a for a, b in zip(thetas, thetas[1:])):

@@ -133,12 +133,10 @@ class LikelihoodModel:
         return self.table.n_max
 
 
-def make_model(
-    scheme: Scheme | str, mean_photons: float, *, tail_tol: float = 1e-12, n_max: int = 16
-) -> LikelihoodModel:
+def make_model(scheme: Scheme | str, mean_photons: float, *, n_max: int = 16) -> LikelihoodModel:
     """Convenience builder: amplifier params, coefficient table, model."""
     params = OpaParams.from_mean_photons(mean_photons)
-    table = build_schmidt_table(params, tail_tol=tail_tol, n_max=n_max)
+    table = build_schmidt_table(params, n_max=n_max)
     return LikelihoodModel(scheme=Scheme(scheme), table=table)
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DegenerateRowError
 
 LOG_FLOOR = -745.0
+_MIN_SPACING = math.ulp(math.tau)
 
 
 @dataclass(frozen=True)
@@ -34,10 +35,20 @@ class PhaseGrid:
     def __post_init__(self) -> None:
         if not all(isinstance(v, numbers.Real) and type(v) is not bool for v in (self.lo, self.hi)):
             raise ValueError(f"lo and hi must be numbers, got {self.lo!r}, {self.hi!r}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
-            raise ValueError(f"need finite lo < hi, got [{self.lo!r}, {self.hi!r})")
+        # the likelihood is 2 pi-periodic in phi - theta, so one period is all a grid can tell apart
+        if not (-math.tau <= self.lo < self.hi <= math.tau and self.hi - self.lo <= math.tau):
+            raise ValueError(
+                f"need -2 pi <= lo < hi <= 2 pi and hi - lo <= 2 pi, got [{self.lo!r}, {self.hi!r})"
+            )
         if not (type(self.n_points) is int and self.n_points >= 64):  # bool is no count
             raise ValueError(f"n_points must be an integer >= 64, got {self.n_points!r}")
+        # below a phase's rounding unit points merge, and densities (up to 1 / spacing)
+        # overflow; float-int comparison is exact, so no n_points overflows here
+        if not (self.hi - self.lo) / _MIN_SPACING >= self.n_points:
+            raise ValueError(
+                f"{self.n_points} points over [{self.lo!r}, {self.hi!r}) are spaced "
+                f"below ulp(2 pi) = {_MIN_SPACING!r}"
+            )
 
     @cached_property
     def points(self) -> np.ndarray:

@@ -151,8 +151,9 @@ class TrialRecord:
     """Everything needed to audit or replay one trial.
 
     Replay means re-running: config on make_model(scheme, mean_photons) and
-    the recorded grid with seed gives the same record. The table's n_max and
-    tail_tol are not recorded, so only a default table replays.
+    the recorded grid with seed gives the same record. The table's n_max is
+    not recorded, so only a table at the default n_max replays; its
+    truncation tolerance is the one fixed tmsq.TAIL_TOL.
     """
 
     seed: int

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import TruncationError
 
 HARD_PAIR_CAP = 4096
+# the one truncation tolerance: every table column's squared sum closes to
+# within it of one; campaign JSON and the likelihood CSV echo it as tail_tol
+TAIL_TOL = 1e-12
 # offsets per phase-matrix block in pair_amplitude_matrix
 _BLOCK = 128
 # relative rounding allowed to a column's sum of squares in _coeff_matrix
@@ -102,7 +105,6 @@ class SchmidtTable:
     params: OpaParams
     p_max: int
     n_max: int
-    tail_tol: float
     tail_bound: float
     coeffs: np.ndarray
     pair_kernel: np.ndarray
@@ -161,38 +163,40 @@ def _precision_lost(p: int, which: str, defect: float) -> TruncationError:
     )
 
 
-def _vacuum_p_start(x: float, tail_tol: float, n_max: int) -> int:
+def _vacuum_p_start(x: float, n_max: int) -> int:
     # closed-form tail of the vacuum column: sum_{m>p} (1-x) x^m = x^{p+1}
+    if x >= 1.0:  # from a mean photon number between 1e16 and 1e17 on
+        raise TruncationError(
+            f"tanh^2 r rounds to 1, so the vacuum column has no finite depth "
+            f"that holds all but {TAIL_TOL:.0e} of its mass; reduce squeeze_r"
+        )
     if x <= 0.0:
         return n_max + 8
-    p0 = int(math.ceil(math.log(tail_tol) / math.log(x))) - 1
+    p0 = int(math.ceil(math.log(TAIL_TOL) / math.log(x))) - 1
     return max(p0, n_max + 8)
 
 
 _STALL_CEILING = 1e-7
 
 
-def build_schmidt_table(
-    params: OpaParams, tail_tol: float = 1e-12, n_max: int = 16
-) -> SchmidtTable:
+def build_schmidt_table(params: OpaParams, n_max: int = 16) -> SchmidtTable:
     """Build the coefficient table, growing the ladder until columns close.
 
     The starting depth comes from the geometric tail of the vacuum column.
     Higher columns spread to larger pair number, so the depth is grown
     geometrically until every column's squared-coefficient sum is within
-    tail_tol of one, or until the defect is already below 1e-7 and stops
+    TAIL_TOL of one, or until the defect is already below 1e-7 and stops
     improving. The latter happens when it hits the double-precision
     cancellation floor of the alternating coefficient sums (around 1e-10
     for the deepest default column); actual truncation error shrinks like
     x^p once past the column bulk and cannot stall there. The achieved
     closure is recorded as tail_bound. Exceeding the hard cap of 4096
-    raises TruncationError, at once if n_max + 8 already does. So does a
+    raises TruncationError, at once if n_max + 8 already does or if
+    tanh^2 r rounds to 1, where no depth holds the vacuum tail. So does a
     defect that is not finite or exceeds 1, which no exact column can have:
     it is cancellation error in the alternating sums, and that only grows
     with depth.
     """
-    if not (0.0 < tail_tol < 1.0):
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     if not (type(n_max) is int and n_max >= 1):
         raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     if n_max + 8 > HARD_PAIR_CAP:
@@ -203,7 +207,7 @@ def build_schmidt_table(
         )
     r = params.squeeze_r
     x = math.tanh(r) ** 2
-    p = min(_vacuum_p_start(x, tail_tol, n_max), HARD_PAIR_CAP)
+    p = min(_vacuum_p_start(x, n_max), HARD_PAIR_CAP)
     prev_defect = math.inf
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -211,15 +215,14 @@ def build_schmidt_table(
             defect = float(np.abs(1.0 - (coeffs * coeffs).sum(axis=0)).max())
         if not defect <= 1.0:  # also catches NaN
             raise _precision_lost(p, "the worst column's", defect)
-        if defect <= tail_tol:
+        if defect <= TAIL_TOL:
             break
         if defect <= _STALL_CEILING and defect > 0.5 * prev_defect:
             break  # small and no longer improving: the noise floor, not truncation
         if p >= HARD_PAIR_CAP:
             raise TruncationError(
                 f"pair ladder capped at {HARD_PAIR_CAP} but the worst column "
-                f"still leaks {defect:.3e} (> tail_tol {tail_tol:.3e}); "
-                f"reduce n_max or squeeze_r, or loosen tail_tol"
+                f"still leaks {defect:.3e} (> {TAIL_TOL:.0e}); reduce n_max or squeeze_r"
             )
         prev_defect = defect
         p = min(int(math.ceil(1.5 * p)) + 16, HARD_PAIR_CAP)
@@ -231,7 +234,6 @@ def build_schmidt_table(
         params=params,
         p_max=p,
         n_max=n_max,
-        tail_tol=tail_tol,
         tail_bound=tail_bound,
         coeffs=coeffs,
         pair_kernel=kernel,

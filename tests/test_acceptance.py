@@ -67,7 +67,7 @@ def test_criterion_02_likelihood_normalization():
 def test_criterion_03_schmidt_orthonormality():
     worst = 0.0
     for nbar in MEAN_PHOTON_LADDER:
-        table = make_model(Scheme.PHOTON_NUMBER, nbar, tail_tol=1e-12).table
+        table = make_model(Scheme.PHOTON_NUMBER, nbar).table
         block = table.coeffs[:, :11]
         gram = block.T @ block
         worst = max(worst, float(np.abs(gram - np.eye(11)).max()))

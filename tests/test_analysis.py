@@ -1,5 +1,6 @@
 """Benchmark arithmetic, Fisher information, and error-propagation tests."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ class TestBenchmarks:
     def test_non_finite_mean_photons_named_as_such(self, nbar):
         with pytest.raises(ValueError, match="a finite positive number, got"):
             benchmarks(1000, nbar)
+
+    @pytest.mark.parametrize(
+        "measurements, nbar",
+        # 1e-160: the Heisenberg limit overflows to inf; 1e-320: nbar^2 is 0;
+        # 1e200: nbar^2 overflows; 10**400 measurements overflow any product
+        [(1000, 1e-160), (1000, 1e-320), (1000, 1e200), (10**400, 4.0)],
+        ids=["nbar-1e-160", "nbar-1e-320", "nbar-1e200", "measurements-1e400"],
+    )
+    def test_limits_outside_the_double_range_raise(self, measurements, nbar):
+        with pytest.raises(ValueError, match=re.escape(f"mean photon number {nbar!r}")):
+            benchmarks(measurements, nbar)
 
     def test_qcrb_approaches_heisenberg_at_large_photon_number(self):
         b = benchmarks(1, 1e6)

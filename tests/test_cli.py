@@ -1,8 +1,11 @@
 """Command-line interface tests, run in-process through main()."""
+import argparse
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,8 @@ import pytest
 import su11sim
 import su11sim.measurement as measurement
 from su11sim import make_model, outcome_of_code, outcome_probabilities
-from su11sim.cli import main
+import su11sim.cli as cli
+from su11sim.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -262,6 +266,24 @@ class TestEnsembleCommand:
         assert code == 0
         assert out2.read_bytes() == out1.read_bytes()
 
+    @pytest.mark.parametrize("tail_tol", [1e-12, None], ids=["repeated", "omitted"])
+    def test_config_may_repeat_or_omit_tail_tol(self, tail_tol, tmp_path, capsys):
+        # campaign JSON echoes the one table tolerance; a config gets the same
+        # campaign with that value or without the key (other values: below)
+        argv = ["--protocol", "optimal", "--phi-true", "0.75", "--mean-photons", "4",
+                "--trials", "2", "--measurements", "30"]
+        flags_out = tmp_path / "flags.json"
+        assert run_cli(["ensemble", *argv, "--out", str(flags_out)], capsys)[0] == 0
+        config = json.loads(flags_out.read_text())["config"]
+        assert config.pop("tail_tol") == 1e-12
+        if tail_tol is not None:
+            config["tail_tol"] = tail_tol
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "fromcfg.json"
+        assert run_cli(["ensemble", "--config", str(cfg_path), "--out", str(out)], capsys)[0] == 0
+        assert out.read_bytes() == flags_out.read_bytes()
+
     @pytest.mark.parametrize(
         "field, value",
         [("peak_height_floor", 0.0), ("peak_min_separation", 0.0), ("peak_min_separation", float("nan"))],
@@ -298,11 +320,14 @@ class TestEnsembleCommand:
             (lambda c: c.update(label=5), "label"),
             (lambda c: c.update(label={"a": 1}), "label"),
             (lambda c: c.update(residual_policy="renormalize"), "residual_policy"),
+            (lambda c: c.update(tail_tol=1e-8), "tail_tol must be 1e-12"),
+            (lambda c: c.update(tail_tol=True), "tail_tol must be 1e-12"),
         ],
         ids=[
             "unknown-protocol-key", "no-protocol", "scalar-mean-photons", "bool-trials",
             "string-fixed-theta", "string-tail-tol", "string-pre-rounds-optimal",
             "list-pre-rounds-fixed", "int-label", "object-label", "renormalize-policy",
+            "loose-tail-tol", "bool-tail-tol",
         ],
     )
     def test_malformed_config_exits_one_naming_the_key(self, edit, named, tmp_path, capsys):
@@ -471,6 +496,49 @@ class TestSeedsAndErrors:
         assert exc.value.code == 2
         assert "--residual-policy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["likelihood", "--scheme", "photon", "--mean-photons", "4", "--points", "5"],
+            ["run", "--protocol", "optimal", "--phi-true", "0.75", "--mean-photons", "4"],
+            ["ensemble", "--phi-true", "0.75"],
+            ["threshold", "--thetas", "0.7", "--phi-true", "0.75", "--mean-photons", "4"],
+        ],
+        ids=["likelihood", "run", "ensemble", "threshold"],
+    )
+    def test_no_command_takes_a_tail_tol(self, argv, capsys):
+        # every table closes to the one tolerance tmsq.TAIL_TOL
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tail-tol", "1e-12"])
+        assert exc.value.code == 2
+        assert "--tail-tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # tanh^2 r rounds to 1
+            "run --protocol optimal --phi-true 0.75 --mean-photons 1e17 --measurements 5",
+            "likelihood --scheme optimal --mean-photons 1e300",
+            # a variance limit outside the double range
+            "limits --mean-photons 1e-160 --measurements 1000",
+            "limits --mean-photons 1e-320 --measurements 1000",
+            "limits --mean-photons 1e200 --measurements 1000",
+            "ensemble --phi-true 0.75 --mean-photons 1e-160 --trials 2 --measurements 20 "
+            "--grid-points 256",
+            # grids wider than one period
+            "run --protocol optimal --phi-true 0 --mean-photons 4 --grid-lo=-1e300 "
+            "--grid-hi 1e300 --grid-points 64 --measurements 5",
+            "run --protocol optimal --phi-true 0 --mean-photons 4 --grid-lo=-1e308 "
+            "--grid-hi 1e308 --grid-points 64 --measurements 5",
+        ],
+        ids=["run-1e17", "likelihood-1e300", "limits-1e-160", "limits-1e-320", "limits-1e200",
+             "ensemble-1e-160", "run-grid-1e300", "run-grid-1e308"],
+    )
+    def test_out_of_domain_input_exits_one_with_one_error_line(self, argv, capsys):
+        code, out, err = run_cli(argv.split(), capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_domain_error_exits_one(self, capsys):
         code, _, err = run_cli(
             ["limits", "--mean-photons", "-4", "--measurements", "10"], capsys
@@ -524,3 +592,63 @@ class TestImportCost:
         )
         assert self.scipy_modules_after(probe) == []
         assert all((tmp_path / f"{i}.out").stat().st_size > 0 for i in range(len(calls)))
+
+
+def unread_flags(parser: argparse.ArgumentParser, source: str) -> dict[str, list[str]]:
+    """Per subcommand, the flags whose dest its func never reads as
+    args.<dest>, in its own body or in a module-level function of source
+    that it names, directly or indirectly (by AST)."""
+    funcs = {
+        node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+    }
+
+    def reads(name: str) -> set[str]:
+        found, seen, todo = set(), set(), [name]
+        while todo:
+            fn = todo.pop()
+            if fn in seen:
+                continue
+            seen.add(fn)
+            for node in ast.walk(funcs[fn]):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    if node.value.id == "args":
+                        found.add(node.attr)
+                elif isinstance(node, ast.Name) and node.id in funcs:
+                    todo.append(node.id)
+        return found
+
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = {}
+    for command, sub in subparsers.choices.items():
+        read = reads(sub.get_default("func").__name__)
+        dead = [
+            a.dest for a in sub._actions
+            if not isinstance(a, argparse._HelpAction) and a.dest not in read
+        ]
+        if dead:
+            unread[command] = dead
+    return unread
+
+
+class TestEveryFlagIsRead:
+    def test_each_subcommand_reads_all_its_flags(self):
+        assert unread_flags(build_parser(), Path(cli.__file__).read_text()) == {}
+
+    def test_guard_sees_a_dead_flag_behind_a_helper(self):
+        def _cmd_probe(args):
+            raise AssertionError("never run")
+
+        source = (
+            "def _cmd_probe(args):\n"
+            "    return _helper(args)\n"
+            "def _helper(args):\n"
+            "    return args.used\n"
+            "def _unrelated(args):\n"
+            "    return args.dead\n"
+        )
+        parser = argparse.ArgumentParser()
+        probe = parser.add_subparsers().add_parser("probe")
+        probe.add_argument("--used")
+        probe.add_argument("--dead")
+        probe.set_defaults(func=_cmd_probe)
+        assert unread_flags(parser, source) == {"probe": ["dead"]}

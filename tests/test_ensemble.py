@@ -20,10 +20,12 @@ from su11sim import (
     threshold_scan,
 )
 from su11sim.ensemble import derive_seed
+from su11sim.tmsq import OpaParams, build_schmidt_table
 from su11sim.protocols import run_trials
 from su11sim.ensemble import ThresholdRow, _censored_quartile
 import su11sim.ensemble as ensemble_mod
 import su11sim.measurement as measurement_mod
+import su11sim.tmsq as tmsq
 
 
 def tiny_campaign(**kw) -> CampaignConfig:
@@ -83,6 +85,31 @@ class TestCampaignConfig:
         with pytest.raises(ValueError, match="residual_policy"):
             CampaignConfig.from_dict({**d, "residual_policy": "renormalize"})
 
+    def test_tail_tol_is_a_fixed_echo(self):
+        # the table tolerance is no setting: the JSON still writes its one
+        # value, configs may omit it, and any other value is refused by name
+        d = tiny_campaign().to_dict()
+        assert d["tail_tol"] == tmsq.TAIL_TOL == 1e-12
+        bare = {k: v for k, v in d.items() if k != "tail_tol"}
+        assert CampaignConfig.from_dict(bare).to_dict() == d
+        for value in (1e-8, "x", True):
+            with pytest.raises(ValueError, match="tail_tol"):
+                CampaignConfig.from_dict({**d, "tail_tol": value})
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: make_model("photon", 4.0, tail_tol=1e-12),
+            lambda: build_schmidt_table(OpaParams.from_mean_photons(4.0), tail_tol=1e-12),
+            lambda: threshold_scan((0.7,), 0.75, 4.0, 2, 20, tail_tol=1e-12),
+            lambda: tiny_campaign(tail_tol=1e-12),
+        ],
+        ids=["make_model", "build_schmidt_table", "threshold_scan", "CampaignConfig"],
+    )
+    def test_tail_tol_is_no_argument(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'tail_tol'"):
+            call()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             tiny_campaign(trials=0)
@@ -122,6 +149,14 @@ class TestRunCampaign:
         for t in res.trials:
             assert t.seed == derive_seed(cfg.master_seed, t.cell_index, t.trial_index)
             assert 0.0 <= t.rival_ratio <= 1.0
+
+    def test_limits_out_of_range_raise_before_any_trial(self, monkeypatch):
+        def no_cells(*args):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr(ensemble_mod, "_run_cells", no_cells)
+        with pytest.raises(ValueError, match="mean photon number 1e-160"):
+            run_campaign(tiny_campaign(mean_photons=(4.0, 1e-160)), workers=1)
 
     def test_failure_fraction_guard(self, monkeypatch):
         def explode(config, model, grid, seeds, **kw):
@@ -365,7 +400,6 @@ class TestThresholdScan:
         kw = dict(thetas=(0.7,), phi_true=0.75, mean_photons=4.0, trials=2, max_measurements=20)
         for name, value in [
             ("trials", True),
-            ("tail_tol", "x"),
             ("master_seed", 1.5),
             ("master_seed", True),
             ("n_max", True),

@@ -1,5 +1,6 @@
 """Grid posterior tests: update algebra, moments, peak analysis, pruning."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,38 @@ class TestPhaseGrid:
         assert hash(PhaseGrid(0, math.pi, 4096)) == hash(PhaseGrid())
         assert PhaseGrid(n_points=4095) != PhaseGrid()
         assert PhaseGrid(lo=0.1) != PhaseGrid()
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (-1e300, 1e300),  # a finite width, but 1e300 periods wide
+            (-1e308, 1e308),  # a width that overflows to inf
+            (0.0, 7.0),  # wider than one period
+            (-7.0, -6.5),  # one edge beyond -2 pi
+            (-math.pi, 1.5 * math.pi),  # each edge within 2 pi, the width not
+        ],
+    )
+    def test_grids_beyond_one_period_rejected_naming_the_edges(self, lo, hi):
+        with pytest.raises(ValueError, match=re.escape(f"got [{lo!r}, {hi!r})")):
+            PhaseGrid(lo, hi, 64)
+
+    @pytest.mark.parametrize(
+        "lo, hi, n",
+        [(0.0, 1.1125369292536007e-308, 64), (1.0, 1.0 + 2**-52, 64), (0.0, 3.0, 10**400)],
+        ids=["subnormal-spacing", "one-ulp-wide", "10**400-points"],
+    )
+    def test_spacing_below_a_phase_rounding_unit_rejected(self, lo, hi, n):
+        # finer grids merge points, and 1 / spacing densities overflow
+        with pytest.raises(ValueError, match="spaced below ulp"):
+            PhaseGrid(lo, hi, n)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, math.pi), (0.1, 3.0), (-0.5 * math.pi, 0.5 * math.pi), (-3.0, 3.0),
+         (-math.tau, 0.0), (-math.pi, math.pi), (0.0, math.tau)],
+    )
+    def test_grids_within_one_period_accepted(self, lo, hi):
+        assert PhaseGrid(lo, hi, 65536).hi == hi
 
     @pytest.mark.parametrize("field", ("lo", "hi"))
     @pytest.mark.parametrize("value", ("0.5", None, True))

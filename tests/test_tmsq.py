@@ -83,7 +83,7 @@ class TestCoefficientValues:
 class TestOrthonormality:
     @pytest.mark.parametrize("nbar", NBAR_SWEEP)
     def test_gram_identity_low_block(self, nbar):
-        table = build_schmidt_table(OpaParams.from_mean_photons(nbar), tail_tol=1e-12)
+        table = build_schmidt_table(OpaParams.from_mean_photons(nbar))
         block = table.coeffs[:, :11]
         gram = block.T @ block
         assert np.max(np.abs(gram - np.eye(11))) < 1e-8
@@ -198,16 +198,20 @@ class TestValidation:
     def test_rejects_bad_build_arguments(self):
         params = OpaParams.from_mean_photons(4.0)
         with pytest.raises(ValueError):
-            build_schmidt_table(params, tail_tol=0.0)
-        with pytest.raises(ValueError):
-            build_schmidt_table(params, tail_tol=1.5)
-        with pytest.raises(ValueError):
             build_schmidt_table(params, n_max=0)
 
     def test_depth_cap_raises(self):
         # x -> 1 pushes the required depth far past the hard cap
         with pytest.raises(TruncationError):
             build_schmidt_table(OpaParams.from_mean_photons(1e6))
+
+    @pytest.mark.parametrize("nbar", (1e17, 1e300))
+    def test_tanh_squared_rounding_to_one_raises(self, nbar):
+        # past n-bar ~ 1e16 tanh^2 r is 1.0 and the vacuum tail has no depth
+        params = OpaParams.from_mean_photons(nbar)
+        assert math.tanh(params.squeeze_r) ** 2 == 1.0
+        with pytest.raises(TruncationError, match="rounds to 1"):
+            build_schmidt_table(params)
 
     def test_n_max_beyond_cap_raises_before_any_build(self, monkeypatch):
         # n_max + 8 > HARD_PAIR_CAP: a build at the cap would take minutes
@@ -290,7 +294,7 @@ class TestParamRelations:
     @given(st.floats(min_value=0.3, max_value=1.6))
     @settings(max_examples=15, deadline=None)
     def test_small_table_mass_and_gram(self, r):
-        table = build_schmidt_table(OpaParams(squeeze_r=r), tail_tol=1e-8, n_max=6)
+        table = build_schmidt_table(OpaParams(squeeze_r=r), n_max=6)
         mass = float(np.sum(table.coeffs[:, 0] ** 2))
         assert 1.0 - 2.0 * table.tail_bound <= mass <= 1.0 + 1e-13
         gram = table.coeffs.T @ table.coeffs
