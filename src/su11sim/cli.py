@@ -103,6 +103,19 @@ def _grid_from_args(args) -> PhaseGrid:
     return PhaseGrid(lo=args.grid_lo, hi=args.grid_hi, n_points=args.grid_points)
 
 
+class _NoteFlag(argparse.Action):
+    """argparse's plain store that also notes the flag on the namespace, so
+    that a flag given at its default value still counts as given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.flags_given = [*getattr(namespace, "flags_given", []), self.option_strings[0]]
+
+
+# with --config the file sets the campaign; only these ensemble flags apply
+_BESIDE_CONFIG = ("--config", "--seed", "--workers", "--out", "--cells-csv", "--trials-csv")
+
+
 def _add_grid_flags(parser) -> None:
     parser.add_argument("--grid-lo", type=float, default=0.0, help="grid lower edge (default 0)")
     parser.add_argument(
@@ -148,10 +161,19 @@ def _cmd_limits(args) -> int:
 def _cmd_likelihood(args) -> int:
     if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
         raise SU11Error(f"--lo and --hi must be finite, got {args.lo!r} and {args.hi!r}")
+    if not math.isfinite(args.hi - args.lo):
+        raise SU11Error(f"--hi - --lo overflows: {args.hi!r} - {args.lo!r}")
     if args.points < 0:
         raise SU11Error(f"--points must be a nonnegative integer, got {args.points!r}")
     model = make_model(args.scheme, args.mean_photons, n_max=args.n_max)
     offsets = np.linspace(args.lo, args.hi, args.points)
+    # the table's phases are m * offset for pair counts m up to p_max
+    reach = float(np.abs(offsets).max(initial=0.0))
+    if not math.isfinite(model.table.p_max * reach):
+        raise SU11Error(
+            f"--lo and --hi reach offset {reach!r}, whose phase {model.table.p_max} * {reach!r} "
+            "overflows"
+        )
     table = outcome_probabilities(model, offsets)
     labels = [outcome_of_code(model.scheme, c).label() for c in range(model.n_max + 1)]
     tail = 1.0 - table.sum(axis=1)
@@ -312,7 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("ensemble", help="run a seeded campaign over phase/photon cells")
-    p.add_argument("--config", default=None, help="campaign JSON; of the campaign flags only --seed then applies")
+    p.register("action", None, _NoteFlag)
+    p.add_argument(
+        "--config", default=None,
+        help="campaign JSON; no other campaign flag but --seed may be given with it",
+    )
     p.add_argument("--protocol", choices=[MODE_FIXED, MODE_LADDER, MODE_OPTIMAL], default=MODE_OPTIMAL)
     p.add_argument("--phi-true", default=None, help="comma-separated true phases")
     p.add_argument(
@@ -358,6 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "config", None) is not None:
+        stray = [f for f in getattr(args, "flags_given", []) if f not in _BESIDE_CONFIG]
+        if stray:
+            parser.error(
+                f"ensemble: {stray[0]} cannot be given with --config, whose file sets the "
+                "campaign (only --seed, --workers and the output flags apply)"
+            )
     try:
         return args.func(args)
     except (SU11Error, ValueError, OSError) as exc:

@@ -7,6 +7,12 @@ its density once, on first use: subtract logsumexp, floor at -745 (so
 vanishing weights cannot produce NaN), exponentiate. Normalization is in
 the Riemann sense: sum(density) * spacing = 1. The logsumexp is this
 module's own, a NumPy replica of SciPy's that matches it bit for bit.
+
+exp is slow where its result is subnormal, and most cells of a sharp
+posterior sit at the floor, whose exp(-745) = 5e-324 is subnormal. So the
+density and the logsumexp exponentiate only the entries whose result can
+differ from a known constant, and write that constant elsewhere; every
+result is bit for bit what exponentiating all entries gives.
 """
 from __future__ import annotations
 
@@ -20,6 +26,10 @@ import numpy as np
 from .errors import DegenerateRowError
 
 LOG_FLOOR = -745.0
+_FLOOR_DENSITY = np.exp(LOG_FLOOR)  # 5e-324, from the ufunc the density uses
+# np.exp returns exactly +0.0 at and below this (the last subnormal is
+# exp(-744.44)); tests pin it
+_EXP_UNDERFLOW = -746.0
 _MIN_SPACING = math.ulp(math.tau)
 
 
@@ -93,14 +103,23 @@ class PhaseGrid:
 @dataclass(frozen=True, eq=False)
 class Posterior:
     """Log weights over a PhaseGrid, up to a constant. The array is not
-    copied and must not change: the density is computed once and kept."""
+    copied and must not change: the density is computed once and kept.
+
+    The density is exp of the floored normalized log weights. Cells at the
+    floor get the constant np.exp(LOG_FLOOR) without an exp call each; the
+    test x != LOG_FLOOR leaves a NaN cell to exp, so NaN propagates as it
+    would through exp of the whole array.
+    """
 
     grid: PhaseGrid
     log_weights: np.ndarray
 
     @cached_property
     def _density(self) -> np.ndarray:
-        d = np.exp(_normalized(self.grid, self.log_weights))
+        x = _normalized(self.grid, self.log_weights)
+        d = np.full_like(x, _FLOOR_DENSITY)
+        live = x != LOG_FLOOR
+        d[live] = np.exp(x[live])
         d.setflags(write=False)
         return d
 
@@ -115,6 +134,11 @@ def _logsumexp(a: np.ndarray) -> np.float64:
     log(sum(exp(a))) over all entries and returns it where that result is
     not finite, which happens exactly when the maximum is not (+-inf or
     NaN); only then is that pass made here.
+
+    The shifted entries are all -inf or finite and <= 0 on the finite path.
+    Those at or below _EXP_UNDERFLOW, where np.exp returns exactly +0.0, are
+    not exponentiated: they stay +0.0 in a full-length array, so the sum
+    adds the same values in the same pairwise order as SciPy's.
     """
     a_max = a.max(keepdims=True)
     if not np.isfinite(a_max[0]):
@@ -122,7 +146,11 @@ def _logsumexp(a: np.ndarray) -> np.float64:
             return np.log(np.exp(a).sum(keepdims=True))[0]
     top = a == a_max
     m = top.sum(keepdims=True, dtype=np.float64)
-    s = np.exp(np.where(top, -np.inf, a) - a_max).sum(keepdims=True)
+    shifted = np.where(top, -np.inf, a) - a_max
+    terms = np.zeros_like(shifted)
+    live = shifted > _EXP_UNDERFLOW
+    terms[live] = np.exp(shifted[live])
+    s = terms.sum(keepdims=True)
     if s[0] != 0.0:
         s = s / m
     return (np.log1p(s) + np.log(m) + a_max)[0]
@@ -264,55 +292,63 @@ _SCREEN_EPS = 1e-9
 _SCREEN_LOG_RANGE = 700.0
 
 
-def rival_possible(
-    log_w: np.ndarray,
-    grid: PhaseGrid,
-    min_separation: float,
-    height_ratio: float,
-) -> bool:
-    """Cheap necessary condition for detect_peaks(...).secondary is not None.
+def rival_screen(grid: PhaseGrid, min_separation: float, height_ratio: float):
+    """A cheap necessary condition for detect_peaks(...).secondary is not None.
 
-    Uses only comparisons on the raw log weights: no exp, no logsumexp. With
-    the same min_separation, and height_ratio as detect_peaks'
-    height_ratio_floor, False means detect_peaks finds no rival; True means
-    it may.
+    Returns screen(log_w, top), where top must be max(log_w). It uses only
+    comparisons on the raw log weights: no exp, no logsumexp. With the same
+    min_separation, and height_ratio as detect_peaks' height_ratio_floor,
+    False means detect_peaks finds no rival on this grid; True means it may.
+    The logs, the range guard and the grid points are set up once here, and
+    top is passed in, since the caller knows it: after a finite log_step
+    the maximum is exactly 0.0 (the peak minus itself; every other entry
+    lies below it).
 
     Why False is exact. detect_peaks compares d = exp(max(log_w - L,
     LOG_FLOOR)) with L = logsumexp(log_w) + log(spacing). As logsumexp lies
-    in [top, top + log N] for top = max(log_w), every weight of at least
-    top + log(ratio) has log_w - L in [log(ratio) - log(hi - lo),
-    log(N / (hi - lo))]. While that range lies inside [-700, 700], the floor
-    never reaches it, the subtraction rounds off less than 1e-13 and exp is
-    off by a few ulps, so d is monotone in log_w up to far less than
-    eps = 1e-9: log_w[a] <= log_w[b] + log(c) - eps forces d[a] < c * d[b]
-    for c = 1 or ratio. Hence the primary p, the argmax of d, has
-    log_w[p] >= top - eps; a rival i has log_w[i] >= top + log(ratio) - eps;
-    and d[i] > d[i +- 1] needs log_w[i] > log_w[i +- 1] - eps. If no such
-    rival lies min_separation or more from some near-top index (compared on
-    the same grid.points), detect_peaks has none. Outside that range the
-    answer is True.
+    in [top, top + log N], every weight of at least top + log(ratio) has
+    log_w - L in [log(ratio) - log(hi - lo), log(N / (hi - lo))]. While that
+    range lies inside [-700, 700], the floor never reaches it, the
+    subtraction rounds off less than 1e-13 and exp is off by a few ulps, so
+    d is monotone in log_w up to far less than eps = 1e-9: log_w[a] <=
+    log_w[b] + log(c) - eps forces d[a] < c * d[b] for c = 1 or ratio.
+    Hence the primary p, the argmax of d, has log_w[p] >= top - eps; a
+    rival i lies in the band log_w[i] >= top + log(ratio) - eps; and d[i] >
+    d[i +- 1] needs log_w[i] > log_w[i +- 1] - eps. If no such rival lies
+    min_separation or more from some near-top index (compared on the same
+    grid.points), detect_peaks has none. As every rival lies in the band
+    and the points increase with the index, neither band edge lying
+    min_separation or more from a near-top index already rules all rivals
+    out; the screen then answers False before looking for local maxima.
+    Outside that range, or for a top that is not finite, the answer is True.
     """
-    top = float(log_w.max())
     log_width = math.log(grid.hi - grid.lo)
     log_ratio = math.log(height_ratio)
-    if not (
-        math.isfinite(top)
-        and log_ratio - log_width > -_SCREEN_LOG_RANGE
+    in_range = (
+        log_ratio - log_width > -_SCREEN_LOG_RANGE
         and math.log(grid.n_points) - log_width < _SCREEN_LOG_RANGE
-    ):
-        return True
-    band = np.flatnonzero(log_w >= top + log_ratio - _SCREEN_EPS)
-    near_top = band[log_w[band] >= top - _SCREEN_EPS]
-    inner = band[(band > 0) & (band < grid.n_points - 1)]
-    w = log_w[inner]
-    rivals = inner[(w > log_w[inner - 1] - _SCREEN_EPS) & (w > log_w[inner + 1] - _SCREEN_EPS)]
-    if rivals.size == 0:
-        return False
-    pts = grid.points
-    return bool(
-        pts[rivals[-1]] - pts[near_top[0]] >= min_separation
-        or pts[near_top[-1]] - pts[rivals[0]] >= min_separation
     )
+    pts, last = grid.points, grid.n_points - 1
+
+    def screen(log_w: np.ndarray, top: float) -> bool:
+        if not (in_range and math.isfinite(top)):
+            return True
+        band = np.flatnonzero(log_w >= top + log_ratio - _SCREEN_EPS)
+        near_top = band[log_w[band] >= top - _SCREEN_EPS]
+        first, final = pts[near_top[0]], pts[near_top[-1]]
+        if pts[band[-1]] - first < min_separation and final - pts[band[0]] < min_separation:
+            return False
+        inner = band[(band > 0) & (band < last)]
+        w = log_w[inner]
+        rivals = inner[(w > log_w[inner - 1] - _SCREEN_EPS) & (w > log_w[inner + 1] - _SCREEN_EPS)]
+        if rivals.size == 0:
+            return False
+        return bool(
+            pts[rivals[-1]] - first >= min_separation
+            or final - pts[rivals[0]] >= min_separation
+        )
+
+    return screen
 
 
 def prune_secondary(posterior: Posterior, report: PeakReport) -> Posterior:

@@ -55,7 +55,7 @@ from .posterior import (
     posterior_mean,
     posterior_variance,
     prune_secondary,
-    rival_possible,
+    rival_screen,
     uniform_posterior,
 )
 
@@ -278,6 +278,7 @@ def run_trials(
     prior = uniform_posterior(grid)
     log_w0 = float(prior.log_weights[0])
     sep, ratio = config.peak_min_separation, config.rival_height_ratio
+    screen = rival_screen(grid, sep, ratio)
     # the first feedback index; theta moves after each of the first `moving` steps
     moving = config.measurements
     if mode == MODE_FIXED:
@@ -332,12 +333,13 @@ def run_trials(
                 # map_jumps counts MAP moves beyond peak_min_separation.
                 # m_threshold: the first step with a rival at least
                 # rival_height_ratio as tall as the primary. detect_peaks runs
-                # only where the exact log-space screen rival_possible allows one.
+                # only where the exact log-space screen allows one; log_step
+                # left the maximum of log_w at exactly 0.0.
                 map_est = points[top]
                 if k > 1 and abs(map_est - map_prev) > sep:
                     map_jumps += 1
                 map_prev = map_est
-                if m_threshold is None and rival_possible(log_w, grid, sep, ratio):
+                if m_threshold is None and screen(log_w, 0.0):
                     if detect_peaks(Posterior(grid, log_w), sep, ratio).secondary is not None:
                         m_threshold = k
         else:

@@ -140,6 +140,33 @@ class TestLikelihood:
         assert out == ""
         assert err.startswith("error:") and "--lo" in err and "--hi" in err
 
+    @pytest.mark.parametrize(
+        "offsets",
+        [
+            ["--lo=-1e308", "--hi=1e308", "--points", "3"],  # hi - lo overflows
+            ["--lo=-1e308", "--hi=1e308", "--points", "0"],
+            ["--lo=1e306", "--hi=1e306", "--points", "1"],  # p_max * offset overflows
+            ["--lo=0", "--hi=-1.7976931348623157e308", "--points", "2"],
+        ],
+    )
+    def test_overflowing_offsets_exit_one(self, offsets, capsys):
+        code, out, err = run_cli(
+            ["likelihood", "--scheme", "photon", "--mean-photons", "4", *offsets], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "--lo" in err and "--hi" in err
+
+    def test_only_the_offsets_taken_must_stay_in_range(self, capsys):
+        # one point is lo alone, so a huge hi is never turned into a phase
+        code, out, err = run_cli(
+            ["likelihood", "--scheme", "photon", "--mean-photons", "4", "--lo=0.5",
+             "--hi=1.7e308", "--points", "1", "--n-max", "2"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert [row.split(",")[0] for row in out.splitlines()[3:]] == ["0.5"] * 4
+
     def test_negative_points_exit_one(self, capsys):
         code, out, err = run_cli(
             ["likelihood", "--scheme", "photon", "--mean-photons", "4", "--points", "-1"],
@@ -265,6 +292,46 @@ class TestEnsembleCommand:
         )
         assert code == 0
         assert out2.read_bytes() == out1.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--trials", "5"],
+            ["--measurements", "50"],
+            ["--mean-photons", "4"],  # its default value, still refused
+            ["--protocol", "optimal"],
+            ["--phi-true", "0.75"],
+            ["--theta", "0.7"],
+            ["--label", "x"],
+            ["--grid-points", "256"],
+            ["--n-max", "16"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_campaign_flag_beside_config_is_a_usage_error(self, flag, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text("{}")  # never read: the usage error comes first
+        with pytest.raises(SystemExit) as exc:
+            main(["ensemble", "--config", str(cfg_path), *flag, "--seed", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag[0]} cannot be given with --config" in err
+
+    def test_config_takes_seed_workers_and_outputs(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "protocol": {"mode": "optimal", "measurements": 30},
+            "mean_photons": [4.0], "phi_true": [0.75], "trials": 2,
+        }))
+        paths = [tmp_path / name for name in ("c.json", "cells.csv", "trials.csv")]
+        code, _, err = run_cli(
+            ["ensemble", "--config", str(cfg_path), "--seed", "3", "--workers", "1",
+             "--out", str(paths[0]), "--cells-csv", str(paths[1]), "--trials-csv", str(paths[2])],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(paths[0].read_text())["config"]["master_seed"] == 3
+        assert all(p.stat().st_size > 0 for p in paths[1:])
 
     @pytest.mark.parametrize("tail_tol", [1e-12, None], ids=["repeated", "omitted"])
     def test_config_may_repeat_or_omit_tail_tol(self, tail_tol, tmp_path, capsys):

@@ -5,8 +5,8 @@ A call exits 0 with output whose every number is a finite JSON number, or
 exits 1 with one `error:` line on stderr. Anything else (a traceback, a
 RuntimeWarning, which tier-1 turns into an error, or Infinity/NaN in the
 output) fails the sweep. Mean photon numbers are drawn log-uniform over
-[1e-300, 1e300] and grid or offset edges over +-1e300, mixed with edges
-near the usual [0, pi).
+[1e-300, 1e300], grid edges over +-1e300 and likelihood offsets over every
+finite double, mixed with edges near the usual [0, pi).
 """
 import contextlib
 import io
@@ -19,6 +19,12 @@ from su11sim.cli import main
 
 _NBAR = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 _EDGE = st.one_of(st.floats(-1e300, 1e300), st.floats(-7.0, 7.0), st.floats(-1e-300, 1e-300))
+# offsets over the whole finite double range, where hi - lo and the table's
+# phases p_max * offset overflow
+_OFFSET = st.one_of(
+    _EDGE, st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((1e306, -1e308, 1.7976931348623157e308, -1.7976931348623157e308)),
+)
 _SWEEP = settings(max_examples=100, deadline=None, database=None)
 
 
@@ -62,8 +68,8 @@ def test_limits_sweep(nbar, measurements):
 
 @seed(20)
 @given(
-    scheme=st.sampled_from(["photon", "optimal"]), nbar=_NBAR, lo=_EDGE, hi=_EDGE,
-    points=st.integers(1, 5),
+    scheme=st.sampled_from(["photon", "optimal"]), nbar=_NBAR, lo=_OFFSET, hi=_OFFSET,
+    points=st.integers(0, 5),
 )
 @_SWEEP
 def test_likelihood_sweep(scheme, nbar, lo, hi, points):

@@ -22,7 +22,7 @@ from su11sim.posterior import (
     update,
     update_log,
 )
-from su11sim.posterior import LOG_FLOOR, _logsumexp, log_step, rival_possible
+from su11sim.posterior import LOG_FLOOR, _EXP_UNDERFLOW, _logsumexp, _normalized, log_step, rival_screen
 
 
 def gaussian_posterior(grid: PhaseGrid, center: float, sigma: float) -> Posterior:
@@ -330,7 +330,7 @@ def screen_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_rival_screen_never_hides_a_rival(case):
     grid, log_w, min_sep, ratio = case
-    if not rival_possible(log_w, grid, min_sep, ratio):
+    if not rival_screen(grid, min_sep, ratio)(log_w, float(log_w.max())):
         report = detect_peaks(Posterior(grid=grid, log_weights=log_w), min_sep, ratio)
         assert report.secondary is None
 
@@ -348,7 +348,7 @@ def test_rival_screen_on_tied_palette(n, ratio, data):
     palette = (0.0, -1e-17, -1e-12, -2e-9, lr, lr + 1e-12, lr - 1e-12, lr - 2e-9, -5.0, -1e5)
     log_w = np.array(data.draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n)))
     min_sep = data.draw(st.integers(1, n)) * grid.spacing
-    if not rival_possible(log_w, grid, min_sep, ratio):
+    if not rival_screen(grid, min_sep, ratio)(log_w, float(log_w.max())):
         report = detect_peaks(Posterior(grid=grid, log_weights=log_w), min_sep, ratio)
         assert report.secondary is None
 
@@ -356,18 +356,18 @@ def test_rival_screen_on_tied_palette(n, ratio, data):
 class TestRivalScreen:
     def test_single_mode_is_screened_out(self, grid):
         post = gaussian_posterior(grid, 0.5, 0.01)
-        assert not rival_possible(post.log_weights, grid, 0.02, 0.5)
+        assert not rival_screen(grid, 0.02, 0.5)(post.log_weights, float(post.log_weights.max()))
 
     def test_two_modes_pass_the_screen(self, grid):
         post = mixture_posterior(grid, (0.65, 0.75), (0.008, 0.008), (0.4, 0.6))
-        assert rival_possible(post.log_weights, grid, 0.02, 0.5)
+        assert rival_screen(grid, 0.02, 0.5)(post.log_weights, float(post.log_weights.max()))
         assert detect_peaks(post, 0.02, 0.5).secondary is not None
 
     def test_close_or_faint_rivals_are_screened_out(self, grid):
         close = mixture_posterior(grid, (0.65, 0.66), (0.002, 0.002), (0.6, 0.4))
-        assert not rival_possible(close.log_weights, grid, 0.02, 0.1)
+        assert not rival_screen(grid, 0.02, 0.1)(close.log_weights, float(close.log_weights.max()))
         faint = mixture_posterior(grid, (0.4, 0.9), (0.01, 0.01), (0.96, 0.04))
-        assert not rival_possible(faint.log_weights, grid, 0.02, 0.1)
+        assert not rival_screen(grid, 0.02, 0.1)(faint.log_weights, float(faint.log_weights.max()))
 
     @staticmethod
     def bumps(grid, *peaks):
@@ -378,7 +378,7 @@ class TestRivalScreen:
         log_w = self.bumps(grid, (1000, 0.0), (1100, 0.0))
         sep = float(grid.points[1100] - grid.points[1000])
         assert detect_peaks(Posterior(grid=grid, log_weights=log_w), sep, 0.5).secondary is not None
-        assert rival_possible(log_w, grid, sep, 0.5)
+        assert rival_screen(grid, sep, 0.5)(log_w, float(log_w.max()))
 
     def test_rounding_tie_primary_counts_as_top(self, grid):
         # densities tie at 1000 and 1075, so the detector's primary is 1000,
@@ -388,13 +388,38 @@ class TestRivalScreen:
         report = detect_peaks(Posterior(grid=grid, log_weights=log_w), sep, 0.5)
         assert report.primary.location == grid.points[1000]
         assert report.secondary is not None
-        assert rival_possible(log_w, grid, sep, 0.5)
+        assert rival_screen(grid, sep, 0.5)(log_w, float(log_w.max()))
+
+    @staticmethod
+    def ramp_to_edge(grid, edge_bump):
+        # the top at 1000, a slope down to 1100 that stays inside the band
+        # (ratio 0.5), and -50 everywhere else: the band is [1000, 1100]
+        log_w = np.full(grid.n_points, -50.0)
+        log_w[1000:1101] = -0.001 * np.arange(101)
+        log_w[1100] = log_w[1099] + edge_bump
+        return log_w, float(grid.points[1100] - grid.points[1000])
+
+    def test_band_edge_at_min_separation_without_rival(self, grid):
+        # the band edge lies exactly min_separation from the top, so the early
+        # exit is not taken; the slope holds no local maximum, so no rival
+        log_w, sep = self.ramp_to_edge(grid, -0.001)
+        assert not rival_screen(grid, sep, 0.5)(log_w, 0.0)
+        assert detect_peaks(Posterior(grid=grid, log_weights=log_w), sep, 0.5).secondary is None
+
+    def test_band_edge_at_min_separation_with_rival(self, grid):
+        log_w, sep = self.ramp_to_edge(grid, 0.0005)
+        assert rival_screen(grid, sep, 0.5)(log_w, 0.0)
+        report = detect_peaks(Posterior(grid=grid, log_weights=log_w), sep, 0.5)
+        assert report.secondary.location == grid.points[1100]
+        # one ulp further, neither band edge is min_separation from the top
+        assert not rival_screen(grid, np.nextafter(sep, np.inf), 0.5)(log_w, 0.0)
 
     def test_out_of_range_band_is_never_screened(self, grid):
         # a band reaching subnormal densities gets no shortcut
         log_w = gaussian_posterior(grid, 0.5, 0.01).log_weights
-        assert rival_possible(log_w, grid, 0.02, 1e-310)
-        assert rival_possible(np.full(grid.n_points, -np.inf), grid, 0.02, 0.5)
+        assert rival_screen(grid, 0.02, 1e-310)(log_w, float(log_w.max()))
+        flat = np.full(grid.n_points, -np.inf)
+        assert rival_screen(grid, 0.02, 0.5)(flat, float(flat.max()))
 
 
 def _five_pass_step(log_w, log_rows):
@@ -482,6 +507,78 @@ def test_log_step_matches_five_pass_step(b, n, kinds, seed, steps):
             break
         log_w, want_w = log_w[keep], want_w[keep]
         b = keep.size
+
+
+@given(
+    n=st.sampled_from((64, 97, 4096)),
+    kinds=st.sets(st.sampled_from(("floor", "subnormal", "neg_inf", "nan", "pos_inf"))),
+    shift=st.sampled_from((0.0, -1e4, 37.5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_density_is_exp_of_normalized_bit_for_bit(n, kinds, shift, seed):
+    grid = PhaseGrid(n_points=n)
+    rng = np.random.default_rng(seed)
+    # a top at 0 and the rest at least 40 below it: the normalization then
+    # shifts by log(spacing) to within 1e-13, so targets land where drawn
+    log_w = -rng.exponential(60.0, size=n) - 40.0
+    cells = rng.permutation(n)
+    log_w[cells[-1]] = 0.0
+    log_norm = math.log(grid.spacing)
+    if "floor" in kinds:  # at and far below the floor
+        log_w[cells[:8]] = log_norm + np.array([LOG_FLOOR, LOG_FLOOR - 1e-9, -1e4, -1e300] * 2)
+    if "subnormal" in kinds:  # densities between exp(-745) and exp(-708)
+        log_w[cells[8:40]] = log_norm + rng.uniform(-744.99, -708.01, size=32)
+    if "neg_inf" in kinds:
+        log_w[cells[40:44]] = -np.inf
+    if "nan" in kinds:
+        log_w[cells[44]] = np.nan
+    if "pos_inf" in kinds:
+        log_w[cells[45]] = np.inf
+    log_w += shift
+    with np.errstate(invalid="ignore"):
+        x = _normalized(grid, log_w)
+        got = density(Posterior(grid, log_w))
+    want = np.exp(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if kinds == {"floor", "subnormal"}:
+        assert (x == LOG_FLOOR).sum() >= 6
+        assert ((x > LOG_FLOOR) & (x < -708.0)).sum() >= 32
+
+
+def test_exp_is_exactly_zero_from_the_underflow_cut_down():
+    # _logsumexp skips exp at and below the cut and writes +0.0 there; a
+    # NumPy whose exp returned anything else would shift its bits
+    cut = _EXP_UNDERFLOW
+    xs = np.concatenate((
+        [cut, np.nextafter(cut, 0.0), np.nextafter(cut, -np.inf), -np.inf],
+        np.linspace(cut, -1e4, 1_000_001),
+    ))
+    for n in (1, 3, 8, 17, len(xs)):  # scalar, partial and full vector lanes
+        assert not np.exp(xs[:n]).view(np.uint64).any()
+    assert np.exp(cut) == 0.0 and not np.signbit(np.exp(cut))
+
+
+@given(
+    n=st.sampled_from((64, 97, 4096)),
+    kind=st.sampled_from(("plain", "palette", "near_tie", "tail")),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_log_step_leaves_an_exact_zero_maximum(n, kind, seed, steps):
+    # the fixed-mode rival screen is handed top = 0.0 on this invariant
+    rng = np.random.default_rng(seed)
+    log_w = np.where(
+        rng.uniform(size=n) < 0.5, rng.choice(_STEP_PALETTE, size=n), -rng.exponential(30.0, size=n)
+    )
+    log_w[rng.integers(n)] = 0.0
+    for _ in range(steps):
+        peak, top = log_step(log_w, _oracle_row(kind, rng, n, log_w))
+        assert math.isfinite(peak)
+        assert log_w.max() == 0.0 and log_w[top] == 0.0
+        assert not np.signbit(log_w[top])
 
 
 @given(
