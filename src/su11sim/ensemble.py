@@ -403,6 +403,10 @@ def threshold_scan(
     if not (thetas and all(map(finite_real, thetas))):
         raise ValueError(f"thetas must be a nonempty list of finite numbers, got {thetas!r}")
     thetas = [float(t) for t in thetas]
+    if not (type(max_measurements) is int and max_measurements >= 1):
+        # checked here so that the message names this argument, not the
+        # protocol's measurements field it fills
+        raise ValueError(f"max_measurements must be an integer >= 1, got {max_measurements!r}")
     config = CampaignConfig(
         protocol=ProtocolConfig(
             mode=MODE_FIXED, measurements=max_measurements, fixed_theta=thetas[0]

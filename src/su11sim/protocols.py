@@ -4,6 +4,12 @@ One function, run_trials, runs all three strategies in one loop. Each
 measures at a feedback phase theta on the grid, observes an outcome at
 offset phi_true - theta, and applies a grid Bayes update; they differ only
 in how theta moves after a step, which one branch of that loop decides.
+With theta fixed, the law of every draw is the same whatever the posterior
+holds, so a fixed-theta trial draws all its outcomes first, and its state
+after k steps is a function of its first k outcomes alone: trials whose
+outcomes share a prefix run the steps of that prefix once, with the same
+bits as if each ran them itself. The moving modes draw as they go and
+share nothing.
 
 fixed      theta never moves. Useful for studying when the posterior first
            resolves the sign ambiguity of a symmetric likelihood:
@@ -232,6 +238,8 @@ def run_trial(
 
 
 CHUNK = 256  # uniforms a trial draws from its Generator at a time
+# bytes of drawn outcome codes and saved step states one block of trials may hold
+WALK_BYTES = 1 << 22
 
 
 def run_trials(
@@ -250,13 +258,30 @@ def run_trials(
     differ only in how theta moves after each step, which one branch of the
     loop decides; each policy is described in the module docstring.
 
-    Trials run one at a time, each to its end, on the model's one cached
-    table for this grid (shared_grid_tables): a step adds a view of the
-    outcome's row of the stacked log table to the trial's one row of log
-    weights. Outcome laws are cached per theta index, which is exact because
-    phi_true is fixed for the call and each trial still draws the same
-    uniforms from its own Generator in the same order (_uniform_source). So
-    a record depends only on its seed, never on the other seeds of the call.
+    All trials use the model's one cached table for this grid
+    (shared_grid_tables): a step adds a view of the outcome's row of the
+    stacked log table to the trial's one row of log weights. Outcome laws
+    are cached per theta index, which is exact because phi_true is fixed for
+    the call and each trial still draws the same uniforms from its own
+    Generator in the same order (_uniform_source).
+
+    Consecutive seeds run in blocks that hold at most WALK_BYTES of drawn
+    codes (8 bytes each as drawn) and saved states (8 bytes per grid point)
+    in all. In fixed mode theta never moves, so the law of
+    every step is the same and a trial's M outcome codes do not depend on
+    its posterior: each trial draws all of them up front, and its state
+    after k steps (log weights, MAP, map_jumps, m_threshold, steps) is a
+    function of its first k codes alone. The block's trials then walk the
+    prefix tree of their code rows (_prefix_walk): each resumes from a copy
+    of the state the trials before it saved at the prefix they share, runs
+    only its remaining steps, and ends in its own _finish. The state it
+    resumes from went through the same arithmetic on the same codes, so the
+    record is the one a run from step 1 gives, bit for bit. Ladder and
+    optimal trials move theta by their posterior, so they draw as they go,
+    share nothing and run in seed order from step 1. Either way a record
+    depends only on its seed, never on the other seeds of the call. So do
+    fixed-mode trials whose codes and state are too large for two of them
+    to share the budget.
 
     A trial that fails with an SU11Error (a degenerate update) ends there
     and yields that error; the others are undisturbed. Any other exception,
@@ -274,13 +299,13 @@ def run_trials(
     windows, n_max, scheme = tables.log_windows(), tables.n_max, model.scheme
     phi_true = grid.snap(config.phi_true)
     points = grid.points.tolist()
-    laws = {}
     prior = uniform_posterior(grid)
     log_w0 = float(prior.log_weights[0])
     sep, ratio = config.peak_min_separation, config.rival_height_ratio
     screen = rival_screen(grid, sep, ratio)
+    measurements = config.measurements
     # the first feedback index; theta moves after each of the first `moving` steps
-    moving = config.measurements
+    moving = measurements
     if mode == MODE_FIXED:
         j_first = grid.index_of(config.fixed_theta)
     elif mode == MODE_LADDER:
@@ -288,67 +313,130 @@ def run_trials(
     else:
         theta0 = grid.midpoint if config.initial_theta is None else config.initial_theta
         j_first = grid.index_of(theta0)
-    results = []
-    for seed in seeds:
-        seed, j, steps = int(seed), j_first, []
-        map_prev = phi_rough = m_threshold = None
+    drawn = measurements if mode == MODE_FIXED else 0  # codes a trial draws before its walk
+    if 2 * 8 * (drawn + grid.n_points) > WALK_BYTES:
+        drawn = 0  # no two trials' codes and states fit, so none could share a step
+    block = max(1, WALK_BYTES // (8 * (drawn + grid.n_points)))
+    laws = {j_first: outcome_law(model, phi_true - points[j_first])}
+    seeds = [int(seed) for seed in seeds]
+    results = [None] * len(seeds)
+    for start in range(0, len(seeds), block):
+        block_seeds = seeds[start : start + block]
+        codes = np.array([_draw_codes(laws[j_first], s, drawn) for s in block_seeds], np.int64)
+        codes = codes.astype(np.min_scalar_type(int(codes.max(initial=0))))
+        order, resume, saves = _prefix_walk(codes)
+        # states saved for later trials, depths increasing, from the prior's:
+        # (depth, log_w, map_prev, map_jumps, m_threshold, steps)
         map_jumps = 0 if mode == MODE_FIXED else None
-        uniform = _uniform_source(np.random.default_rng(seed))
-        log_w = np.full(grid.n_points, log_w0)
-        for k in range(1, config.measurements + 1):
-            law = laws.get(j)
-            if law is None:
-                law = laws[j] = outcome_law(model, phi_true - points[j])
-            code = law.draw_code(uniform)
-            peak, top = log_step(
-                log_w,
-                windows[code, j] if code <= n_max else tables.log_row(outcome_of_code(scheme, code), j),
-            )
-            if not math.isfinite(peak):
-                label = outcome_of_code(scheme, code).label()
-                error = f"outcome {label} at step {k} leaves zero posterior mass"
-                results.append(DegenerateRowError(error))
-                break
-            if keep_steps:
-                steps.append(
-                    StepRecord(
-                        step=k,
-                        theta=points[j],
-                        outcome=outcome_of_code(scheme, code),
-                        map_estimate=points[top],
-                    )
-                )
-            if k > moving:  # the ladder's lock stage holds theta
-                continue
-            if mode == MODE_OPTIMAL:
-                j = top  # the MAP's own index: grid.index_of(points[t]) == t
-            elif mode == MODE_LADDER:
-                if k < config.pre_rounds:
-                    # the ramp never falls below the theta just measured at
-                    j = _ramp_index(config, grid, k + 1, points[top], points[j])
+        saved = [(0, np.full(grid.n_points, log_w0), None, map_jumps, None, [])]
+        for i, depth, pending in zip(order, resume, saves):
+            while saved[-1][0] > depth:
+                saved.pop()
+            k0, log_w, map_prev, map_jumps, m_threshold, steps = saved[-1]
+            log_w, steps, row = log_w.copy(), list(steps), codes[i].tolist()
+            seed, j, phi_rough = block_seeds[i], j_first, None
+            # a trial whose codes were drawn up front draws nothing more
+            uniform = None if drawn else _uniform_source(np.random.default_rng(seed))
+            save_at = pending.pop() if pending else 0
+            for k in range(k0 + 1, measurements + 1):
+                if k > drawn:
+                    law = laws.get(j)
+                    if law is None:
+                        law = laws[j] = outcome_law(model, phi_true - points[j])
+                    code = law.draw_code(uniform)
                 else:
-                    phi_rough = points[top]
-                    j = grid.index_of(config.final_fraction * phi_rough)
+                    code = row[k - 1]
+                peak, top = log_step(
+                    log_w,
+                    windows[code, j] if code <= n_max
+                    else tables.log_row(outcome_of_code(scheme, code), j),
+                )
+                if not math.isfinite(peak):
+                    label = outcome_of_code(scheme, code).label()
+                    error = f"outcome {label} at step {k} leaves zero posterior mass"
+                    results[start + i] = DegenerateRowError(error)
+                    break
+                if keep_steps:
+                    steps.append(
+                        StepRecord(
+                            step=k,
+                            theta=points[j],
+                            outcome=outcome_of_code(scheme, code),
+                            map_estimate=points[top],
+                        )
+                    )
+                if k > moving:  # the ladder's lock stage holds theta
+                    continue
+                if mode == MODE_OPTIMAL:
+                    j = top  # the MAP's own index: grid.index_of(points[t]) == t
+                elif mode == MODE_LADDER:
+                    if k < config.pre_rounds:
+                        # the ramp never falls below the theta just measured at
+                        j = _ramp_index(config, grid, k + 1, points[top], points[j])
+                    else:
+                        phi_rough = points[top]
+                        j = grid.index_of(config.final_fraction * phi_rough)
+                else:
+                    # map_jumps counts MAP moves beyond peak_min_separation.
+                    # m_threshold: the first step with a rival at least
+                    # rival_height_ratio as tall as the primary. detect_peaks runs
+                    # only where the exact log-space screen allows one; log_step
+                    # left the maximum of log_w at exactly 0.0.
+                    map_est = points[top]
+                    if k > 1 and abs(map_est - map_prev) > sep:
+                        map_jumps += 1
+                    map_prev = map_est
+                    if m_threshold is None and screen(log_w, 0.0):
+                        if detect_peaks(Posterior(grid, log_w), sep, ratio).secondary is not None:
+                            m_threshold = k
+                    if k == save_at:  # a later trial resumes here
+                        saved.append((k, log_w.copy(), map_prev, map_jumps, m_threshold, steps[:]))
+                        save_at = pending.pop() if pending else 0
             else:
-                # map_jumps counts MAP moves beyond peak_min_separation.
-                # m_threshold: the first step with a rival at least
-                # rival_height_ratio as tall as the primary. detect_peaks runs
-                # only where the exact log-space screen allows one; log_step
-                # left the maximum of log_w at exactly 0.0.
-                map_est = points[top]
-                if k > 1 and abs(map_est - map_prev) > sep:
-                    map_jumps += 1
-                map_prev = map_est
-                if m_threshold is None and screen(log_w, 0.0):
-                    if detect_peaks(Posterior(grid, log_w), sep, ratio).secondary is not None:
-                        m_threshold = k
-        else:
-            results.append(
-                _finish(config, model, grid, log_w, seed=seed, phi_true=phi_true,
-                        steps=tuple(steps), phi_rough=phi_rough, m_threshold=m_threshold,
-                        map_jumps=map_jumps)
-            )
+                results[start + i] = _finish(
+                    config, model, grid, log_w, seed=seed, phi_true=phi_true, steps=tuple(steps),
+                    phi_rough=phi_rough, m_threshold=m_threshold, map_jumps=map_jumps,
+                )
     return results
+
+
+def _prefix_walk(codes: np.ndarray):
+    """The walk of a block of trials whose outcome codes were drawn up front,
+    one row per trial: (order, resume, saves), one entry per walk position.
+
+    order sorts the rows, so rows sharing a prefix stand together. The
+    trial at position t resumes after resume[t] steps, the prefix it shares
+    with the row before it (0 for the first), and saves its state after
+    each step count in saves[t], a list in descending order. That list
+    holds the resume depth of every later position u whose nearest earlier
+    position with a smaller resume depth is t: every trial between them
+    shares at least resume[u] codes with both, and none of them runs that
+    step, so t is the last to pass it. Rows of no codes (moving modes) keep
+    their order, resume at 0 and save nothing.
+    """
+    keys = [row.tobytes() for row in codes]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    resume = [0]
+    for a, b in zip(order, order[1:]):
+        differ = np.flatnonzero(codes[a] != codes[b])
+        resume.append(int(differ[0]) if differ.size else codes.shape[1])
+    saves = [[] for _ in order]
+    lower = []  # positions whose resume depths increase strictly
+    for u, depth in enumerate(resume):
+        while lower and resume[lower[-1]] >= depth:
+            lower.pop()
+        if lower and saves[lower[-1]][-1:] != [depth]:
+            saves[lower[-1]].append(depth)
+        lower.append(u)
+    return order, resume, saves
+
+
+def _draw_codes(law, seed: int, count: int) -> list:
+    """The first count outcome codes a trial of this seed draws under law."""
+    if not count:
+        return []
+    uniform = _uniform_source(np.random.default_rng(seed))
+    return [law.draw_code(uniform) for _ in range(count)]
 
 
 def _uniform_source(rng: np.random.Generator):

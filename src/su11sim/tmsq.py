@@ -110,13 +110,20 @@ class SchmidtTable:
     pair_kernel: np.ndarray
 
 
-def _coeff_matrix(r: float, p_max: int, n_max: int) -> np.ndarray:
+def _coeff_matrix(
+    r: float, p_max: int, n_max: int, head: np.ndarray | None = None
+) -> np.ndarray:
     """Evaluate the ladder coefficients with signed log-gamma accumulation.
 
     Each entry is an alternating k-sum of binomial terms. Magnitudes are
     accumulated in log space so large m stays finite; signs are applied
     after exponentiation. For n <= 16 the terms are modest and the direct
     sum loses no significant precision.
+
+    Row m depends only on (r, m, n), each row being summed on its own. So
+    head, the table of a smaller depth at the same r and n_max, becomes the
+    first rows as it is, and only the rows below it are evaluated: the
+    result equals the table evaluated whole, bit for bit.
 
     Each column's sum of squares is checked as soon as the column is done.
     An exact column's lies in [0, 1]; one above 2, beyond _CLOSURE_SLACK
@@ -128,9 +135,12 @@ def _coeff_matrix(r: float, p_max: int, n_max: int) -> np.ndarray:
     lnt = math.log(math.tanh(r))
     lns = math.log(math.sinh(r))
     lnc = math.log(math.cosh(r))
-    m = np.arange(p_max + 1, dtype=np.int64)
+    p_head = 0 if head is None else len(head)
+    m = np.arange(p_head, p_max + 1, dtype=np.int64)
     lgf = _log_factorials()
     out = np.empty((p_max + 1, n_max + 1), dtype=np.float64)
+    if head is not None:
+        out[:p_head] = head
     for n in range(n_max + 1):
         k = np.arange(n + 1, dtype=np.int64)
         valid = m[:, None] >= k[None, :]
@@ -148,7 +158,7 @@ def _coeff_matrix(r: float, p_max: int, n_max: int) -> np.ndarray:
         )
         signs = np.where((n - k) % 2 == 0, 1.0, -1.0)
         terms = np.where(valid, signs[None, :] * np.exp(logmag), 0.0)
-        out[:, n] = terms.sum(axis=1)
+        out[p_head:, n] = terms.sum(axis=1)
         closure = float(out[:, n] @ out[:, n])
         if not closure <= 2.0 * (1.0 + _CLOSURE_SLACK):  # also catches NaN
             raise _precision_lost(p_max, f"column {n}'s", closure - 1.0)
@@ -189,9 +199,11 @@ def build_schmidt_table(params: OpaParams, n_max: int = 16) -> SchmidtTable:
     improving. The latter happens when it hits the double-precision
     cancellation floor of the alternating coefficient sums (around 1e-10
     for the deepest default column); actual truncation error shrinks like
-    x^p once past the column bulk and cannot stall there. The achieved
-    closure is recorded as tail_bound. Exceeding the hard cap of 4096
-    raises TruncationError, at once if n_max + 8 already does or if
+    x^p once past the column bulk and cannot stall there. Each depth
+    evaluates only the rows below the last depth's table (_coeff_matrix's
+    head) and checks its columns whole. The achieved closure is recorded
+    as tail_bound. Exceeding the hard cap of 4096 raises TruncationError,
+    at once if n_max + 8 already does or if
     tanh^2 r rounds to 1, where no depth holds the vacuum tail. So does a
     defect that is not finite or exceeds 1, which no exact column can have:
     it is cancellation error in the alternating sums, and that only grows
@@ -209,9 +221,10 @@ def build_schmidt_table(params: OpaParams, n_max: int = 16) -> SchmidtTable:
     x = math.tanh(r) ** 2
     p = min(_vacuum_p_start(x, n_max), HARD_PAIR_CAP)
     prev_defect = math.inf
+    coeffs = None
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = _coeff_matrix(r, p, n_max)
+            coeffs = _coeff_matrix(r, p, n_max, head=coeffs)
             defect = float(np.abs(1.0 - (coeffs * coeffs).sum(axis=0)).max())
         if not defect <= 1.0:  # also catches NaN
             raise _precision_lost(p, "the worst column's", defect)

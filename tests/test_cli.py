@@ -606,6 +606,14 @@ class TestSeedsAndErrors:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_threshold_names_its_measurement_cap(self, capsys):
+        code, out, err = run_cli(
+            ["threshold", "--thetas", "0.7", "--phi-true", "0.75", "--mean-photons", "4",
+             "--max-measurements", "0"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: max_measurements must be an integer >= 1, got 0\n"
+
     def test_domain_error_exits_one(self, capsys):
         code, _, err = run_cli(
             ["limits", "--mean-photons", "-4", "--measurements", "10"], capsys

@@ -407,6 +407,9 @@ class TestThresholdScan:
             ("phi_true", math.nan),
             ("thetas", (0.6, math.nan)),
             ("thetas", ("0.7",)),
+            ("max_measurements", 0),
+            ("max_measurements", True),
+            ("max_measurements", 20.0),
         ]:
             with pytest.raises(ValueError, match=name):
                 threshold_scan(**(kw | {name: value}))

@@ -1,20 +1,23 @@
-"""Input-domain sweeps of `limits`, `likelihood` and `run`: each drawn input
-gives a clean result or a clean refusal.
+"""Input-domain sweeps of `limits`, `likelihood`, `run` and `threshold`: each
+drawn input gives a clean result or a clean refusal.
 
 A call exits 0 with output whose every number is a finite JSON number, or
-exits 1 with one `error:` line on stderr. Anything else (a traceback, a
-RuntimeWarning, which tier-1 turns into an error, or Infinity/NaN in the
-output) fails the sweep. Mean photon numbers are drawn log-uniform over
-[1e-300, 1e300], grid edges over +-1e300 and likelihood offsets over every
-finite double, mixed with edges near the usual [0, pi).
+exits 1 with one `error:` line on stderr; `threshold`, whose phase list may
+start with a minus sign, may also be refused by argparse (exit 2). Anything
+else (a traceback, a RuntimeWarning, which tier-1 turns into an error, or
+Infinity/NaN in the output) fails the sweep. Mean photon numbers are drawn
+log-uniform over [1e-300, 1e300], grid edges over +-1e300 and likelihood
+offsets over every finite double, mixed with edges near the usual [0, pi).
 """
 import contextlib
 import io
 import json
+import math
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from su11sim import PhaseGrid
 from su11sim.cli import main
 
 _NBAR = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
@@ -41,7 +44,10 @@ def _strict_number(text: str) -> float:
 def _call(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -111,3 +117,49 @@ def test_run_sweep(protocol, nbar, grid_phases, measurements):
         "--measurements", str(measurements), f"--theta={theta!r}", "--pre-rounds", "1",
         f"--grid-lo={lo!r}", f"--grid-hi={hi!r}", "--grid-points", "64",
     ])
+
+
+_POINTS_64 = PhaseGrid(n_points=64).points.tolist()
+_PHI = st.one_of(
+    st.sampled_from((0.75, _POINTS_64[1], _POINTS_64[-1], 0.0, math.pi)),
+    st.floats(-7.0, 7.0),
+    st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+)
+
+
+@st.composite
+def _theta_lists(draw, phi):
+    """Comma-separated feedback phases: unsorted, repeated, at or past phi,
+    on the first or last grid cell, at zero offset, or not numbers; half of
+    them sorted into the increasing numbers below phi that a scan runs."""
+    number = st.one_of(
+        st.sampled_from((0.0, _POINTS_64[0], _POINTS_64[-1], phi, 0.5 * phi,
+                         math.nextafter(phi, -math.inf))),
+        st.floats(-1.0, 4.0),
+    )
+    token = st.sampled_from(("nan", "inf", "-inf", "x", "", " ", "1e999", "0x1p-2"))
+    values = draw(st.lists(number | token, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        values = sorted({v for v in values if isinstance(v, float) and v < phi}) or values
+    return ",".join(v if isinstance(v, str) else repr(v) for v in values)
+
+
+@seed(20)
+@given(
+    data=st.data(), phi=_PHI, trials=st.integers(0, 4), measurements=st.integers(0, 5),
+    # log-uniform over the whole range, or over the n-bar a table builds at
+    nbar=_NBAR | st.floats(-3.0, 1.7).map(lambda e: 10.0**e),
+)
+@settings(_SWEEP, max_examples=200)
+def test_threshold_sweep(data, phi, trials, measurements, nbar):
+    thetas = data.draw(_theta_lists(phi), label="thetas")
+    code, out, err = _call([
+        "threshold", "--thetas", thetas, f"--phi-true={phi!r}", "--mean-photons", repr(nbar),
+        "--trials", str(trials), "--max-measurements", str(measurements), "--grid-points", "64",
+    ])
+    if code == 2:  # argparse reads a list starting with "-" as a flag
+        assert out == "" and thetas.startswith("-") and "argument --thetas" in err, err
+    elif code == 0:
+        json.loads(out, parse_constant=_no_constant)
+    else:
+        _check_refusal(code, out, err)

@@ -35,6 +35,7 @@ from su11sim.posterior import (
     Posterior,
     density,
     detect_peaks,
+    log_step,
     map_estimate,
     posterior_mean,
     posterior_variance,
@@ -479,6 +480,14 @@ def _engine_results(config, model, grid, seeds, keep_steps):
 _SEEDS = list(range(1000, 1017))
 
 
+def _fixed_codes(config, model, grid, seed, n):
+    # the first n outcome codes a fixed-mode trial of this seed draws
+    j = grid.index_of(config.fixed_theta)
+    law = outcome_law(model, grid.snap(config.phi_true) - float(grid.points[j]))
+    uniform = protocols._uniform_source(np.random.default_rng(seed))
+    return [law.draw_code(uniform) for _ in range(n)]
+
+
 def _poison_pair_9(model, grid, monkeypatch):
     # a log table whose pair:9 row is -inf everywhere, served to the engine:
     # a trial that draws it has no finite posterior left
@@ -557,6 +566,102 @@ class TestStepEngine:
 
     def test_empty_seed_list(self, models, grid):
         assert protocols.run_trials(small_config(MODE_OPTIMAL), models[Scheme.OPTIMAL], grid, []) == []
+
+    # -- fixed-mode trials walking the prefix tree of their outcome codes ----
+
+    @pytest.mark.parametrize("keep_steps", (True, False))
+    def test_repeated_seeds_share_their_whole_path(self, models, grid, keep_steps):
+        cfg = small_config(MODE_FIXED, fixed_theta=0.72, measurements=200)
+        model = models[Scheme.PHOTON_NUMBER]
+        seeds = [1003, 1001, 1003, 1003, 1001, 1010, 1003]
+        want = _reference_results(cfg, model, grid, seeds, keep_steps)
+        assert _engine_results(cfg, model, grid, seeds, keep_steps) == want
+        assert want[0] == want[2] != want[1] == want[4]
+
+    @pytest.mark.parametrize("keep_steps", (True, False))
+    def test_zero_offset_paths_are_all_vacuum(self, models, grid, keep_steps):
+        cfg = small_config(MODE_FIXED, fixed_theta=0.75, measurements=150)
+        model = models[Scheme.PHOTON_NUMBER]
+        assert {c for seed in _SEEDS for c in _fixed_codes(cfg, model, grid, seed, 150)} == {0}
+        want = _reference_results(cfg, model, grid, _SEEDS, keep_steps)
+        assert _engine_results(cfg, model, grid, _SEEDS, keep_steps) == want
+
+    def test_zero_offset_seeds_run_one_path(self, models, grid, monkeypatch):
+        # every trial draws the same all-vacuum path, so only the first runs
+        # its steps; the others resume from its state after the last step
+        calls = []
+
+        def counted(log_w, log_row):
+            calls.append(1)
+            return log_step(log_w, log_row)
+
+        monkeypatch.setattr(protocols, "log_step", counted)
+        cfg = small_config(MODE_FIXED, fixed_theta=0.75, measurements=150)
+        results = protocols.run_trials(cfg, models[Scheme.PHOTON_NUMBER], grid, _SEEDS[:5])
+        assert len(calls) == 150
+        assert [r.seed for r in results] == _SEEDS[:5]
+
+    @pytest.mark.parametrize("keep_steps", (True, False))
+    def test_paths_diverging_at_step_one(self, models, grid, keep_steps):
+        # at theta = 0 the offset is 0.75 and v = 0.76: first codes spread
+        cfg = small_config(MODE_FIXED, fixed_theta=0.0, measurements=60)
+        model = models[Scheme.PHOTON_NUMBER]
+        firsts = [_fixed_codes(cfg, model, grid, seed, 1)[0] for seed in _SEEDS]
+        assert len(set(firsts)) >= 4 and len(set(firsts)) < len(firsts)
+        want = _reference_results(cfg, model, grid, _SEEDS, keep_steps)
+        assert _engine_results(cfg, model, grid, _SEEDS, keep_steps) == want
+
+    @pytest.mark.parametrize("keep_steps", (True, False))
+    def test_degenerate_row_on_a_shared_prefix(self, photon_model, grid, monkeypatch, keep_steps):
+        # at theta = 0 seeds 150, 172 and 484 draw codes 0, 9 first, and
+        # seeds 3, 25, 111 and 113 draw 0, 0: all seven share the state after
+        # step 1, and the first three fail at step 2 on the poisoned pair:9
+        # row (25 and 1001 draw pair 9 later, off any shared prefix)
+        tables = _poison_pair_9(photon_model, grid, monkeypatch)
+        cfg = small_config(MODE_FIXED, fixed_theta=0.0, measurements=20)
+        seeds = [3, 150, 25, 1001, 172, 111, 484, 113, 150]
+        heads = {seed: _fixed_codes(cfg, photon_model, grid, seed, 2) for seed in seeds}
+        assert {s for s in seeds if heads[s] == [0, 9]} == {150, 172, 484}
+        assert {s for s in seeds if heads[s] == [0, 0]} == {3, 25, 111, 113}
+        with np.errstate(invalid="ignore"):
+            want = _reference_results(cfg, photon_model, grid, seeds, keep_steps, tables)
+            got = _engine_results(cfg, photon_model, grid, seeds, keep_steps)
+        assert got == want
+        for seed, result in zip(seeds, want):
+            if heads[seed] == [0, 9]:
+                assert result == (
+                    DegenerateRowError, "outcome pair:9 at step 2 leaves zero posterior mass"
+                )
+        finished = [seed for seed, r in zip(seeds, want) if isinstance(r, dict)]
+        assert finished == [3, 111, 113]
+
+    @pytest.mark.parametrize("keep_steps", (True, False))
+    @pytest.mark.parametrize(
+        "fit, blocks_run",
+        [(3, [(3, 100), (3, 100), (2, 100)]), (1.5, [(1, 0)] * 8)],
+        ids=["three-fit", "one-fits"],
+    )
+    def test_blocks_under_a_small_byte_budget(
+        self, models, grid, monkeypatch, keep_steps, fit, blocks_run
+    ):
+        # a budget of three trials' codes and states splits the seeds into
+        # blocks, and repeats fall both within a block and across blocks;
+        # where two trials do not fit, each draws as it goes, sharing nothing
+        cfg = small_config(MODE_FIXED, fixed_theta=0.745, measurements=100)
+        model = models[Scheme.PHOTON_NUMBER]
+        monkeypatch.setattr(protocols, "WALK_BYTES", int(fit * 8 * (100 + grid.n_points)))
+        blocks = []
+
+        def spied(codes):
+            blocks.append(codes.shape)
+            return walk(codes)
+
+        walk = protocols._prefix_walk
+        monkeypatch.setattr(protocols, "_prefix_walk", spied)
+        seeds = [1000, 1001, 1000, 1002, 1003, 1001, 1000, 1004]
+        want = _reference_results(cfg, model, grid, seeds, keep_steps)
+        assert _engine_results(cfg, model, grid, seeds, keep_steps) == want
+        assert blocks == blocks_run
 
 
 def _domain_phase(lo, hi, n_points):

@@ -231,9 +231,9 @@ class TestValidation:
         # only lose more precision, so the build stops there, silently
         depths = []
 
-        def counting(r, p_max, n_max):
+        def counting(r, p_max, n_max, head=None):
             depths.append(p_max)
-            return _coeff_matrix(r, p_max, n_max)
+            return _coeff_matrix(r, p_max, n_max, head)
 
         monkeypatch.setattr(tmsq, "_coeff_matrix", counting)
         with warnings.catch_warnings():
@@ -241,6 +241,26 @@ class TestValidation:
             with pytest.raises(TruncationError, match="precision at pair depth 72"):
                 build_schmidt_table(OpaParams.from_mean_photons(4.0), n_max=64)
         assert depths == [72]
+
+    @pytest.mark.parametrize("nbar", (0.05, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 48.0))
+    def test_grown_table_equals_the_whole_evaluation(self, nbar, monkeypatch):
+        # each larger depth reuses the rows of the last one; the table it
+        # ends with is the one evaluated at its final depth in one go
+        depths = []
+
+        def growing(r, p_max, n_max, head=None):
+            depths.append(p_max)
+            return _coeff_matrix(r, p_max, n_max, head)
+
+        monkeypatch.setattr(tmsq, "_coeff_matrix", growing)
+        params = OpaParams.from_mean_photons(nbar)
+        table = build_schmidt_table(params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            whole = _coeff_matrix(params.squeeze_r, table.p_max, table.n_max)
+        assert whole.tobytes() == table.coeffs.tobytes()
+        assert depths[-1] == table.p_max
+        if nbar >= 1.0:
+            assert len(depths) > 1  # the growth ran, so rows were reused
 
     @pytest.mark.parametrize("nbar, column", [(4.0, 35), (0.5, 53)])
     def test_hopeless_n_max_raises_at_its_first_bad_column(self, nbar, column):
@@ -269,8 +289,8 @@ class TestValidation:
         # the sums themselves overflow at the first depth only from n_max
         # near 580 at n-bar 4, seconds into the build; a stand-in whose last
         # column overflows to inf - inf = NaN keeps the case quick
-        def overflowing(r, p_max, n_max):
-            coeffs = _coeff_matrix(r, p_max, n_max)
+        def overflowing(r, p_max, n_max, head=None):
+            coeffs = _coeff_matrix(r, p_max, n_max, head)
             big = np.exp(coeffs[:, -1] + 1000.0)
             coeffs[:, -1] = big - big
             return coeffs
