@@ -17,6 +17,7 @@ from su11sim import (
     run_trial,
     scheme_for_mode,
 )
+from su11sim.posterior import PEAK_MIN_SEPARATION
 
 
 def main() -> int:
@@ -42,7 +43,7 @@ def main() -> int:
     print(f"fixed theta={args.theta}, phi_true={args.phi_true}, "
           f"nbar={args.mean_photons}, M={args.measurements}, seed {args.seed}")
     print(f"mirror phase 2*theta - phi_true = {mirror:.4f}")
-    print(f"steps whose MAP moved by more than {config.peak_min_separation}: "
+    print(f"steps whose MAP moved by more than {PEAK_MIN_SEPARATION}: "
           f"{record.map_jumps}")
     if record.m_threshold is None:
         print("rival peak never reached half height")

@@ -137,7 +137,6 @@ def _add_protocol_flags(p) -> None:
     p.add_argument("--pre-rounds", type=int, default=100, help="ladder rough-stage length")
     p.add_argument("--ramp-cap", type=float, default=0.5, help="ladder cap as fraction of MAP")
     p.add_argument("--final-fraction", type=float, default=0.93, help="ladder lock fraction")
-    p.add_argument("--initial-theta", type=float, default=None, help="first feedback (optimal)")
 
 
 def _cmd_limits(args) -> int:
@@ -210,7 +209,6 @@ def _protocol_config_from_args(args, *, phi_true: float | None = None) -> Protoc
         pre_rounds=args.pre_rounds,
         ramp_cap_fraction=args.ramp_cap,
         final_fraction=args.final_fraction,
-        initial_theta=args.initial_theta,
     )
 
 
@@ -340,12 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="campaign JSON; no other campaign flag but --seed may be given with it",
     )
     p.add_argument("--protocol", choices=[MODE_FIXED, MODE_LADDER, MODE_OPTIMAL], default=MODE_OPTIMAL)
-    p.add_argument("--phi-true", default=None, help="comma-separated true phases")
+    p.add_argument("--phi-true", default=None,
+                   help="comma-separated true phases (a first negative needs --phi-true=-0.3,0.2)")
     p.add_argument(
         "--mean-photons",
         dest="mean_photons_list",
         default="4",
-        help="comma-separated mean photon numbers (default 4)",
+        help="comma-separated mean photon numbers (default 4; a first negative needs the = form)",
     )
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--measurements", type=int, default=1000)
@@ -361,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ensemble)
 
     p = sub.add_parser("threshold", help="scan ambiguity-breaking time over feedback phases")
-    p.add_argument("--thetas", required=True, help="comma-separated feedback phases")
+    p.add_argument("--thetas", required=True,
+                   help="comma-separated feedback phases (a first negative needs --thetas=-0.5,0.1)")
     p.add_argument("--phi-true", type=float, required=True)
     p.add_argument("--mean-photons", type=float, required=True)
     p.add_argument("--trials", type=int, default=60)

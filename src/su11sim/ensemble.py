@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -21,7 +21,8 @@ from .analysis import benchmarks
 from .errors import CampaignError, SU11Error
 from .measurement import make_model
 from .posterior import PhaseGrid
-from .protocols import MODE_FIXED, ProtocolConfig, finite_real, run_trials, scheme_for_mode
+from .protocols import MODE_FIXED, ProtocolConfig, finite_real, known_keys
+from .protocols import run_trials, scheme_for_mode
 from .tmsq import TAIL_TOL
 
 # Not called here, but kept importable from this module: the span tracer in
@@ -99,36 +100,20 @@ class CampaignConfig:
 
     def to_dict(self) -> dict:
         lists = {"mean_photons": list(self.mean_photons), "phi_true": list(self.phi_true)}
-        return asdict(self) | lists | _FIXED_ECHOES
+        return asdict(self) | lists | _FIXED_ECHOES | {"protocol": self.protocol.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CampaignConfig":
-        """Read to_dict's layout; a missing, unknown or mistyped key raises ValueError."""
-        if isinstance(d, dict):
-            for key, value in _FIXED_ECHOES.items():
-                if key in d and d[key] != value:
-                    raise ValueError(f"{key} must be {value!r}, got {d[key]!r}")
-            d = {k: v for k, v in d.items() if k not in _FIXED_ECHOES}
-        kw = _known_keys("campaign config", d, cls)
-        kw["protocol"] = ProtocolConfig(**_known_keys("protocol", d["protocol"], ProtocolConfig))
-        kw["grid"] = PhaseGrid(**_known_keys("grid", d.get("grid", {}), PhaseGrid))
+        """Read to_dict's layout; a missing, unknown or mistyped key, or an
+        echo at any other value, raises ValueError naming it."""
+        kw = known_keys("campaign config", d, cls, _FIXED_ECHOES)
+        kw["protocol"] = ProtocolConfig.from_dict(d["protocol"])
+        kw["grid"] = PhaseGrid(**known_keys("grid", d.get("grid", {}), PhaseGrid, {}))
         for key in ("mean_photons", "phi_true"):
             if not (isinstance(d[key], list) and all(type(x) in (int, float) for x in d[key])):
                 raise ValueError(f"{key} must be a list of numbers, got {d[key]!r}")
             kw[key] = tuple(d[key])
         return cls(**kw)
-
-
-def _known_keys(what: str, d, cls) -> dict:
-    """A copy of d, once its keys are known to be cls's fields, required ones included."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {d!r}")
-    names = {f.name for f in fields(cls)}
-    required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
-    for problem, keys in (("unknown", set(d) - names), ("missing", required - set(d))):
-        if keys:
-            raise ValueError(f"{what} has {problem} key(s) {', '.join(map(repr, sorted(keys)))}")
-    return dict(d)
 
 
 @dataclass(frozen=True)

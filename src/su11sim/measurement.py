@@ -34,7 +34,6 @@ from .posterior import LOG_FLOOR, PhaseGrid
 from .tmsq import OpaParams, SchmidtTable, build_schmidt_table, pair_amplitude_matrix
 
 _PMF_FLOOR = 1e-14
-_CHUNK = 1024
 
 
 class Scheme(str, Enum):
@@ -176,30 +175,22 @@ def outcome_probabilities(model: LikelihoodModel, offsets) -> np.ndarray:
     Returns an array of shape (len(offsets), n_max + 1) whose [j, c] entry
     is the probability of outcome_of_code(model.scheme, c) at offsets[j].
     This is the one route from the amplitude table to probabilities. Plus
-    and minus are clamped at 0. The amplitudes are asked for _CHUNK offsets
-    at a time, and pair_amplitude_matrix builds each chunk in small blocks,
-    which bounds the transient phase matrix. The chunks are kept for their
-    bits: a one-offset chunk (len(offsets) % _CHUNK == 1, or a single
-    offset) takes BLAS's matrix-vector path, whose rounding differs, and
-    every other row comes from a matrix-matrix product, as in every table
-    built before the blocks.
+    and minus are clamped at 0. pair_amplitude_matrix builds the amplitudes
+    in small blocks, which bounds the transient phase matrix.
     """
     u = np.asarray(offsets, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError(f"offsets must be one-dimensional, got shape {u.shape}")
-    out = np.empty((len(u), model.n_max + 1))
-    for start in range(0, len(u), _CHUNK):
-        amps = pair_amplitude_matrix(model.table, u[start : start + _CHUNK])
-        probs = out[start : start + len(amps)]
-        probs[:] = np.abs(amps) ** 2
-        if model.scheme is Scheme.OPTIMAL:
-            # codes 0 and 1 are plus and minus; the zero- and one-pair
-            # probabilities they replace belong to no outcome of this scheme
-            mean = 0.5 * (probs[:, 0] + probs[:, 1])
-            cross = np.imag(amps[:, 0] * np.conj(amps[:, 1]))
-            np.maximum(mean + cross, 0.0, out=probs[:, 0])
-            np.maximum(mean - cross, 0.0, out=probs[:, 1])
-    return out
+    amps = pair_amplitude_matrix(model.table, u)
+    probs = np.abs(amps) ** 2
+    if model.scheme is Scheme.OPTIMAL:
+        # codes 0 and 1 are plus and minus; the zero- and one-pair
+        # probabilities they replace belong to no outcome of this scheme
+        mean = 0.5 * (probs[:, 0] + probs[:, 1])
+        cross = np.imag(amps[:, 0] * np.conj(amps[:, 1]))
+        np.maximum(mean + cross, 0.0, out=probs[:, 0])
+        np.maximum(mean - cross, 0.0, out=probs[:, 1])
+    return probs
 
 
 def _tail_log_prob(v: float, n: int) -> float:

@@ -31,6 +31,11 @@ _FLOOR_DENSITY = np.exp(LOG_FLOOR)  # 5e-324, from the ufunc the density uses
 # exp(-744.44)); tests pin it
 _EXP_UNDERFLOW = -746.0
 _MIN_SPACING = math.ulp(math.tau)
+# detect_peaks' defaults, which every trial's final peak report uses: a
+# rival lies at least PEAK_MIN_SEPARATION from the primary and stands at
+# least PEAK_HEIGHT_FLOOR of its height
+PEAK_MIN_SEPARATION = 0.02
+PEAK_HEIGHT_FLOOR = 0.10
 
 
 @dataclass(frozen=True)
@@ -191,23 +196,6 @@ def update_log(posterior: Posterior, log_row: np.ndarray, label: str | None = No
     return Posterior(grid=posterior.grid, log_weights=log_w)
 
 
-def update(posterior: Posterior, likelihood_row: np.ndarray, label: str | None = None) -> Posterior:
-    """Bayes update with a linear likelihood row evaluated on the grid."""
-    row = np.asarray(likelihood_row, dtype=np.float64)
-    if row.shape != (posterior.grid.n_points,):
-        raise ValueError(
-            f"row shape {row.shape} does not match grid ({posterior.grid.n_points},)"
-        )
-    if np.any(row < 0.0) or not np.all(np.isfinite(row)):
-        raise ValueError("likelihood row must be finite and nonnegative")
-    with np.errstate(divide="ignore"):
-        log_row = np.maximum(np.log(row), LOG_FLOOR)
-    if not row.any():
-        what = f"outcome {label}" if label else "likelihood row"
-        raise DegenerateRowError(f"{what} is identically zero on the grid")
-    return update_log(posterior, log_row, label=label)
-
-
 def density(posterior: Posterior) -> np.ndarray:
     """Normalized probability density on the grid points (read-only)."""
     return posterior._density
@@ -246,8 +234,8 @@ class PeakReport:
 
 def detect_peaks(
     posterior: Posterior,
-    min_separation: float = 0.02,
-    height_ratio_floor: float = 0.10,
+    min_separation: float = PEAK_MIN_SEPARATION,
+    height_ratio_floor: float = PEAK_HEIGHT_FLOOR,
 ) -> PeakReport:
     """Locate the dominant posterior mode and, if present, a distinct rival.
 

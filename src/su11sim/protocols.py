@@ -14,9 +14,9 @@ share nothing.
 fixed      theta never moves. Useful for studying when the posterior first
            resolves the sign ambiguity of a symmetric likelihood:
            m_threshold is the first step at which the posterior shows a
-           distinct rival at least rival_height_ratio as tall as the
+           distinct rival at least RIVAL_HEIGHT_RATIO (half) as tall as the
            primary (None if that never happens), and map_jumps counts steps
-           whose MAP moved by more than peak_min_separation.
+           whose MAP moved by more than posterior.PEAK_MIN_SEPARATION.
 ladder     photon counting with a ramped feedback schedule. Rough stage
            (pre_rounds steps): theta climbs along a linear ramp toward
            ramp_cap_fraction of the running MAP and never exceeds that cap,
@@ -26,16 +26,16 @@ ladder     photon counting with a ramped feedback schedule. Rough stage
            rough MAP (phi_rough). A surviving rival mode is pruned before
            the final statistics are read off.
 optimal    the two-outcome scheme with plain greedy feedback: the first step
-           measures at initial_theta (the grid midpoint by default), and
-           afterwards theta chases the running MAP so the working offset
-           stays near zero, where the scheme saturates the quantum bound.
+           measures at the grid midpoint, and afterwards theta chases the
+           running MAP so the working offset stays near zero, where the
+           scheme saturates the quantum bound. It has no tuning of its own.
 """
 from __future__ import annotations
 
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -51,6 +51,8 @@ from .measurement import (
     shared_grid_tables,
 )
 from .posterior import (
+    PEAK_HEIGHT_FLOOR,
+    PEAK_MIN_SEPARATION,
     PeakReport,
     PhaseGrid,
     Posterior,
@@ -76,6 +78,14 @@ TRIAL_SCHEMA = "su11sim/trial/v1"
 
 _EDGE_CELLS = 5
 _EDGE_MASS_TOL = 1e-6
+# m_threshold's "half height": the least height, relative to the primary's,
+# at which a fixed-theta run counts a rival mode as breaking the ambiguity
+RIVAL_HEIGHT_RATIO = 0.5
+# Settings that are no longer settable: to_dict still writes each at its one
+# value, so artifacts keep their bytes and configs written by earlier versions
+# still load; from_dict refuses any other value
+_ECHOES = {"initial_theta": None, "peak_min_separation": PEAK_MIN_SEPARATION,
+           "peak_height_floor": PEAK_HEIGHT_FLOOR, "rival_height_ratio": RIVAL_HEIGHT_RATIO}
 
 
 def scheme_for_mode(mode: str) -> Scheme:
@@ -96,14 +106,31 @@ def require_reals(config, names, optional: bool = False) -> None:
             raise ValueError(f"{name} must be a finite number, got {v!r}")
 
 
+def known_keys(what: str, d, cls, echoes: dict) -> dict:
+    """d without its echo keys, once d is a JSON object whose echo keys hold
+    their one value and whose other keys are cls's fields, required ones
+    included; ValueError names the first key that is not."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    for key, value in echoes.items():
+        if key in d and d[key] != value:
+            raise ValueError(f"{key} must be {value!r}, got {d[key]!r}")
+    d = {k: v for k, v in d.items() if k not in echoes}
+    names = {f.name for f in fields(cls)}
+    required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
+    for problem, keys in (("unknown", set(d) - names), ("missing", required - set(d))):
+        if keys:
+            raise ValueError(f"{what} has {problem} key(s) {', '.join(map(repr, sorted(keys)))}")
+    return d
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Strategy selection plus every knob the step loop reads.
-
-    phi_true may stay None in a template and be filled per campaign cell.
-    rival_height_ratio sets how tall a rival mode must be, relative to the
-    primary, before a fixed-theta run declares the ambiguity broken.
-    """
+    """The paper's protocol parameters and nothing else: the mode, the
+    budget, the phases and the ladder's feedback schedule. phi_true may stay
+    None in a template and be filled per campaign cell. to_dict, a record's
+    config and a campaign's protocol, also writes the retired settings at
+    their one value (_ECHOES)."""
 
     mode: str
     measurements: int = 1000
@@ -112,15 +139,10 @@ class ProtocolConfig:
     pre_rounds: int = 100
     ramp_cap_fraction: float = 0.5
     final_fraction: float = 0.93
-    initial_theta: float | None = None
-    peak_min_separation: float = 0.02
-    peak_height_floor: float = 0.10
-    rival_height_ratio: float = 0.5
 
     def __post_init__(self) -> None:
-        require_reals(self, ("phi_true", "fixed_theta", "initial_theta"), optional=True)
-        require_reals(self, ("ramp_cap_fraction", "final_fraction", "peak_min_separation",
-                             "peak_height_floor", "rival_height_ratio"))
+        require_reals(self, ("phi_true", "fixed_theta"), optional=True)
+        require_reals(self, ("ramp_cap_fraction", "final_fraction"))
         if self.mode not in (MODE_FIXED, MODE_LADDER, MODE_OPTIMAL):
             raise ValueError(f"unknown protocol mode {self.mode!r}")
         if not (type(self.measurements) is int and self.measurements >= 1):
@@ -136,12 +158,15 @@ class ProtocolConfig:
                 raise ValueError(f"ramp_cap_fraction must lie in (0, 1), got {self.ramp_cap_fraction!r}")
             if not (0.0 < self.final_fraction < 1.0):
                 raise ValueError(f"final_fraction must lie in (0, 1), got {self.final_fraction!r}")
-        if not self.peak_min_separation > 0.0:
-            raise ValueError(f"peak_min_separation must be > 0, got {self.peak_min_separation!r}")
-        if not (0.0 < self.peak_height_floor <= 1.0):
-            raise ValueError(f"peak_height_floor must lie in (0, 1], got {self.peak_height_floor!r}")
-        if not (0.0 < self.rival_height_ratio <= 1.0):
-            raise ValueError(f"rival_height_ratio must lie in (0, 1], got {self.rival_height_ratio!r}")
+
+    def to_dict(self) -> dict:
+        return asdict(self) | _ECHOES
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ProtocolConfig":
+        """Read to_dict's layout; a missing, unknown or mistyped key, or an
+        echo at any other value, raises ValueError naming it."""
+        return cls(**known_keys("protocol", d, cls, _ECHOES))
 
 
 @dataclass(frozen=True)
@@ -156,10 +181,11 @@ class StepRecord:
 class TrialRecord:
     """Everything needed to audit or replay one trial.
 
-    Replay means re-running: config on make_model(scheme, mean_photons) and
-    the recorded grid with seed gives the same record. The table's n_max is
-    not recorded, so only a table at the default n_max replays; its
-    truncation tolerance is the one fixed tmsq.TAIL_TOL.
+    Replay means re-running: ProtocolConfig.from_dict(config) on
+    make_model(scheme, mean_photons) and the recorded grid with seed gives
+    the same record. The table's n_max is not recorded, so only a table at
+    the default n_max replays; its truncation tolerance is the one fixed
+    tmsq.TAIL_TOL.
     """
 
     seed: int
@@ -187,7 +213,7 @@ class TrialRecord:
             "schema": TRIAL_SCHEMA,
             "version": __version__,
             "seed": self.seed,
-            "config": asdict(self.config),
+            "config": self.config.to_dict(),
             "scheme": self.scheme,
             "mean_photons": self.mean_photons,
             "squeeze_r": self.squeeze_r,
@@ -301,7 +327,7 @@ def run_trials(
     points = grid.points.tolist()
     prior = uniform_posterior(grid)
     log_w0 = float(prior.log_weights[0])
-    sep, ratio = config.peak_min_separation, config.rival_height_ratio
+    sep, ratio = PEAK_MIN_SEPARATION, RIVAL_HEIGHT_RATIO
     screen = rival_screen(grid, sep, ratio)
     measurements = config.measurements
     # the first feedback index; theta moves after each of the first `moving` steps
@@ -311,8 +337,7 @@ def run_trials(
     elif mode == MODE_LADDER:
         j_first, moving = _ramp_index(config, grid, 1, map_estimate(prior), 0.0), config.pre_rounds
     else:
-        theta0 = grid.midpoint if config.initial_theta is None else config.initial_theta
-        j_first = grid.index_of(theta0)
+        j_first = grid.index_of(grid.midpoint)
     drawn = measurements if mode == MODE_FIXED else 0  # codes a trial draws before its walk
     if 2 * 8 * (drawn + grid.n_points) > WALK_BYTES:
         drawn = 0  # no two trials' codes and states fit, so none could share a step
@@ -377,9 +402,9 @@ def run_trials(
                         phi_rough = points[top]
                         j = grid.index_of(config.final_fraction * phi_rough)
                 else:
-                    # map_jumps counts MAP moves beyond peak_min_separation.
+                    # map_jumps counts MAP moves beyond PEAK_MIN_SEPARATION.
                     # m_threshold: the first step with a rival at least
-                    # rival_height_ratio as tall as the primary. detect_peaks runs
+                    # RIVAL_HEIGHT_RATIO as tall as the primary. detect_peaks runs
                     # only where the exact log-space screen allows one; log_step
                     # left the maximum of log_w at exactly 0.0.
                     map_est = points[top]
@@ -461,7 +486,7 @@ def _finish(config, model, grid, log_w, **trial) -> TrialRecord:
     per-trial fields. The peak report, the prune valley, the edge mass and
     the moments all read the posterior's one density."""
     post = Posterior(grid, log_w)
-    report = detect_peaks(post, config.peak_min_separation, config.peak_height_floor)
+    report = detect_peaks(post, PEAK_MIN_SEPARATION, PEAK_HEIGHT_FLOOR)
     pruned = config.mode == MODE_LADDER and report.secondary is not None
     if pruned:
         post = prune_secondary(post, report)

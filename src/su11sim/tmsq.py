@@ -22,6 +22,8 @@ HARD_PAIR_CAP = 4096
 TAIL_TOL = 1e-12
 # offsets per phase-matrix block in pair_amplitude_matrix
 _BLOCK = 128
+# offsets per product of the first table builds, whose bits every table keeps
+_FIRST_PRODUCT = 1024
 # relative rounding allowed to a column's sum of squares in _coeff_matrix
 _CLOSURE_SLACK = 1e-9
 # Stirling-series coefficients of cephes lgam, highest power first
@@ -269,17 +271,20 @@ def pair_amplitude_matrix(table: SchmidtTable, delta_phis: np.ndarray) -> np.nda
     amplitudes at -u are exactly the conjugates of those at u.
 
     The phase matrix is built _BLOCK rows at a time in one reused buffer
-    (a few MB up to the pair cap); a one-row remainder joins the block
-    before it. A lone row takes BLAS's matrix-vector path, whose bits
-    differ from the matrix-matrix product's, so this keeps the result equal
-    to one product over all rows, bit for bit: a one-row block occurs only
-    when there is one offset.
+    (a few MB up to the pair cap), from offset 0. A lone row takes BLAS's
+    matrix-vector path, whose bits differ from those of a product over two
+    or more rows. The first tables, built _FIRST_PRODUCT offsets a product,
+    had one exactly when the offsets number 1 (mod _FIRST_PRODUCT). So a
+    one-row remainder stays alone there and joins the block before it
+    elsewhere, and every table keeps its bits.
     """
     dphi = np.asarray(delta_phis, dtype=np.float64)
     m = np.arange(table.p_max + 1)
     out = np.empty((len(dphi), table.n_max + 1), dtype=np.complex128)
     buf = np.empty((min(len(dphi), _BLOCK + 1), len(m)), dtype=np.complex128)
-    starts = list(range(0, max(len(dphi) - 1, 1), _BLOCK))
+    starts = list(range(0, len(dphi), _BLOCK))
+    if len(dphi) % _BLOCK == 1 and len(dphi) % _FIRST_PRODUCT != 1:
+        starts.pop()
     for start, stop in zip(starts, starts[1:] + [len(dphi)]):
         phases = buf[: stop - start]
         np.multiply(dphi[start:stop, None], m, out=phases.imag)

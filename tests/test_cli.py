@@ -5,16 +5,25 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import su11sim
-import su11sim.measurement as measurement
 from su11sim import make_model, outcome_of_code, outcome_probabilities
 import su11sim.cli as cli
 from su11sim.cli import build_parser, main
+
+
+# the retired protocol settings, each written at its one value
+PROTOCOL_ECHOES = {
+    "initial_theta": None,
+    "peak_min_separation": 0.02,
+    "peak_height_floor": 0.1,
+    "rival_height_ratio": 0.5,
+}
 
 
 def run_cli(args, capsys):
@@ -106,27 +115,19 @@ class TestLikelihood:
             assert [r[1] for r in block] == labels + ["tail"]
             assert [float(r[2]) for r in block[:-1]] == list(want[i])
 
-    def test_amplitude_blocks_bounded_by_chunk(self, tmp_path, capsys, monkeypatch):
-        # one matmul over every offset would need a points x (p_max + 1)
-        # complex matrix: 100000 points at nbar = 32 is about 5.9 GB
-        blocks = []
-        real = measurement.pair_amplitude_matrix
-
-        def spy(table, delta_phis):
-            blocks.append(len(delta_phis))
-            return real(table, delta_phis)
-
-        monkeypatch.setattr(measurement, "pair_amplitude_matrix", spy)
-        code, _, _ = run_cli(
-            [
-                "likelihood", "--scheme", "photon", "--mean-photons", "0.5",
-                "--points", "2500", "--out", str(tmp_path / "curves.csv"),
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert sum(blocks) == 2500
-        assert max(blocks) <= measurement._CHUNK
+    def test_amplitude_blocks_bound_the_memory(self):
+        # one product over every offset would need a 2500 x (p_max + 1)
+        # complex phase matrix at nbar = 32, about 147 MB; the 128-row blocks
+        # take about 8 MB, and the output a few hundred kB more
+        model = make_model("photon", 32)
+        offsets = np.linspace(-np.pi, np.pi, 2500)
+        tracemalloc.start()
+        try:
+            outcome_probabilities(model, offsets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize(
         "offsets", (["--lo", "nan"], ["--lo", "inf"], ["--hi", "nan"], ["--hi=-inf"])
@@ -351,16 +352,44 @@ class TestEnsembleCommand:
         assert run_cli(["ensemble", "--config", str(cfg_path), "--out", str(out)], capsys)[0] == 0
         assert out.read_bytes() == flags_out.read_bytes()
 
+    @pytest.mark.parametrize("keep", [True, False], ids=["repeated", "omitted"])
+    @pytest.mark.parametrize("key", sorted(PROTOCOL_ECHOES))
+    def test_config_may_repeat_or_omit_a_protocol_echo(self, key, keep, tmp_path, capsys):
+        # campaign JSON echoes each retired protocol setting at its one value;
+        # a config gets the same campaign with that value or without the key
+        argv = ["--protocol", "fixed", "--theta", "0.7", "--phi-true", "0.75",
+                "--mean-photons", "4", "--trials", "2", "--measurements", "30"]
+        flags_out = tmp_path / "flags.json"
+        assert run_cli(["ensemble", *argv, "--out", str(flags_out)], capsys)[0] == 0
+        config = json.loads(flags_out.read_text())["config"]
+        assert config["protocol"].pop(key) == PROTOCOL_ECHOES[key]
+        if keep:
+            config["protocol"][key] = PROTOCOL_ECHOES[key]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "fromcfg.json"
+        assert run_cli(["ensemble", "--config", str(cfg_path), "--out", str(out)], capsys)[0] == 0
+        assert out.read_bytes() == flags_out.read_bytes()
+
     @pytest.mark.parametrize(
-        "field, value",
-        [("peak_height_floor", 0.0), ("peak_min_separation", 0.0), ("peak_min_separation", float("nan"))],
+        "key, value",
+        [
+            ("initial_theta", 0.3),
+            ("initial_theta", 1.5707963267948966),  # the midpoint it starts at is no setting either
+            ("peak_height_floor", 0.0),
+            ("peak_height_floor", 0.25),
+            ("peak_min_separation", 0.0),
+            ("peak_min_separation", float("nan")),
+            ("rival_height_ratio", 1.0),
+            ("rival_height_ratio", None),
+        ],
     )
-    def test_config_with_bad_peak_setting_exits_one(self, field, value, tmp_path, capsys):
+    def test_config_with_another_echo_value_exits_one(self, key, value, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(
             json.dumps(
                 {
-                    "protocol": {"mode": "optimal", "measurements": 1000, field: value},
+                    "protocol": {"mode": "optimal", "measurements": 1000, key: value},
                     "mean_photons": [4.0],
                     "phi_true": [0.75],
                     "trials": 8,
@@ -368,10 +397,9 @@ class TestEnsembleCommand:
             )
         )
         code, out, err = run_cli(["ensemble", "--config", str(cfg_path)], capsys)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and field in err
-
+        assert (code, out) == (1, "")
+        want = f"error: {key} must be {PROTOCOL_ECHOES[key]!r}, got {value!r}\n"
+        assert err == want
 
     @pytest.mark.parametrize(
         "edit, named",
@@ -579,6 +607,42 @@ class TestSeedsAndErrors:
             main([*argv, "--tail-tol", "1e-12"])
         assert exc.value.code == 2
         assert "--tail-tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--protocol", "optimal", "--phi-true", "0.75", "--mean-photons", "4"],
+            ["ensemble", "--phi-true", "0.75"],
+        ],
+        ids=["run", "ensemble"],
+    )
+    def test_no_command_takes_an_initial_theta(self, argv, capsys):
+        # the optimal mode always starts at the grid midpoint
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--initial-theta", "0.3"])
+        assert exc.value.code == 2
+        assert "--initial-theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, tail",
+        [
+            ("threshold", "--thetas",
+             ["--phi-true", "0.3", "--mean-photons", "4", "--trials", "1", "--max-measurements", "3"]),
+            ("ensemble", "--phi-true",
+             ["--mean-photons", "4", "--trials", "1", "--measurements", "3"]),
+        ],
+        ids=["threshold", "ensemble"],
+    )
+    def test_list_starting_negative_needs_the_equals_form(self, command, flag, tail, capsys):
+        # argparse reads "-0.5,0.1" after a flag as another flag, not a value
+        grid = ["--grid-lo=-1", "--grid-hi", "1", "--grid-points", "64"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "-0.5,0.1", *tail, *grid])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+        code, out, err = run_cli([command, f"{flag}=-0.5,0.1", *tail, *grid], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["schema"]
 
     @pytest.mark.parametrize(
         "argv",

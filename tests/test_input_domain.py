@@ -1,9 +1,9 @@
-"""Input-domain sweeps of `limits`, `likelihood`, `run` and `threshold`: each
-drawn input gives a clean result or a clean refusal.
+"""Input-domain sweeps of `limits`, `likelihood`, `run`, `threshold` and
+`ensemble`: each drawn input gives a clean result or a clean refusal.
 
 A call exits 0 with output whose every number is a finite JSON number, or
-exits 1 with one `error:` line on stderr; `threshold`, whose phase list may
-start with a minus sign, may also be refused by argparse (exit 2). Anything
+exits 1 with one `error:` line on stderr; `threshold` and `ensemble`, whose
+lists may start with a minus sign, may also be refused by argparse (exit 2). Anything
 else (a traceback, a RuntimeWarning, which tier-1 turns into an error, or
 Infinity/NaN in the output) fails the sweep. Mean photon numbers are drawn
 log-uniform over [1e-300, 1e300], grid edges over +-1e300 and likelihood
@@ -13,6 +13,8 @@ import contextlib
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -21,6 +23,8 @@ from su11sim import PhaseGrid
 from su11sim.cli import main
 
 _NBAR = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+# log-uniform over the whole range, or over the n-bar a table builds at
+_NBAR_OR_BUILD = _NBAR | st.floats(-3.0, 1.7).map(lambda e: 10.0**e)
 _EDGE = st.one_of(st.floats(-1e300, 1e300), st.floats(-7.0, 7.0), st.floats(-1e-300, 1e-300))
 # offsets over the whole finite double range, where hi - lo and the table's
 # phases p_max * offset overflow
@@ -147,8 +151,7 @@ def _theta_lists(draw, phi):
 @seed(20)
 @given(
     data=st.data(), phi=_PHI, trials=st.integers(0, 4), measurements=st.integers(0, 5),
-    # log-uniform over the whole range, or over the n-bar a table builds at
-    nbar=_NBAR | st.floats(-3.0, 1.7).map(lambda e: 10.0**e),
+    nbar=_NBAR_OR_BUILD,
 )
 @settings(_SWEEP, max_examples=200)
 def test_threshold_sweep(data, phi, trials, measurements, nbar):
@@ -163,3 +166,81 @@ def test_threshold_sweep(data, phi, trials, measurements, nbar):
         json.loads(out, parse_constant=_no_constant)
     else:
         _check_refusal(code, out, err)
+
+
+# the settings campaign JSON still writes at their one value: the protocol's
+# and the campaign's
+_PROTOCOL_ECHOES = ("initial_theta", "peak_min_separation", "peak_height_floor",
+                    "rival_height_ratio")
+_CAMPAIGN_ECHOES = ("residual_policy", "tail_tol")
+_GRIDS = ((0.0, math.pi), (-0.5 * math.pi, 0.5 * math.pi))
+
+
+@st.composite
+def _phase_lists(draw, lo, hi):
+    """Comma-separated true phases: unsorted or repeated, on the first or
+    last grid cell, at the edges, or anywhere near them."""
+    spacing = (hi - lo) / 64
+    edges = (lo, lo + spacing, 0.5 * (lo + hi), hi - spacing, math.nextafter(hi, lo), hi)
+    number = st.sampled_from(edges) | st.floats(-7.0, 7.0)
+    return ",".join(map(repr, draw(st.lists(number, min_size=1, max_size=4))))
+
+
+def _edit_echoes(draw, config: dict) -> list[str]:
+    """Keep, drop or change each echo key of a campaign config in place;
+    the keys whose value changed, in the order from_dict checks them."""
+    changed = []
+    for key in _CAMPAIGN_ECHOES + _PROTOCOL_ECHOES:
+        where = config if key in _CAMPAIGN_ECHOES else config["protocol"]
+        old = where[key]
+        action = draw(st.sampled_from(("keep", "drop", "change")), label=key)
+        if action == "drop":
+            del where[key]
+        elif action == "change":
+            where[key] = draw(st.sampled_from((0.3, 0.0, 1e-8, None, "x", True)), label=f"new {key}")
+            if where[key] != old:  # a value equal to the echo (None for None) still loads
+                changed.append(key)
+    return changed
+
+
+@seed(20)
+@given(
+    data=st.data(), mode=st.sampled_from(["fixed", "ladder", "optimal"]),
+    grid=st.sampled_from(_GRIDS), nbars=st.lists(_NBAR_OR_BUILD, min_size=1, max_size=2),
+    trials=st.integers(1, 3), measurements=st.integers(1, 5), equals_form=st.booleans(),
+)
+@_SWEEP
+def test_ensemble_sweep(data, mode, grid, nbars, trials, measurements, equals_form):
+    lo, hi = grid
+    phis = data.draw(_phase_lists(lo, hi), label="phi_true")
+    theta = data.draw(st.sampled_from((lo, 0.5 * (lo + hi))) | st.floats(-7.0, 7.0), label="theta")
+    pre_rounds = data.draw(st.integers(1, 5), label="pre_rounds")
+    phi_flag = [f"--phi-true={phis}"] if equals_form else ["--phi-true", phis]
+    argv = [
+        "ensemble", "--protocol", mode, *phi_flag,
+        f"--mean-photons={','.join(map(repr, nbars))}", "--trials", str(trials),
+        "--measurements", str(measurements), f"--theta={theta!r}", "--pre-rounds",
+        str(pre_rounds), f"--grid-lo={lo!r}", f"--grid-hi={hi!r}", "--grid-points", "64",
+        "--workers", "1",
+    ]
+    code, out, err = _call(argv)
+    if code == 2:  # argparse reads a list starting with "-" as a flag
+        assert out == "" and not equals_form and phis.startswith("-"), err
+        assert "argument --phi-true" in err, err
+        return
+    if code != 0:
+        _check_refusal(code, out, err)
+        return
+    result = json.loads(out, parse_constant=_no_constant)
+    config = result["config"]
+    changed = _edit_echoes(data.draw, config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        code, again, err = _call(["ensemble", "--config", str(path), "--workers", "1"])
+    if changed:
+        _check_refusal(code, again, err)
+        assert err.startswith(f"error: {changed[0]} must be "), err
+    else:
+        assert (code, err) == (0, ""), err
+        assert again == out

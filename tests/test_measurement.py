@@ -30,7 +30,6 @@ from su11sim.measurement import (
     sample,
     shared_grid_tables,
 )
-from su11sim.measurement import _CHUNK
 from su11sim.posterior import LOG_FLOOR
 
 U_SWEEP = (-math.pi, -1.2, -0.3, -0.05, 0.0, 0.05, 0.3, 0.75, 1.2, math.pi)
@@ -184,7 +183,7 @@ class TestOutcomeProbabilities:
         return want
 
     @pytest.mark.parametrize("scheme", (Scheme.PHOTON_NUMBER, Scheme.OPTIMAL))
-    @pytest.mark.parametrize("n_offsets", (1, _CHUNK + 1, 2 * _CHUNK + 300))
+    @pytest.mark.parametrize("n_offsets", (1, 1024 + 1, 2 * 1024 + 300))
     def test_matches_closed_forms(self, scheme, n_offsets, photon_model, optimal_model):
         model = photon_model if scheme is Scheme.PHOTON_NUMBER else optimal_model
         u = np.linspace(-math.pi, math.pi, n_offsets) if n_offsets > 1 else np.array([0.3])
@@ -199,11 +198,11 @@ class TestOutcomeProbabilities:
         # (up to the ulp the one-row product may take) and never moves
         # with its position relative to the chunk boundary
         model = photon_model if scheme is Scheme.PHOTON_NUMBER else optimal_model
-        u = np.linspace(-3.0, 3.0, _CHUNK + 5)
+        u = np.linspace(-3.0, 3.0, 1024 + 5)
         whole = outcome_probabilities(model, u)
-        head = outcome_probabilities(model, u[:_CHUNK])
-        assert np.array_equal(whole[:_CHUNK], head)
-        for j in (0, _CHUNK - 1, _CHUNK, _CHUNK + 4):
+        head = outcome_probabilities(model, u[:1024])
+        assert np.array_equal(whole[:1024], head)
+        for j in (0, 1024 - 1, 1024, 1024 + 4):
             alone = outcome_probabilities(model, u[j : j + 1])[0]
             assert np.max(np.abs(whole[j] - alone)) < 1e-15
 

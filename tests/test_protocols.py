@@ -1,6 +1,8 @@
 """Protocol state-machine tests: replay, schedules, and threshold bookkeeping."""
+import inspect
 import math
-from dataclasses import asdict
+import re
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from su11sim.measurement import (
     shared_grid_tables,
 )
 from su11sim.posterior import (
+    PEAK_HEIGHT_FLOOR,
+    PEAK_MIN_SEPARATION,
     Posterior,
     density,
     detect_peaks,
@@ -43,7 +47,7 @@ from su11sim.posterior import (
     uniform_posterior,
     update_log,
 )
-from su11sim.protocols import StepRecord, TrialRecord
+from su11sim.protocols import RIVAL_HEIGHT_RATIO, StepRecord, TrialRecord
 
 
 def small_config(mode: str, **kw) -> ProtocolConfig:
@@ -73,26 +77,6 @@ class TestConfigValidation:
             ProtocolConfig(mode=MODE_LADDER, ramp_cap_fraction=1.5)
         with pytest.raises(ValueError):
             ProtocolConfig(mode=MODE_OPTIMAL, measurements=0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(mode=MODE_OPTIMAL, rival_height_ratio=0.0)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("peak_min_separation", 0.0),
-            ("peak_min_separation", -0.02),
-            ("peak_min_separation", math.nan),
-            ("peak_min_separation", math.inf),
-            ("peak_height_floor", 0.0),
-            ("peak_height_floor", -0.1),
-            ("peak_height_floor", 1.5),
-            ("peak_height_floor", math.nan),
-        ],
-    )
-    def test_peak_settings_rejected_at_construction(self, field, value):
-        # detect_peaks would only object once a trial finishes, after every step
-        with pytest.raises(ValueError, match=field):
-            small_config(MODE_FIXED, **{field: value})
 
     @pytest.mark.parametrize("mode, field", [(MODE_OPTIMAL, "measurements"), (MODE_LADDER, "pre_rounds")])
     def test_boolean_counts_rejected(self, mode, field):
@@ -100,14 +84,88 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} must"):
             small_config(mode, **{field: True})
 
-    def test_peak_settings_at_their_bounds_accepted(self):
-        cfg = small_config(MODE_FIXED, peak_min_separation=1e-9, peak_height_floor=1.0)
-        assert cfg.peak_height_floor == 1.0
+    def test_only_the_paper_parameters_are_fields(self):
+        assert [f.name for f in fields(ProtocolConfig)] == [
+            "mode", "measurements", "phi_true", "fixed_theta",
+            "pre_rounds", "ramp_cap_fraction", "final_fraction",
+        ]
 
     def test_scheme_for_mode(self):
         assert scheme_for_mode(MODE_FIXED) is Scheme.PHOTON_NUMBER
         assert scheme_for_mode(MODE_LADDER) is Scheme.PHOTON_NUMBER
         assert scheme_for_mode(MODE_OPTIMAL) is Scheme.OPTIMAL
+
+
+# the retired settings a record's config and a campaign's protocol still
+# write, each at its one value
+ECHOES = {
+    "initial_theta": None,
+    "peak_min_separation": 0.02,
+    "peak_height_floor": 0.1,
+    "rival_height_ratio": 0.5,
+}
+
+
+class TestRetiredSettings:
+    def test_echoes_are_the_constants(self):
+        assert (PEAK_MIN_SEPARATION, PEAK_HEIGHT_FLOOR, RIVAL_HEIGHT_RATIO) == (0.02, 0.1, 0.5)
+        defaults = inspect.signature(detect_peaks).parameters
+        assert defaults["min_separation"].default == PEAK_MIN_SEPARATION
+        assert defaults["height_ratio_floor"].default == PEAK_HEIGHT_FLOOR
+
+    @pytest.mark.parametrize("mode", (MODE_FIXED, MODE_LADDER, MODE_OPTIMAL))
+    def test_to_dict_writes_each_at_its_value(self, mode):
+        cfg = small_config(mode)
+        assert cfg.to_dict() == asdict(cfg) | ECHOES
+
+    @pytest.mark.parametrize("keep", (True, False), ids=["given", "omitted"])
+    @pytest.mark.parametrize("key", sorted(ECHOES))
+    def test_from_dict_takes_each_at_its_value_or_omitted(self, key, keep):
+        cfg = small_config(MODE_FIXED)
+        d = cfg.to_dict()
+        if not keep:
+            del d[key]
+        assert ProtocolConfig.from_dict(d) == cfg
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("initial_theta", 0.3),
+            ("initial_theta", math.pi / 2),
+            ("peak_min_separation", 0.0),
+            ("peak_min_separation", 0.03),
+            ("peak_min_separation", math.nan),
+            ("peak_height_floor", 0.0),
+            ("peak_height_floor", 1.0),
+            ("rival_height_ratio", 0.25),
+            ("rival_height_ratio", True),
+            ("rival_height_ratio", None),
+        ],
+    )
+    def test_from_dict_refuses_any_other_value_by_name(self, key, value):
+        d = small_config(MODE_OPTIMAL).to_dict() | {key: value}
+        want = f"{key} must be {ECHOES[key]!r}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            ProtocolConfig.from_dict(d)
+
+    def test_from_dict_refuses_what_is_no_object(self):
+        with pytest.raises(ValueError, match="protocol must be a JSON object"):
+            ProtocolConfig.from_dict([ECHOES])
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda d: d.pop("mode"), "missing key(s) 'mode'"),
+            (lambda d: d.update(bogus=1), "unknown key(s) 'bogus'"),
+            (lambda d: d.update(pre_rounds="x"), "pre_rounds must be an integer"),
+        ],
+        ids=["missing", "unknown", "mistyped"],
+    )
+    def test_from_dict_names_a_bad_key(self, edit, named):
+        d = small_config(MODE_OPTIMAL).to_dict()
+        edit(d)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            ProtocolConfig.from_dict(d)
 
 
 class TestReplayAndSerialization:
@@ -132,7 +190,7 @@ class TestReplayAndSerialization:
         rec = run_trial(small_config(mode), models[scheme_for_mode(mode)], grid, 55)
         d = rec.to_dict()
         again = run_trial(
-            ProtocolConfig(**d["config"]),
+            ProtocolConfig.from_dict(d["config"]),
             make_model(d["scheme"], d["mean_photons"]),
             PhaseGrid(lo=d["grid"]["lo"], hi=d["grid"]["hi"], n_points=d["grid"]["n_points"]),
             d["seed"],
@@ -177,9 +235,7 @@ class TestFixedProtocol:
         first = None
         for s in rec.steps:
             post = update_log(post, tables.log_row(s.outcome, j))
-            report = detect_peaks(
-                post, cfg.peak_min_separation, cfg.rival_height_ratio
-            )
+            report = detect_peaks(post, PEAK_MIN_SEPARATION, RIVAL_HEIGHT_RATIO)
             if report.secondary is not None:
                 first = s.step
                 break
@@ -217,12 +273,10 @@ class TestFixedProtocol:
             steps.append(
                 {"step": k, "theta": theta_j, "outcome": outcome.label(), "map_estimate": map_k}
             )
-            if k > 1 and abs(map_k - prev_map) > cfg.peak_min_separation:
+            if k > 1 and abs(map_k - prev_map) > PEAK_MIN_SEPARATION:
                 map_jumps += 1
             prev_map = map_k
-            report = detect_peaks(
-                Posterior(grid, log_w), cfg.peak_min_separation, cfg.rival_height_ratio
-            )
+            report = detect_peaks(Posterior(grid, log_w), PEAK_MIN_SEPARATION, RIVAL_HEIGHT_RATIO)
             if m_threshold is None and report.secondary is not None:
                 m_threshold = k
         post = Posterior(grid, log_w)
@@ -234,7 +288,7 @@ class TestFixedProtocol:
             final_map=map_estimate(post),
             final_mean=posterior_mean(post),
             final_variance=posterior_variance(post),
-            peaks=asdict(detect_peaks(post, cfg.peak_min_separation, cfg.peak_height_floor)),
+            peaks=asdict(detect_peaks(post, PEAK_MIN_SEPARATION, PEAK_HEIGHT_FLOOR)),
         )
         assert got == expected
         # theta 0.745 is censored within 400 steps for seeds 0 and 1 and
@@ -302,11 +356,6 @@ class TestOptimalProtocol:
         for prev, cur in zip(rec.steps, rec.steps[1:]):
             assert cur.theta == grid.snap(prev.map_estimate)
 
-    def test_initial_theta_override(self, models, grid):
-        cfg = small_config(MODE_OPTIMAL, initial_theta=0.3)
-        rec = run_trial(cfg, models[Scheme.OPTIMAL], grid, 42)
-        assert rec.steps[0].theta == grid.snap(0.3)
-
     def test_frozen_ten_step_trial(self, models, grid):
         cfg = ProtocolConfig(mode=MODE_OPTIMAL, measurements=10, phi_true=0.75)
         rec = run_trial(cfg, models[Scheme.OPTIMAL], grid, 42)
@@ -319,8 +368,9 @@ class TestOptimalProtocol:
         assert rec.final_variance == pytest.approx(0.006243660303451419, rel=1e-10)
 
     def test_exact_start_tightens_immediately(self, models, grid):
-        phi = PhaseGrid().snap(0.75)
-        cfg = small_config(MODE_OPTIMAL, phi_true=phi, initial_theta=phi, measurements=200)
+        # the first measurement, at the grid midpoint, is already at zero offset
+        phi = grid.midpoint
+        cfg = small_config(MODE_OPTIMAL, phi_true=phi, measurements=200)
         rec = run_trial(cfg, models[Scheme.OPTIMAL], grid, 64, keep_steps=False)
         # per-step information 24 gives sd ~ 0.0144 after 200 steps; 4 sigma
         assert rec.final_map == pytest.approx(phi, abs=0.058)
@@ -399,12 +449,12 @@ def _reference_trial(config, model, grid, seed, keep_steps, tables):
         map_jumps, prev_map = 0, state["map"]
         for k in range(1, config.measurements + 1):
             measure(k, j)
-            if k > 1 and abs(state["map"] - prev_map) > config.peak_min_separation:
+            if k > 1 and abs(state["map"] - prev_map) > PEAK_MIN_SEPARATION:
                 map_jumps += 1
             prev_map = state["map"]
             if m_threshold is None:
                 report = detect_peaks(
-                    Posterior(grid, log_w), config.peak_min_separation, config.rival_height_ratio
+                    Posterior(grid, log_w), PEAK_MIN_SEPARATION, RIVAL_HEIGHT_RATIO
                 )
                 if report.secondary is not None:
                     m_threshold = k
@@ -422,14 +472,13 @@ def _reference_trial(config, model, grid, seed, keep_steps, tables):
         for k in range(config.pre_rounds + 1, config.measurements + 1):
             measure(k, j)
     else:
-        theta0 = grid.midpoint if config.initial_theta is None else config.initial_theta
-        j = grid.index_of(theta0)
+        j = grid.index_of(grid.midpoint)
         for k in range(1, config.measurements + 1):
             measure(k, j)
             j = grid.index_of(state["map"])
 
     post = Posterior(grid, log_w)
-    report = detect_peaks(post, config.peak_min_separation, config.peak_height_floor)
+    report = detect_peaks(post, PEAK_MIN_SEPARATION, PEAK_HEIGHT_FLOOR)
     pruned = False
     if config.mode == MODE_LADDER and report.secondary is not None:
         post = prune_secondary(post, report)
@@ -691,8 +740,6 @@ def test_engine_matches_serial_loop_over_the_domain(
         kw["fixed_theta"] = data.draw(phase, label="fixed_theta")
     elif mode == MODE_LADDER:
         kw["pre_rounds"] = data.draw(st.integers(1, measurements - 1), label="pre_rounds")
-    else:
-        kw["initial_theta"] = data.draw(st.one_of(st.none(), phase), label="initial_theta")
     cfg = ProtocolConfig(mode=mode, **kw)
     model = models[scheme_for_mode(mode)]
     want = _reference_results(cfg, model, grid, seeds, keep_steps)

@@ -137,10 +137,14 @@ class TestAmplitudes:
 
 def exp_pair_amplitude_matrix(table, delta_phis) -> np.ndarray:
     """Test oracle: the complex-exponential amplitude build that the real
-    cos/sin build replaced, kept to show the two agree bit for bit."""
+    cos/sin build replaced, kept to show the two agree bit for bit. It takes
+    one product per 1024 offsets, as the first table builds did, so a lone
+    last offset takes the matrix-vector path."""
     dphi = np.asarray(delta_phis, dtype=np.float64)
-    phases = np.exp(1j * dphi[:, None] * np.arange(table.p_max + 1)[None, :])
-    return phases @ table.pair_kernel
+    m = np.arange(table.p_max + 1)[None, :]
+    chunks = [dphi[start : start + 1024] for start in range(0, len(dphi), 1024)]
+    products = [np.exp(1j * u[:, None] * m) @ table.pair_kernel for u in chunks]
+    return np.concatenate(products) if products else np.empty((0, table.n_max + 1), complex)
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,9 +157,11 @@ EDGE_OFFSETS = (0.0, 1e-12, -1e-12, math.pi, -math.pi)
 
 class TestRealTrigAmplitudes:
     @pytest.mark.parametrize("nbar", (0.5, 4.0, 32.0))
-    @pytest.mark.parametrize("rows", (1024, 1025, 130, 257))
+    @pytest.mark.parametrize("rows", (1024, 1025, 1153, 130, 257))
     def test_bit_identical_to_complex_exp(self, nbar, rows):
-        # blocks of 128, 128 + 2 and 128 + 129 rows equal one product
+        # blocks of 128, 128 + 2 and 128 + 129 rows equal one product; 1025
+        # offsets end in a lone row, as in a 1024-offset product, and 1153
+        # in a 129-row block
         table = table_at(nbar)
         u = np.concatenate([EDGE_OFFSETS, np.linspace(-3.1, 3.1, rows - len(EDGE_OFFSETS))])
         assert np.array_equal(
