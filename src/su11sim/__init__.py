@@ -27,6 +27,7 @@ from .errors import (
     DerivativeCheckError,
     SU11Error,
     TruncationError,
+    WorkerError,
 )
 from .measurement import make_model, outcome_of_code, outcome_probabilities
 from .posterior import PhaseGrid
@@ -56,6 +57,7 @@ __all__ = [
     "ThresholdRow",
     "TrialSummary",
     "TruncationError",
+    "WorkerError",
     "benchmarks",
     "make_model",
     "outcome_of_code",

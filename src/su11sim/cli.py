@@ -350,7 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurements", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None, help="master seed (default: SU11_SEED or 7)")
     _add_protocol_flags(p)
-    p.add_argument("--workers", type=int, default=1, help="worker processes over cells")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="processes that run cells, this one included; at most the usable CPUs",
+    )
     p.add_argument("--label", default="", help="free-form label echoed in outputs")
     _add_grid_flags(p)
     _add_table_flags(p)

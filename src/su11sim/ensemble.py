@@ -5,20 +5,24 @@ trial index), so any single trial can be replayed in isolation and results
 never depend on execution order or worker count.
 
 Campaigns and threshold scans share one cell runner: a scan's feedback
-phases are fixed-mode cells. Workers return per-trial summaries; cell
-statistics are computed from them in the parent.
+phases are fixed-mode cells. The calling process and any child processes
+take cells from one costliest-first order; children send back per-trial
+summaries, and cell statistics are computed from them in the calling
+process.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import os
+import queue
 from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 
 import numpy as np
 
 from .analysis import benchmarks
-from .errors import CampaignError, SU11Error
+from .errors import CampaignError, SU11Error, WorkerError
 from .measurement import make_model
 from .posterior import PhaseGrid
 from .protocols import MODE_FIXED, ProtocolConfig, finite_real, known_keys
@@ -36,6 +40,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _BOOTSTRAP_SLOT = (1 << 63) - 1
 _BOOTSTRAP_RESAMPLES = 1000
 _MAX_FAILURE_FRACTION = 0.01
+# how often a caller waiting for cells checks that its children still run
+_CHILD_CHECK_S = 0.1
 # Settings that are no longer settable: campaign JSON still writes each with
 # its one value, so configs keep their bytes and those written by earlier
 # versions still load; from_dict refuses any other value. residual_policy
@@ -185,11 +191,11 @@ class CampaignResult:
         }
 
 
-# The models of the running _run_cells call, keyed by all that make_model
-# reads (scheme, n-bar, n_max), so cells that share n-bar share one model
-# and, through its cache (shared_grid_tables, keyed by the grid's values),
-# one table per grid.
-# _run_cells empties it; a worker's copy dies with the pool.
+# The models of the running _run_cells call in this process, keyed by all
+# that make_model reads (scheme, n-bar, n_max), so cells that share n-bar
+# share one model and, through its cache (shared_grid_tables, keyed by the
+# grid's values), one table per grid.
+# _run_cells empties the caller's; a child's dies with the child.
 _MODELS: dict = {}
 
 
@@ -235,28 +241,104 @@ def _run_cell(config: CampaignConfig, cell: tuple[int, float, float]):
     return summaries, failures
 
 
-def _run_cells(configs, cells, workers: int = 1) -> list:
-    """_run_cell over paired configs and cells on up to `workers` processes,
-    outputs in cell order; the only owner of the pool and of _MODELS.
-
-    A pool gets the cells costliest first: in descending n-bar, ties in
-    cell order. The cells of one call share trials and measurements, so
-    n-bar, which sets the depth of the table each new model builds, ranks
-    their cost. The costliest cell then starts first instead of being the
-    last one a worker picks up. Outputs never depend on this order: every
-    trial's seed comes from its cell and trial indices.
-    """
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's."""
     try:
-        if workers == 1 or len(cells) == 1:
-            return list(map(_run_cell, configs, cells))
-        order = sorted(range(len(cells)), key=lambda i: cells[i][2], reverse=True)
-        outputs = [None] * len(cells)
-        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-            done = pool.map(_run_cell, [configs[i] for i in order], [cells[i] for i in order])
-            for i, output in zip(order, done):
-                outputs[i] = output
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _take_cells(configs, cells, order, taken):
+    """Yield (cell index, _run_cell output) for the cells this process takes
+    from `order`; `taken` counts the cells every process has taken, and the
+    next one is taken only once the last has run."""
+    while True:
+        with taken.get_lock():
+            k = taken.value
+            taken.value = k + 1
+        if k >= len(order):
+            return
+        i = order[k]
+        yield i, _run_cell(configs[i], cells[i])
+
+
+def _child(configs, cells, order, taken, results) -> None:
+    """A child process of _run_cells: sends (cell index, output) for each cell
+    it takes, or (None, exception) for the error that stopped it."""
+    try:
+        for item in _take_cells(configs, cells, order, taken):
+            results.put(item)
+    except Exception as exc:
+        results.put((None, exc))
+
+
+def _run_cells(configs, cells, workers: int = 1) -> list:
+    """_run_cell over paired configs and cells in up to `workers` processes,
+    the calling one included; outputs in cell order. The only owner of the
+    child processes and of _MODELS.
+
+    At most min(workers, cells, usable CPUs) - 1 children start, each with
+    the cells and a shared count of those taken as arguments, before the
+    caller runs its first cell. Every process then takes the next cell only
+    when it is free, costliest first: in descending n-bar, ties in cell
+    order. The cells of one call share trials and measurements, so n-bar,
+    which sets the depth of the table each new model builds, ranks their
+    cost, and the costliest cell starts first instead of being the last one
+    taken. Outputs never depend on this order: every trial's seed comes from
+    its cell and trial indices.
+
+    Children send their outputs through a buffered queue, so none waits on
+    the caller while it runs cells. A child's exception is raised here; a
+    child that dies raises WorkerError. Every child has ended when this
+    returns or raises.
+    """
+    order = sorted(range(len(cells)), key=lambda i: cells[i][2], reverse=True)
+    ctx = multiprocessing.get_context()
+    taken = ctx.Value("q", 0)
+    results = ctx.Queue()
+    outputs = [None] * len(cells)
+    missing = len(cells)
+    children = []
+
+    def receive(item) -> None:
+        nonlocal missing
+        i, output = item
+        if isinstance(output, Exception):
+            raise output
+        outputs[i] = output
+        missing -= 1
+
+    try:
+        for _ in range(min(workers, len(cells), _usable_cpus()) - 1):
+            child = ctx.Process(target=_child, args=(configs, cells, order, taken, results))
+            child.start()
+            children.append(child)
+        for item in _take_cells(configs, cells, order, taken):
+            receive(item)
+            while not results.empty():
+                receive(results.get())
+        while missing:
+            try:
+                receive(results.get(timeout=_CHILD_CHECK_S))
+            except queue.Empty:
+                for child in children:
+                    if child.exitcode:
+                        raise WorkerError(
+                            f"worker process {child.pid} exited with code {child.exitcode}"
+                        ) from None
+                if all(child.exitcode is not None for child in children) and results.empty():
+                    raise WorkerError(
+                        f"worker processes exited with {missing} cells unreturned"
+                    ) from None
         return outputs
+    except BaseException:
+        for child in children:
+            child.terminate()
+        raise
     finally:
+        for child in children:
+            child.join()
         _MODELS.clear()
 
 
@@ -298,6 +380,10 @@ def _cell_stats(config, cell, bench, summaries, n_failures) -> CellStats:
 
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignResult:
     """Run every cell of the campaign; deterministic for any worker count.
+
+    `workers` counts the processes that run cells, the calling one
+    included, and is capped at the cells and at the usable CPUs (the
+    affinity mask, else the CPU count).
 
     Trials that fail with a domain error are recorded and skipped, but a
     failure fraction above 1% aborts the whole campaign.

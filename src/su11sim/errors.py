@@ -19,3 +19,7 @@ class DerivativeCheckError(SU11Error):
 
 class CampaignError(SU11Error):
     """Too many trial failures inside an ensemble campaign."""
+
+
+class WorkerError(SU11Error):
+    """A child process running campaign cells died without returning them."""

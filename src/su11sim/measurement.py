@@ -385,7 +385,7 @@ def shared_grid_tables(model: LikelihoodModel, grid: PhaseGrid) -> LikelihoodGri
     """Cached LikelihoodGrid per (model, grid) pair, built on first use.
 
     The one table cache. Grids key it by value, so equal grids (a fresh
-    PhaseGrid() or one unpickled in a pool worker) get the same tables. It
+    PhaseGrid() or one unpickled in a child process) get the same tables. It
     lives on the model, and the tables refer back to the model only weakly,
     so the entry is freed with the model by reference counting alone.
     """

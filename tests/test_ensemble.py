@@ -1,8 +1,12 @@
 """Campaign harness tests: seed derivation, worker equivalence, censored stats."""
 import gc
 import math
+import multiprocessing
 import os
 import pickle
+import signal
+import threading
+import time
 import weakref
 
 import pytest
@@ -15,6 +19,7 @@ from su11sim import (
     PhaseGrid,
     ProtocolConfig,
     SU11Error,
+    WorkerError,
     make_model,
     run_campaign,
     threshold_scan,
@@ -231,7 +236,7 @@ class TestModelCache:
         assert built[0]() is None
 
     def test_cells_unpickled_apart_share_one_table(self, built, monkeypatch):
-        # a pool worker gets each cell's config, and so its grid, unpickled anew
+        # a spawned child unpickles the configs, and so their grids, apart from the caller's
         grids = []
 
         class CountingGrid(measurement_mod.LikelihoodGrid):
@@ -268,7 +273,7 @@ class TestModelCache:
         assert built[0]() is None
 
     def test_pooled_cells_build_one_table_per_worker(self, tmp_path, monkeypatch):
-        # the pool forks, so each build appends its process id to a file
+        # the caller and its child share no memory, so each build appends its process id to a file
         log = tmp_path / "builds"
 
         class LoggingGrid(measurement_mod.LikelihoodGrid):
@@ -285,8 +290,26 @@ class TestModelCache:
         assert len(set(pids)) == len(pids)
 
 
+def log_takes(monkeypatch, log):
+    """Patch _run_cell to append "pid cell" to `log` for each cell a process
+    takes; forked children inherit the patch."""
+    run_cell = ensemble_mod._run_cell
+
+    def logged(config, cell):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {cell[0]}\n")
+        return run_cell(config, cell)
+
+    monkeypatch.setattr(ensemble_mod, "_run_cell", logged)
+    return log
+
+
+def read_takes(log) -> list[tuple[int, int]]:
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
 class TestCostliestFirst:
-    """A pool gets cells in descending n-bar; outputs stay in cell order."""
+    """Every process takes cells in descending n-bar; outputs stay in cell order."""
 
     @staticmethod
     def campaign() -> CampaignConfig:
@@ -308,33 +331,146 @@ class TestCostliestFirst:
         assert results[1].to_dict() == results[0].to_dict() == results[2].to_dict()
         assert results[1].trials == results[0].trials == results[2].trials
 
-    def test_pool_gets_cells_in_descending_nbar(self, monkeypatch):
-        submitted = []
-
-        class RecordingPool:
-            """Runs the cells in this process, recording the order it gets them in."""
-
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, configs, cells):
-                cells = list(cells)
-                submitted.extend(cell[0] for cell in cells)
-                return map(fn, configs, cells)
-
-        monkeypatch.setattr(ensemble_mod, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_gets_cells_in_descending_nbar(self, tmp_path, monkeypatch):
+        log = log_takes(monkeypatch, tmp_path / "takes")
         cfg = self.campaign()
-        pooled = run_campaign(cfg, workers=2)
+        serial = run_campaign(cfg, workers=1)
         # n-bar 8 in both phi rows, then 2, then 0.5; ties keep cell order
-        assert submitted == [1, 4, 2, 5, 0, 3]
+        order = [1, 4, 2, 5, 0, 3]
+        assert [cell for _, cell in read_takes(log)] == order
+        log.unlink()
+        pooled = run_campaign(cfg, workers=2)
+        takes = read_takes(log)
+        assert sorted(cell for _, cell in takes) == list(range(6))
+        for pid in {pid for pid, _ in takes}:
+            mine = [order.index(cell) for p, cell in takes if p == pid]
+            assert mine == sorted(mine)
         assert [c.cell_index for c in pooled.cells] == list(range(6))
+        assert pooled.to_dict() == serial.to_dict()
+
+
+class TestChildProcesses:
+    """The caller runs cells itself next to at most min(workers, cells,
+    usable CPUs) - 1 children, whose every failure surfaces in the caller."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_left_running(self):
+        # a hang fails the test after a minute instead of stalling the suite
+        def timed_out(signum, frame):
+            raise TimeoutError("_run_cells hangs")
+
+        threads = threading.active_count()
+        handler = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        # the child processes started
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting(process):
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
+        return started
+
+    @staticmethod
+    def in_children(monkeypatch, action):
+        """Runs `action` instead of each cell a child takes; the caller's own
+        cells wait first, so that a child takes one."""
+        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 8)
+        caller = os.getpid()
+        run_cell = ensemble_mod._run_cell
+
+        def split(config, cell):
+            if os.getpid() != caller:
+                return action(config, cell)
+            time.sleep(0.3)
+            return run_cell(config, cell)
+
+        monkeypatch.setattr(ensemble_mod, "_run_cell", split)
+
+    def test_a_childs_exception_reaches_the_caller(self, monkeypatch):
+        def fault(config, cell):
+            raise LookupError(f"synthetic fault in cell {cell[0]}")
+
+        self.in_children(monkeypatch, fault)
+        with pytest.raises(LookupError, match=r"synthetic fault in cell \d"):
+            run_campaign(tiny_campaign(), workers=2)
+
+    def test_a_child_that_dies_raises_and_leaves_nothing(self, monkeypatch):
+        self.in_children(monkeypatch, lambda config, cell: os._exit(3))
+        with pytest.raises(WorkerError, match="exited with code 3"):
+            run_campaign(tiny_campaign(), workers=2)
+        assert ensemble_mod._MODELS == {}
+
+    def test_outputs_larger_than_a_pipe_come_back_whole(self, monkeypatch):
+        # about 106 pickled bytes per trial: each cell's summaries outgrow
+        # a 64 KiB pipe, so the child's queue must buffer them
+        cfg = tiny_campaign(
+            protocol=ProtocolConfig(mode=MODE_OPTIMAL, measurements=2),
+            trials=800,
+            grid=PhaseGrid(n_points=64),
+        )
+        serial = run_campaign(cfg, workers=1)
+        assert len(pickle.dumps(serial.trials[:800])) > 65536
+        self.in_children(monkeypatch, ensemble_mod._run_cell)
+        pooled = run_campaign(cfg, workers=2)
+        assert pooled.to_dict() == serial.to_dict()
+        assert pooled.trials == serial.trials
+
+    def test_workers_beyond_the_cells_start_one_child_fewer(self, monkeypatch, starts):
+        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 8)
+        cfg = tiny_campaign(phi_true=(0.25, 0.5, 0.75))
+        pooled = run_campaign(cfg, workers=8)
+        assert len(starts) == 2
         assert pooled.to_dict() == run_campaign(cfg, workers=1).to_dict()
+
+    def test_more_processes_than_cores_take_each_cell_once(self, tmp_path, monkeypatch):
+        # a take lost to a race would run one cell twice or skip one
+        log = log_takes(monkeypatch, tmp_path / "takes")
+        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 8)
+        cfg = tiny_campaign(
+            protocol=ProtocolConfig(mode=MODE_OPTIMAL, measurements=2),
+            phi_true=tuple(0.05 * k for k in range(1, 41)),
+            trials=1,
+            grid=PhaseGrid(n_points=64),
+        )
+        result = run_campaign(cfg, workers=4)
+        assert sorted(cell for _, cell in read_takes(log)) == list(range(40))
+        assert [c.cell_index for c in result.cells] == list(range(40))
+
+    def test_processes_capped_at_the_usable_cpus(self, monkeypatch, starts):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cfg = tiny_campaign(phi_true=(0.25, 0.5, 0.75))
+        pooled = run_campaign(cfg, workers=8)
+        assert starts == []
+        assert pooled.to_dict() == run_campaign(cfg, workers=1).to_dict()
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert ensemble_mod._usable_cpus() == 3
+
+    def test_spawned_children_give_the_same_result(self, monkeypatch, starts):
+        # spawned children get only their arguments, none of the caller's memory
+        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 8)
+        cfg = tiny_campaign(phi_true=(0.25, 0.5, 0.75), trials=2)
+        default = run_campaign(cfg, workers=2)
+        spawn = multiprocessing.get_context("spawn")
+        kinds = [multiprocessing.get_context().Process, spawn.Process]
+        monkeypatch.setattr(ensemble_mod.multiprocessing, "get_context", lambda: spawn)
+        assert run_campaign(cfg, workers=2).to_dict() == default.to_dict()
+        assert [type(p) for p in starts] == kinds
 
 
 class TestThresholdScan:

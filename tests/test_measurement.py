@@ -414,7 +414,7 @@ class TestLikelihoodCurve:
         )
 
     def test_shared_tables_keyed_by_grid_value(self, photon_model, grid):
-        # a pool worker unpickles a new grid with each cell; it must find
+        # a spawned child unpickles a new grid for its cells; it must find
         # the table that the original grid built
         tables = shared_grid_tables(photon_model, grid)
         assert shared_grid_tables(photon_model, pickle.loads(pickle.dumps(grid))) is tables
