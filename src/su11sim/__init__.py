@@ -33,6 +33,7 @@ from .measurement import make_model, outcome_of_code, outcome_probabilities
 from .posterior import PhaseGrid
 from .protocols import (
     MODE_FIXED,
+    MODE_FIELDS,
     MODE_LADDER,
     MODE_OPTIMAL,
     ProtocolConfig,
@@ -48,6 +49,7 @@ __all__ = [
     "DEFAULT_MASTER_SEED",
     "DegenerateRowError",
     "DerivativeCheckError",
+    "MODE_FIELDS",
     "MODE_FIXED",
     "MODE_LADDER",
     "MODE_OPTIMAL",

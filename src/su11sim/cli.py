@@ -34,6 +34,7 @@ from .errors import SU11Error
 from .measurement import make_model, outcome_of_code, outcome_probabilities
 from .posterior import PhaseGrid
 from .protocols import (
+    MODE_FIELDS,
     MODE_FIXED,
     MODE_LADDER,
     MODE_OPTIMAL,
@@ -132,11 +133,28 @@ def _add_table_flags(parser) -> None:
     )
 
 
+# The flags that fill ProtocolConfig: flag -> (field, type, what it sets).
+# Only the flags given reach it, so every default is the dataclass's.
+# --measurements is read in every mode, each other flag in the one mode
+# whose MODE_FIELDS names its field.
+_PROTOCOL_FLAGS = {
+    "--measurements": ("measurements", int, "measurements per trial"),
+    "--theta": ("fixed_theta", float, "feedback phase, required"),
+    "--pre-rounds": ("pre_rounds", int, "rough-stage length"),
+    "--ramp-cap": ("ramp_cap_fraction", float, "ramp cap as a fraction of the MAP"),
+    "--final-fraction": ("final_fraction", float, "lock as a fraction of the rough MAP"),
+}
+
+
 def _add_protocol_flags(p) -> None:
-    p.add_argument("--theta", type=float, default=None, help="feedback phase (fixed mode)")
-    p.add_argument("--pre-rounds", type=int, default=100, help="ladder rough-stage length")
-    p.add_argument("--ramp-cap", type=float, default=0.5, help="ladder cap as fraction of MAP")
-    p.add_argument("--final-fraction", type=float, default=0.93, help="ladder lock fraction")
+    for flag, (field, kind, text) in _PROTOCOL_FLAGS.items():
+        default = getattr(ProtocolConfig, field, None)
+        if default is not None:
+            text += f" (default {default})"
+        modes = [mode for mode, names in MODE_FIELDS.items() if field in names]
+        if modes:
+            text = f"{modes[0]} mode only: {text}; another mode exits 2 on it"
+        p.add_argument(flag, dest=field, type=kind, default=None, help=text)
 
 
 def _cmd_limits(args) -> int:
@@ -200,16 +218,20 @@ def _cmd_likelihood(args) -> int:
     return 0
 
 
+def _protocol_fields(args) -> dict:
+    """The ProtocolConfig fields that the protocol flags given set."""
+    values = {
+        "measurements": args.measurements,
+        "fixed_theta": args.fixed_theta,
+        "pre_rounds": args.pre_rounds,
+        "ramp_cap_fraction": args.ramp_cap_fraction,
+        "final_fraction": args.final_fraction,
+    }
+    return {field: v for field, v in values.items() if v is not None}
+
+
 def _protocol_config_from_args(args, *, phi_true: float | None = None) -> ProtocolConfig:
-    return ProtocolConfig(
-        mode=args.protocol,
-        measurements=args.measurements,
-        phi_true=phi_true,
-        fixed_theta=args.theta,
-        pre_rounds=args.pre_rounds,
-        ramp_cap_fraction=args.ramp_cap,
-        final_fraction=args.final_fraction,
-    )
+    return ProtocolConfig(mode=args.protocol, phi_true=phi_true, **_protocol_fields(args))
 
 
 def _cmd_run(args) -> int:
@@ -322,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=[MODE_FIXED, MODE_LADDER, MODE_OPTIMAL], required=True)
     p.add_argument("--phi-true", type=float, required=True)
     p.add_argument("--mean-photons", type=float, required=True)
-    p.add_argument("--measurements", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None, help="trial seed (default: SU11_SEED or 7)")
     _add_protocol_flags(p)
     _add_grid_flags(p)
@@ -347,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated mean photon numbers (default 4; a first negative needs the = form)",
     )
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--measurements", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None, help="master seed (default: SU11_SEED or 7)")
     _add_protocol_flags(p)
     p.add_argument(
@@ -395,6 +415,16 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(
                 f"ensemble: {stray[0]} cannot be given with --config, whose file sets the "
                 "campaign (only --seed, --workers and the output flags apply)"
+            )
+    if args.command in ("run", "ensemble"):
+        reads = {"measurements", *MODE_FIELDS[args.protocol]}
+        foreign = _protocol_fields(args).keys() - reads
+        if foreign:
+            flag = next(f for f, (field, *_) in _PROTOCOL_FLAGS.items() if field in foreign)
+            own = [f for f, (field, *_) in _PROTOCOL_FLAGS.items() if field in reads]
+            parser.error(
+                f"{args.command}: --protocol {args.protocol} does not read {flag} "
+                f"(its protocol flags: {', '.join(own)})"
             )
     try:
         return args.func(args)

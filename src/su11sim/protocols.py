@@ -74,6 +74,13 @@ from .measurement import sample  # noqa: F401
 MODE_FIXED = "fixed"
 MODE_LADDER = "ladder"
 MODE_OPTIMAL = "optimal"
+# The ProtocolConfig fields that shape one mode and no other. A mode reads
+# only its own; every other field of this table must keep its default.
+MODE_FIELDS = {
+    MODE_FIXED: ("fixed_theta",),
+    MODE_LADDER: ("pre_rounds", "ramp_cap_fraction", "final_fraction"),
+    MODE_OPTIMAL: (),
+}
 TRIAL_SCHEMA = "su11sim/trial/v1"
 
 _EDGE_CELLS = 5
@@ -127,10 +134,11 @@ def known_keys(what: str, d, cls, echoes: dict) -> dict:
 @dataclass(frozen=True)
 class ProtocolConfig:
     """The paper's protocol parameters and nothing else: the mode, the
-    budget, the phases and the ladder's feedback schedule. phi_true may stay
+    budget, the phases and the feedback settings of the mode (MODE_FIELDS).
+    The fields of another mode stay at their defaults. phi_true may stay
     None in a template and be filled per campaign cell. to_dict, a record's
-    config and a campaign's protocol, also writes the retired settings at
-    their one value (_ECHOES)."""
+    config and a campaign's protocol, writes every field, and also the
+    retired settings at their one value (_ECHOES)."""
 
     mode: str
     measurements: int = 1000
@@ -141,17 +149,25 @@ class ProtocolConfig:
     final_fraction: float = 0.93
 
     def __post_init__(self) -> None:
-        require_reals(self, ("phi_true", "fixed_theta"), optional=True)
-        require_reals(self, ("ramp_cap_fraction", "final_fraction"))
-        if self.mode not in (MODE_FIXED, MODE_LADDER, MODE_OPTIMAL):
+        if self.mode not in MODE_FIELDS:
             raise ValueError(f"unknown protocol mode {self.mode!r}")
+        require_reals(self, ("phi_true",), optional=True)
         if not (type(self.measurements) is int and self.measurements >= 1):
             raise ValueError(f"measurements must be an integer >= 1, got {self.measurements!r}")
-        if self.mode == MODE_FIXED and self.fixed_theta is None:
-            raise ValueError("fixed mode needs a finite fixed_theta")
-        if type(self.pre_rounds) is not int:
-            raise ValueError(f"pre_rounds must be an integer, got {self.pre_rounds!r}")
-        if self.mode == MODE_LADDER:
+        foreign = set(chain(*MODE_FIELDS.values())) - set(MODE_FIELDS[self.mode])
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name in foreign and not (type(v) is type(f.default) and v == f.default):
+                raise ValueError(
+                    f"{f.name} is not read in {self.mode} mode and must stay {f.default!r}, "
+                    f"got {v!r}"
+                )
+        if self.mode == MODE_FIXED:
+            require_reals(self, ("fixed_theta",))
+        elif self.mode == MODE_LADDER:
+            if type(self.pre_rounds) is not int:
+                raise ValueError(f"pre_rounds must be an integer, got {self.pre_rounds!r}")
+            require_reals(self, ("ramp_cap_fraction", "final_fraction"))
             if not 1 <= self.pre_rounds < self.measurements:
                 raise ValueError(f"pre_rounds must lie in [1, measurements), got {self.pre_rounds!r}")
             if not (0.0 < self.ramp_cap_fraction < 1.0):
@@ -164,8 +180,9 @@ class ProtocolConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProtocolConfig":
-        """Read to_dict's layout; a missing, unknown or mistyped key, or an
-        echo at any other value, raises ValueError naming it."""
+        """Read to_dict's layout; a missing, unknown or mistyped key, another
+        mode's field away from its default, or an echo at any other value,
+        raises ValueError naming it."""
         return cls(**known_keys("protocol", d, cls, _ECHOES))
 
 

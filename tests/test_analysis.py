@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc
 
 from su11sim import (
     CampaignConfig,
@@ -17,6 +18,7 @@ from su11sim import (
     run_campaign,
 )
 from su11sim.analysis import _checked_derivative, error_propagation_variance, fisher_information
+from su11sim.checks import _chi_square_tail
 from su11sim.tmsq import OpaParams, build_schmidt_table
 
 
@@ -164,3 +166,12 @@ def test_a_bool_is_no_count(call, optimal_model):
     # True is an int, but no number of measurements, pairs or workers
     with pytest.raises(ValueError):
         call(optimal_model)
+
+
+def test_verifys_chi_square_tail_matches_scipy():
+    # SciPy is only the oracle: verify computes the tail itself
+    x = np.geomspace(0.01, 200.0, 300)
+    for dof in range(1, 61):
+        ours = np.array([_chi_square_tail(dof, float(v)) for v in x])
+        np.testing.assert_allclose(ours, chdtrc(dof, x), rtol=1e-12, atol=0.0, err_msg=f"dof={dof}")
+        assert _chi_square_tail(dof, 0.0) == 1.0

@@ -4,9 +4,14 @@ Every seeded JSON/CSV must stay byte-identical for a given (config, seed)
 unless a change means to move it. These small runs cover the three step
 loops (some trials cross the engine's uniform-chunk boundary), two grid
 sizes whose table builds end in a lone offset or a 129-offset chunk, a
-two-cell campaign with both CSVs and a threshold scan. The digests were recorded
-with NumPy 2.4.6; an intended change to any artifact re-records them and
-says why.
+two-cell campaign with both CSVs and a threshold scan. An intended change to
+any artifact re-records them and says why.
+
+The bytes depend on the platform, so the digests pin one: they were
+recorded with NumPy 2.4.6 running its AVX512 loops (X86_V4 found) and
+OpenBLAS 0.3.31, a DYNAMIC_ARCH build, on its SkylakeX kernel. Elsewhere
+cases fail though the program is not at fault: 3 of 7 under the Haswell
+kernel, 6 of 7 under Prescott or with NumPy's AVX512 loops off.
 """
 import hashlib
 

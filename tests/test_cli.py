@@ -229,6 +229,34 @@ class TestRun:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+# the flags each mode does not read, each with a value its own mode would
+# take; --pre-rounds 100 and --final-fraction 0.93 are their defaults
+_FOREIGN_FLAGS = {
+    "fixed": [("--pre-rounds", "30"), ("--ramp-cap", "0.4"), ("--final-fraction", "0.93")],
+    "ladder": [("--theta", "0.7")],
+    "optimal": [("--theta", "0.7"), ("--pre-rounds", "100"), ("--ramp-cap", "0.4"),
+                ("--final-fraction", "0.93")],
+}
+
+
+@pytest.mark.parametrize("command", ["run", "ensemble"])
+@pytest.mark.parametrize(
+    "mode, flag",
+    [(mode, flag) for mode, flags in _FOREIGN_FLAGS.items() for flag in flags],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_a_flag_the_mode_does_not_read_is_a_usage_error(command, mode, flag, capsys):
+    own = ["--theta", "0.7"] if mode == "fixed" else []
+    argv = [command, "--protocol", mode, "--phi-true", "0.75", "--mean-photons", "4",
+            "--measurements", "20", *own, *flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{command}: --protocol {mode} does not read {flag[0]} " in err
+
+
 class TestEnsembleCommand:
     def test_campaign_json_and_csvs(self, tmp_path, capsys):
         out = tmp_path / "campaign.json"
@@ -412,6 +440,8 @@ class TestEnsembleCommand:
             (lambda c: c.update(tail_tol="x"), "tail_tol"),
             (lambda c: c["protocol"].update(pre_rounds="x"), "pre_rounds"),
             (lambda c: c["protocol"].update(mode="fixed", fixed_theta=0.7, pre_rounds=[1]), "pre_rounds"),
+            (lambda c: c["protocol"].update(pre_rounds=30), "pre_rounds is not read"),
+            (lambda c: c["protocol"].update(mode="ladder", fixed_theta=0.7), "fixed_theta is not read"),
             (lambda c: c.update(label=5), "label"),
             (lambda c: c.update(label={"a": 1}), "label"),
             (lambda c: c.update(residual_policy="renormalize"), "residual_policy"),
@@ -421,7 +451,8 @@ class TestEnsembleCommand:
         ids=[
             "unknown-protocol-key", "no-protocol", "scalar-mean-photons", "bool-trials",
             "string-fixed-theta", "string-tail-tol", "string-pre-rounds-optimal",
-            "list-pre-rounds-fixed", "int-label", "object-label", "renormalize-policy",
+            "list-pre-rounds-fixed", "foreign-pre-rounds-optimal", "foreign-fixed-theta-ladder",
+            "int-label", "object-label", "renormalize-policy",
             "loose-tail-tol", "bool-tail-tol",
         ],
     )
@@ -687,8 +718,8 @@ class TestSeedsAndErrors:
 
 
 class TestImportCost:
-    # scipy.special alone was about two thirds of the CLI's start-up; only
-    # verify's chi-square tail still imports scipy
+    # scipy.special alone was about two thirds of the CLI's start-up; no
+    # command imports scipy, which is no runtime dependency
     @staticmethod
     def scipy_modules_after(probe: str) -> list[str]:
         src = os.path.dirname(os.path.dirname(su11sim.__file__))
@@ -720,13 +751,14 @@ class TestImportCost:
             ["threshold", "--thetas", "0.7", "--phi-true", "0.75", "--mean-photons", "2",
              "--trials", "2", "--max-measurements", "20", *small],
             ["likelihood", "--scheme", "photon", "--mean-photons", "2", "--points", "5"],
+            ["verify", "--fast"],
         ]
         calls = [[*argv, "--out", str(tmp_path / f"{i}.out")] for i, argv in enumerate(calls)]
         probe = (
             "import json, sys\n"
             "from su11sim.cli import main\n"
             f"codes = [main(argv) for argv in {calls!r}]\n"
-            "assert codes == [0, 0, 0, 0], codes\n"
+            "assert codes == [0] * len(codes), codes\n"
             "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
         )
         assert self.scipy_modules_after(probe) == []

@@ -116,9 +116,10 @@ def _grid_phases(draw):
 @_SWEEP
 def test_run_sweep(protocol, nbar, grid_phases, measurements):
     lo, hi, phi, theta = grid_phases
+    own = {"fixed": [f"--theta={theta!r}"], "ladder": ["--pre-rounds", "1"], "optimal": []}
     _check_json([
         "run", "--protocol", protocol, f"--phi-true={phi!r}", "--mean-photons", repr(nbar),
-        "--measurements", str(measurements), f"--theta={theta!r}", "--pre-rounds", "1",
+        "--measurements", str(measurements), *own[protocol],
         f"--grid-lo={lo!r}", f"--grid-hi={hi!r}", "--grid-points", "64",
     ])
 
@@ -216,12 +217,13 @@ def test_ensemble_sweep(data, mode, grid, nbars, trials, measurements, equals_fo
     theta = data.draw(st.sampled_from((lo, 0.5 * (lo + hi))) | st.floats(-7.0, 7.0), label="theta")
     pre_rounds = data.draw(st.integers(1, 5), label="pre_rounds")
     phi_flag = [f"--phi-true={phis}"] if equals_form else ["--phi-true", phis]
+    own = {"fixed": [f"--theta={theta!r}"], "ladder": ["--pre-rounds", str(pre_rounds)],
+           "optimal": []}
     argv = [
         "ensemble", "--protocol", mode, *phi_flag,
         f"--mean-photons={','.join(map(repr, nbars))}", "--trials", str(trials),
-        "--measurements", str(measurements), f"--theta={theta!r}", "--pre-rounds",
-        str(pre_rounds), f"--grid-lo={lo!r}", f"--grid-hi={hi!r}", "--grid-points", "64",
-        "--workers", "1",
+        "--measurements", str(measurements), *own[mode],
+        f"--grid-lo={lo!r}", f"--grid-hi={hi!r}", "--grid-points", "64", "--workers", "1",
     ]
     code, out, err = _call(argv)
     if code == 2:  # argparse reads a list starting with "-" as a flag

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import su11sim.protocols as protocols
 from su11sim import (
+    MODE_FIELDS,
     MODE_FIXED,
     MODE_LADDER,
     MODE_OPTIMAL,
@@ -162,9 +163,46 @@ class TestRetiredSettings:
         ids=["missing", "unknown", "mistyped"],
     )
     def test_from_dict_names_a_bad_key(self, edit, named):
-        d = small_config(MODE_OPTIMAL).to_dict()
+        d = small_config(MODE_LADDER).to_dict()
         edit(d)
         with pytest.raises(ValueError, match=re.escape(named)):
+            ProtocolConfig.from_dict(d)
+
+
+# (mode, field, value): a field of another mode away from its default, or
+# at its default's value in another type
+FOREIGN = [
+    (MODE_OPTIMAL, "fixed_theta", 0.3),
+    (MODE_OPTIMAL, "pre_rounds", 3),
+    (MODE_OPTIMAL, "pre_rounds", 100.0),
+    (MODE_OPTIMAL, "ramp_cap_fraction", 0.9),
+    (MODE_OPTIMAL, "final_fraction", math.nan),
+    (MODE_FIXED, "pre_rounds", True),
+    (MODE_FIXED, "ramp_cap_fraction", "0.5"),
+    (MODE_FIXED, "final_fraction", 0.5),
+    (MODE_LADDER, "fixed_theta", 0.7),
+]
+
+
+class TestModeFields:
+    def test_each_mode_reads_only_its_own(self):
+        assert MODE_FIELDS == {
+            MODE_FIXED: ("fixed_theta",),
+            MODE_LADDER: ("pre_rounds", "ramp_cap_fraction", "final_fraction"),
+            MODE_OPTIMAL: (),
+        }
+
+    @pytest.mark.parametrize("mode, key, value", FOREIGN)
+    def test_config_names_a_foreign_field(self, mode, key, value):
+        want = f"{key} is not read in {mode} mode"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
+            small_config(mode, **{key: value})
+
+    @pytest.mark.parametrize("mode, key, value", FOREIGN)
+    def test_from_dict_names_a_foreign_key(self, mode, key, value):
+        d = small_config(mode).to_dict() | {key: value}
+        want = f"{key} is not read in {mode} mode and must stay"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
             ProtocolConfig.from_dict(d)
 
 
