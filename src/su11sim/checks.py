@@ -23,7 +23,15 @@ from .measurement import (
     sample,
     shared_grid_tables,
 )
-from .posterior import PhaseGrid, density, detect_peaks, prune_secondary, uniform_posterior, update_log
+from .posterior import (
+    PhaseGrid,
+    Posterior,
+    density,
+    detect_peaks,
+    log_step,
+    prune_secondary,
+    uniform_posterior,
+)
 from .protocols import MODE_LADDER, MODE_OPTIMAL, ProtocolConfig, run_trial
 from .tmsq import OpaParams, build_schmidt_table, pair_amplitude_matrix
 
@@ -145,13 +153,13 @@ def _posterior_batch_equivalence() -> CheckResult:
     rng = np.random.default_rng(123)
     theta = grid.snap(0.4)
     tables, j = shared_grid_tables(model, grid), grid.index_of(theta)
-    outcomes = [sample(model, 0.9 - theta, rng) for _ in range(12)]
-    rows = [tables.log_row(o, j) for o in outcomes]
-    seq = uniform_posterior(grid)
-    for o, row in zip(outcomes, rows):
-        seq = update_log(seq, row, label=o.label())
-    batch = update_log(uniform_posterior(grid), np.sum(rows, axis=0), label="batch")
-    diff = float(np.abs(density(seq) - density(batch)).max())
+    rows = [tables.log_row(sample(model, 0.9 - theta, rng), j) for _ in range(12)]
+    seq = uniform_posterior(grid).log_weights.copy()
+    for row in rows:
+        log_step(seq, row)
+    batch = uniform_posterior(grid).log_weights.copy()
+    log_step(batch, np.sum(rows, axis=0))
+    diff = float(np.abs(density(Posterior(grid, seq)) - density(Posterior(grid, batch))).max())
     return _check("posterior_batch_equivalence", diff <= 1e-10, f"max density diff {diff:.3e}")
 
 
@@ -252,11 +260,11 @@ def _pruning_removes_rival() -> CheckResult:
     model = make_model("photon", 4.0)
     theta = grid.snap(0.7)
     tables, j = shared_grid_tables(model, grid), grid.index_of(theta)
-    post = uniform_posterior(grid)
+    log_w = uniform_posterior(grid).log_weights.copy()
     rng = np.random.default_rng(7)
     for _ in range(30):
-        o = sample(model, 1.0 - theta, rng)
-        post = update_log(post, tables.log_row(o, j), label=o.label())
+        log_step(log_w, tables.log_row(sample(model, 1.0 - theta, rng), j))
+    post = Posterior(grid, log_w)
     report = detect_peaks(post)
     if report.secondary is None:
         return _check("pruning_removes_rival", False, "setup never went bimodal")

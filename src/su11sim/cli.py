@@ -2,9 +2,11 @@
 
 Subcommands: limits, likelihood, run, ensemble, threshold, verify. Outputs
 are deterministic JSON or CSV (no timestamps), every file embeds the
-configuration that produced it, and the master seed resolves as
-flag > SU11_SEED environment variable > default 7. Exit codes: 0 success,
-1 domain or validation failure, 2 usage error.
+configuration that produced it, and the seed comes from --seed alone
+(default 7), so the argv fixes every byte. The SU11_SEED environment
+variable is not read: a seeded command run with it set and without --seed
+exits 2. Exit codes: 0 success, 1 domain or validation failure, 2 usage
+error.
 """
 from __future__ import annotations
 
@@ -43,18 +45,6 @@ from .protocols import (
     scheme_for_mode,
 )
 from .tmsq import TAIL_TOL
-
-
-def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("SU11_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise SU11Error(f"SU11_SEED must be an integer, got {env!r}") from exc
-    return DEFAULT_MASTER_SEED
 
 
 def _emit_json(obj: dict, path: str | None) -> None:
@@ -115,6 +105,13 @@ class _NoteFlag(argparse.Action):
 
 # with --config the file sets the campaign; only these ensemble flags apply
 _BESIDE_CONFIG = ("--config", "--seed", "--workers", "--out", "--cells-csv", "--trials-csv")
+
+
+def _add_seed_flag(parser, what: str) -> None:
+    parser.add_argument(
+        "--seed", type=int, default=DEFAULT_MASTER_SEED, action=_NoteFlag,
+        help=f"{what} (default {DEFAULT_MASTER_SEED})",
+    )
 
 
 def _add_grid_flags(parser) -> None:
@@ -238,8 +235,7 @@ def _cmd_run(args) -> int:
     config = _protocol_config_from_args(args, phi_true=args.phi_true)
     grid = _grid_from_args(args)
     model = make_model(scheme_for_mode(config.mode), args.mean_photons, n_max=args.n_max)
-    seed = _resolve_seed(args.seed)
-    record = run_trial(config, model, grid, seed)
+    record = run_trial(config, model, grid, args.seed)
     _emit_json(record.to_dict(), args.out)
     if args.trajectory_out is not None:
         rows = [
@@ -248,7 +244,7 @@ def _cmd_run(args) -> int:
         _write_csv(
             args.trajectory_out,
             "su11sim/trajectory/v1",
-            record.to_dict()["config"] | {"seed": seed},
+            record.to_dict()["config"] | {"seed": args.seed},
             ["step", "theta", "outcome", "map"],
             rows,
         )
@@ -259,8 +255,8 @@ def _cmd_ensemble(args) -> int:
     if args.config is not None:
         with open(args.config) as fh:
             config = CampaignConfig.from_dict(json.load(fh))
-        if args.seed is not None or "SU11_SEED" in os.environ:
-            config = replace(config, master_seed=_resolve_seed(args.seed))
+        if "--seed" in args.flags_given:
+            config = replace(config, master_seed=args.seed)
     else:
         if args.phi_true is None:
             raise SU11Error("ensemble needs --phi-true (or --config)")
@@ -270,10 +266,9 @@ def _cmd_ensemble(args) -> int:
             mean_photons=_parse_float_list(args.mean_photons_list),
             phi_true=_parse_float_list(args.phi_true),
             trials=args.trials,
-            master_seed=_resolve_seed(args.seed),
+            master_seed=args.seed,
             grid=_grid_from_args(args),
             n_max=args.n_max,
-            label=args.label,
         )
     result = run_campaign(config, workers=args.workers)
     _emit_json(result.to_dict(), args.out)
@@ -293,7 +288,7 @@ def _cmd_threshold(args) -> int:
         mean_photons=args.mean_photons,
         trials=args.trials,
         max_measurements=args.max_measurements,
-        master_seed=_resolve_seed(args.seed),
+        master_seed=args.seed,
         grid=_grid_from_args(args),
         n_max=args.n_max,
     )
@@ -344,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=[MODE_FIXED, MODE_LADDER, MODE_OPTIMAL], required=True)
     p.add_argument("--phi-true", type=float, required=True)
     p.add_argument("--mean-photons", type=float, required=True)
-    p.add_argument("--seed", type=int, default=None, help="trial seed (default: SU11_SEED or 7)")
+    _add_seed_flag(p, "trial seed")
     _add_protocol_flags(p)
     _add_grid_flags(p)
     _add_table_flags(p)
@@ -368,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated mean photon numbers (default 4; a first negative needs the = form)",
     )
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None, help="master seed (default: SU11_SEED or 7)")
+    _add_seed_flag(p, "master seed")
     _add_protocol_flags(p)
     p.add_argument(
         "--workers",
@@ -376,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="processes that run cells, this one included; at most the usable CPUs",
     )
-    p.add_argument("--label", default="", help="free-form label echoed in outputs")
     _add_grid_flags(p)
     _add_table_flags(p)
     p.add_argument("--out", default=None, help="write campaign JSON here instead of stdout")
@@ -391,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-photons", type=float, required=True)
     p.add_argument("--trials", type=int, default=60)
     p.add_argument("--max-measurements", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None, help="master seed (default: SU11_SEED or 7)")
+    _add_seed_flag(p, "master seed")
     _add_grid_flags(p)
     _add_table_flags(p)
     p.add_argument("--out", default=None, help="write scan JSON here instead of stdout")
@@ -416,6 +410,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"ensemble: {stray[0]} cannot be given with --config, whose file sets the "
                 "campaign (only --seed, --workers and the output flags apply)"
             )
+    # the seed comes from --seed alone: a run that once read SU11_SEED stops
+    # rather than change its seed unannounced
+    seed_given = "--seed" in getattr(args, "flags_given", [])
+    if hasattr(args, "seed") and not seed_given and "SU11_SEED" in os.environ:
+        parser.error(
+            f"{args.command}: SU11_SEED is set but no longer read; give the seed as --seed"
+        )
     if args.command in ("run", "ensemble"):
         reads = {"measurements", *MODE_FIELDS[args.protocol]}
         foreign = _protocol_fields(args).keys() - reads

@@ -46,8 +46,8 @@ _CHILD_CHECK_S = 0.1
 # its one value, so configs keep their bytes and those written by earlier
 # versions still load; from_dict refuses any other value. residual_policy
 # names the one sampling law, the exact geometric tail; tail_tol is the
-# table's one truncation tolerance.
-_FIXED_ECHOES = {"residual_policy": "exact_tail", "tail_tol": TAIL_TOL}
+# table's one truncation tolerance; label was free text that changed nothing.
+_FIXED_ECHOES = {"residual_policy": "exact_tail", "tail_tol": TAIL_TOL, "label": ""}
 
 
 def _splitmix64(z: int) -> int:
@@ -80,7 +80,6 @@ class CampaignConfig:
     master_seed: int = DEFAULT_MASTER_SEED
     grid: PhaseGrid = field(default_factory=PhaseGrid)
     n_max: int = 16
-    label: str = ""
 
     def __post_init__(self) -> None:
         # type() rather than isinstance: True is an int but no count or seed
@@ -89,8 +88,6 @@ class CampaignConfig:
         for name in ("master_seed", "n_max"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not isinstance(self.label, str):
-            raise ValueError(f"label must be a string, got {self.label!r}")
         if not self.mean_photons or not all(
             finite_real(n) and n > 0 for n in self.mean_photons
         ):

@@ -276,9 +276,6 @@ class OutcomeLaw:
             return base
         return base + int(math.log1p(-uniform()) / self.log_v)
 
-    def draw(self, rng: np.random.Generator) -> Outcome:
-        return outcome_of_code(self.scheme, self.draw_code(rng.random))
-
 
 def outcome_law(model: LikelihoodModel, delta_phi: float) -> OutcomeLaw:
     """Precompute everything a draw at this offset needs.
@@ -303,7 +300,7 @@ def outcome_law(model: LikelihoodModel, delta_phi: float) -> OutcomeLaw:
 
 def sample(model: LikelihoodModel, delta_phi: float, rng: np.random.Generator) -> Outcome:
     """Draw one outcome at the given offset from the exact law (see outcome_law)."""
-    return outcome_law(model, delta_phi).draw(rng)
+    return outcome_of_code(model.scheme, outcome_law(model, delta_phi).draw_code(rng.random))
 
 
 class LikelihoodGrid:

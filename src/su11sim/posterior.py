@@ -1,12 +1,13 @@
 """Grid-based Bayesian posterior over the unknown interferometer phase.
 
-Log weights are defined up to a constant. log_step, the one Bayes update
-(the step loop in protocols and update_log both call it), adds one row in
-place and shifts its maximum to 0; it never normalizes. A Posterior computes
-its density once, on first use: subtract logsumexp, floor at -745 (so
-vanishing weights cannot produce NaN), exponentiate. Normalization is in
-the Riemann sense: sum(density) * spacing = 1. The logsumexp is this
-module's own, a NumPy replica of SciPy's that matches it bit for bit.
+Log weights are defined up to a constant. log_step is the one Bayes update:
+it adds one row in place and shifts its maximum to 0; it never normalizes.
+The step loop in protocols calls it, and so do verify's posterior checks, on
+a copy of the prior's log weights. A Posterior computes its density once, on
+first use: subtract logsumexp, floor at -745 (so vanishing weights cannot
+produce NaN), exponentiate. Normalization is in the Riemann sense:
+sum(density) * spacing = 1. The logsumexp is this module's own, a NumPy
+replica of SciPy's that matches it bit for bit.
 
 exp is slow where its result is subnormal, and most cells of a sharp
 posterior sit at the floor, whose exp(-745) = 5e-324 is subnormal. So the
@@ -22,8 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .errors import DegenerateRowError
 
 LOG_FLOOR = -745.0
 _FLOOR_DENSITY = np.exp(LOG_FLOOR)  # 5e-324, from the ufunc the density uses
@@ -185,15 +184,6 @@ def log_step(log_w: np.ndarray, log_row) -> tuple[float, int]:
     peak = float(log_w[top])
     log_w -= peak
     return peak, top
-
-
-def update_log(posterior: Posterior, log_row: np.ndarray, label: str | None = None) -> Posterior:
-    """Bayes update with a log-likelihood row already evaluated on the grid."""
-    log_w = np.array(posterior.log_weights, dtype=np.float64)  # a copy
-    if not math.isfinite(log_step(log_w, log_row)[0]):
-        what = f"outcome {label}" if label else "likelihood row"
-        raise DegenerateRowError(f"{what} leaves zero posterior mass everywhere")
-    return Posterior(grid=posterior.grid, log_weights=log_w)
 
 
 def density(posterior: Posterior) -> np.ndarray:

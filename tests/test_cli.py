@@ -331,7 +331,6 @@ class TestEnsembleCommand:
             ["--protocol", "optimal"],
             ["--phi-true", "0.75"],
             ["--theta", "0.7"],
-            ["--label", "x"],
             ["--grid-points", "256"],
             ["--n-max", "16"],
         ],
@@ -345,6 +344,13 @@ class TestEnsembleCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"{flag[0]} cannot be given with --config" in err
+
+    def test_label_flag_is_gone(self, capsys):
+        # the campaign label is a fixed echo, no setting
+        with pytest.raises(SystemExit) as exc:
+            main(["ensemble", "--phi-true", "0.75", "--label", "x"])
+        assert exc.value.code == 2
+        assert "--label" in capsys.readouterr().err
 
     def test_config_takes_seed_workers_and_outputs(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
@@ -444,6 +450,7 @@ class TestEnsembleCommand:
             (lambda c: c["protocol"].update(mode="ladder", fixed_theta=0.7), "fixed_theta is not read"),
             (lambda c: c.update(label=5), "label"),
             (lambda c: c.update(label={"a": 1}), "label"),
+            (lambda c: c.update(label="x"), "label must be ''"),
             (lambda c: c.update(residual_policy="renormalize"), "residual_policy"),
             (lambda c: c.update(tail_tol=1e-8), "tail_tol must be 1e-12"),
             (lambda c: c.update(tail_tol=True), "tail_tol must be 1e-12"),
@@ -452,7 +459,7 @@ class TestEnsembleCommand:
             "unknown-protocol-key", "no-protocol", "scalar-mean-photons", "bool-trials",
             "string-fixed-theta", "string-tail-tol", "string-pre-rounds-optimal",
             "list-pre-rounds-fixed", "foreign-pre-rounds-optimal", "foreign-fixed-theta-ladder",
-            "int-label", "object-label", "renormalize-policy",
+            "int-label", "object-label", "text-label", "renormalize-policy",
             "loose-tail-tol", "bool-tail-tol",
         ],
     )
@@ -540,66 +547,56 @@ class TestVerifyCommand:
         assert "FAIL" not in err
 
 
+SEEDED = ["run", "threshold", "ensemble-flags", "ensemble-config"]
+
+
+def seeded_argv(command: str, tmp_path) -> list[str]:
+    """A seeded command without --seed, writing its JSON to out.json."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "protocol": {"mode": "optimal", "measurements": 10},
+                "mean_photons": [4.0],
+                "phi_true": [0.75],
+                "trials": 1,
+            }
+        )
+    )
+    common = ["--phi-true", "0.75", "--mean-photons", "4"]
+    argv = {
+        "run": ["run", "--protocol", "optimal", "--measurements", "10", *common],
+        "threshold": ["threshold", "--thetas", "0.7", "--trials", "1", *common],
+        "ensemble-flags": ["ensemble", "--trials", "1", "--measurements", "10", *common],
+        "ensemble-config": ["ensemble", "--config", str(cfg_path)],
+    }[command]
+    return [*argv, "--out", str(tmp_path / "out.json")]
+
+
 class TestSeedsAndErrors:
-    def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
-        out_env = tmp_path / "env.json"
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_env_seed_without_flag_is_a_usage_error(self, command, tmp_path, capsys, monkeypatch):
+        # the seed comes from --seed alone, so a run that once read SU11_SEED
+        # stops instead of changing its seed unannounced
         monkeypatch.setenv("SU11_SEED", "99")
-        run_cli(
-            [
-                "run", "--protocol", "optimal", "--phi-true", "0.75",
-                "--mean-photons", "4", "--measurements", "10", "--out", str(out_env),
-            ],
-            capsys,
-        )
+        with pytest.raises(SystemExit) as exc:
+            main(seeded_argv(command, tmp_path))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "SU11_SEED" in err and "--seed" in err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_env_seed_beside_flag_changes_no_byte(self, command, tmp_path, capsys, monkeypatch):
+        argv = [*seeded_argv(command, tmp_path), "--seed", "99"]
+        out = tmp_path / "out.json"
+        monkeypatch.setenv("SU11_SEED", "5")
+        assert run_cli(argv, capsys)[0] == 0
+        with_env = out.read_bytes()
         monkeypatch.delenv("SU11_SEED")
-        out_flag = tmp_path / "flag.json"
-        run_cli(
-            [
-                "run", "--protocol", "optimal", "--phi-true", "0.75",
-                "--mean-photons", "4", "--measurements", "10",
-                "--seed", "99", "--out", str(out_flag),
-            ],
-            capsys,
-        )
-        assert json.loads(out_env.read_text())["seed"] == 99
-        assert out_env.read_bytes() == out_flag.read_bytes()
-
-    def test_bad_env_seed_is_reported(self, capsys, monkeypatch):
-        monkeypatch.setenv("SU11_SEED", "not-a-number")
-        code, _, err = run_cli(
-            [
-                "run", "--protocol", "optimal", "--phi-true", "0.75",
-                "--mean-photons", "4", "--measurements", "10",
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert "SU11_SEED" in err
-
-    @pytest.mark.parametrize("command", ["run", "threshold", "ensemble-flags", "ensemble-config"])
-    def test_empty_env_seed_is_reported_by_every_command(self, command, tmp_path, capsys, monkeypatch):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(
-            json.dumps(
-                {
-                    "protocol": {"mode": "optimal", "measurements": 10},
-                    "mean_photons": [4.0],
-                    "phi_true": [0.75],
-                    "trials": 1,
-                }
-            )
-        )
-        common = ["--phi-true", "0.75", "--mean-photons", "4"]
-        argv = {
-            "run": ["run", "--protocol", "optimal", "--measurements", "10", *common],
-            "threshold": ["threshold", "--thetas", "0.7", "--trials", "1", *common],
-            "ensemble-flags": ["ensemble", "--trials", "1", "--measurements", "10", *common],
-            "ensemble-config": ["ensemble", "--config", str(cfg_path)],
-        }[command]
-        monkeypatch.setenv("SU11_SEED", "")
-        code, out, err = run_cli(argv, capsys)
-        assert (code, out) == (1, "")
-        assert "SU11_SEED must be an integer" in err
+        assert run_cli(argv, capsys)[0] == 0
+        assert out.read_bytes() == with_env
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -76,7 +76,7 @@ class TestCampaignConfig:
     def test_round_trip(self):
         # grids compare by identity (they key shared caches), so the
         # serialization contract is dict-level fidelity
-        cfg = tiny_campaign(label="smoke")
+        cfg = tiny_campaign()
         again = CampaignConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
 

@@ -194,3 +194,49 @@ def test_scipy_import_guard_sees_module_and_function_imports(tmp_path):
         ("probe.py", "<module>", "scipy.special.gammaln"),
         ("probe.py", "f", "scipy.stats"),
     ]
+
+
+_ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(path: Path) -> list[tuple[str, int, str]]:
+    """(file, line, name) for each read of os.environ or os.getenv, written
+    os.<name> or imported with from os import <name>."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in _ENV_READERS
+        ):
+            found.append((path.name, node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "os":
+            found.extend(
+                (path.name, node.lineno, f"os.{a.name}") for a in node.names if a.name in _ENV_READERS
+            )
+    return found
+
+
+def test_no_module_reads_the_environment():
+    # settings come in through argv or the library API alone; the one read is
+    # cli's refusal of the retired SU11_SEED, so no second route comes back
+    hits = [hit for path in MODULES for hit in environment_reads(path)]
+    assert [(name, what) for name, _, what in hits] == [("cli.py", "os.environ")]
+    assert '"SU11_SEED" in os.environ' in CLI.read_text().splitlines()[hits[0][1] - 1]
+
+
+def test_environment_guard_sees_attribute_and_imported_reads(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import os\n"
+        "from os import getenv, path\n"
+        "seed = os.environ.get('SEED')\n"
+        "def f():\n"
+        "    return os.getenv('X'), os.path.join('a')\n"
+    )
+    assert environment_reads(probe) == [
+        ("probe.py", 2, "os.getenv"),
+        ("probe.py", 3, "os.environ"),
+        ("probe.py", 5, "os.getenv"),
+    ]

@@ -173,7 +173,7 @@ def test_threshold_sweep(data, phi, trials, measurements, nbar):
 # and the campaign's
 _PROTOCOL_ECHOES = ("initial_theta", "peak_min_separation", "peak_height_floor",
                     "rival_height_ratio")
-_CAMPAIGN_ECHOES = ("residual_policy", "tail_tol")
+_CAMPAIGN_ECHOES = ("residual_policy", "tail_tol", "label")
 _GRIDS = ((0.0, math.pi), (-0.5 * math.pi, 0.5 * math.pi))
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from su11sim import DegenerateRowError, PhaseGrid, outcome_probabilities
+from su11sim import PhaseGrid, outcome_probabilities
 from su11sim.measurement import Outcome, shared_grid_tables
 from su11sim.posterior import (
     Posterior,
@@ -19,16 +19,23 @@ from su11sim.posterior import (
     posterior_variance,
     prune_secondary,
     uniform_posterior,
-    update_log,
 )
 from su11sim.posterior import LOG_FLOOR, _EXP_UNDERFLOW, _logsumexp, _normalized, log_step, rival_screen
 
 
+def stepped(posterior: Posterior, log_row) -> Posterior:
+    """Bayes update with a log-likelihood row: log_step on a copy of the
+    posterior's log weights."""
+    log_w = posterior.log_weights.copy()
+    log_step(log_w, log_row)
+    return Posterior(grid=posterior.grid, log_weights=log_w)
+
+
 def update(posterior: Posterior, row: np.ndarray) -> Posterior:
-    """Bayes update with a positive linear likelihood row: update_log of its
+    """Bayes update with a positive linear likelihood row: the update of its
     log, floored at LOG_FLOOR."""
     with np.errstate(divide="ignore"):
-        return update_log(posterior, np.maximum(np.log(row), LOG_FLOOR))
+        return stepped(posterior, np.maximum(np.log(row), LOG_FLOOR))
 
 
 def gaussian_posterior(grid: PhaseGrid, center: float, sigma: float) -> Posterior:
@@ -143,7 +150,7 @@ class TestUpdate:
     def test_vacuum_row_symmetric_about_theta(self, photon_model, grid):
         j = grid.index_of(0.70)
         log_row = shared_grid_tables(photon_model, grid).log_row(Outcome.pair(0), j)
-        post = update_log(uniform_posterior(grid), log_row)
+        post = stepped(uniform_posterior(grid), log_row)
         d = density(post)
         k = np.arange(1, min(j, grid.n_points - 1 - j))
         assert np.max(np.abs(d[j + k] - d[j - k])) < 1e-9 * d[j]
@@ -165,7 +172,7 @@ class TestUpdate:
         seq = uniform_posterior(grid)
         for row in rows:
             seq = update(seq, row)
-        batched = update_log(uniform_posterior(grid), np.sum(np.log(rows), axis=0))
+        batched = stepped(uniform_posterior(grid), np.sum(np.log(rows), axis=0))
         assert np.max(np.abs(density(seq) - density(batched))) < 1e-10
 
     def test_update_order_irrelevant(self, grid):
@@ -179,10 +186,13 @@ class TestUpdate:
             backward = update(backward, row)
         assert np.max(np.abs(density(forward) - density(backward))) < 1e-10
 
-    def test_all_zero_row_rejected_with_label(self, grid):
-        # an outcome of zero probability everywhere has the log row -inf
-        with np.errstate(invalid="ignore"), pytest.raises(DegenerateRowError, match="pair:3"):
-            update_log(uniform_posterior(grid), np.full(grid.n_points, -np.inf), label="pair:3")
+    def test_all_zero_row_gives_a_non_finite_peak(self, grid):
+        # an outcome of zero probability everywhere has the log row -inf; the
+        # non-finite peak tells the caller to give up the posterior
+        log_w = uniform_posterior(grid).log_weights.copy()
+        with np.errstate(invalid="ignore"):
+            peak, _ = log_step(log_w, np.full(grid.n_points, -np.inf))
+        assert not math.isfinite(peak)
 
 
 class TestEstimates:

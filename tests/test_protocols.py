@@ -46,7 +46,6 @@ from su11sim.posterior import (
     posterior_variance,
     prune_secondary,
     uniform_posterior,
-    update_log,
 )
 from su11sim.protocols import RIVAL_HEIGHT_RATIO, StepRecord, TrialRecord
 
@@ -269,11 +268,11 @@ class TestFixedProtocol:
         assert rec.m_threshold is not None
         tables = shared_grid_tables(model, grid)
         j = grid.index_of(cfg.fixed_theta)
-        post = uniform_posterior(grid)
+        log_w = uniform_posterior(grid).log_weights.copy()
         first = None
         for s in rec.steps:
-            post = update_log(post, tables.log_row(s.outcome, j))
-            report = detect_peaks(post, PEAK_MIN_SEPARATION, RIVAL_HEIGHT_RATIO)
+            log_step(log_w, tables.log_row(s.outcome, j))
+            report = detect_peaks(Posterior(grid, log_w), PEAK_MIN_SEPARATION, RIVAL_HEIGHT_RATIO)
             if report.secondary is not None:
                 first = s.step
                 break
@@ -825,7 +824,7 @@ class TestUniformSource:
         rng = np.random.default_rng(7)
         n = 3 * protocols.CHUNK
         got = [law.draw_code(counted) for _ in range(n)]
-        assert got == [law.draw(rng).code() for _ in range(n)]
+        assert got == [sample(optimal_model, offset, rng).code() for _ in range(n)]
         assert 2 * protocols.CHUNK < n < len(used) < 2 * n
 
 
@@ -857,7 +856,7 @@ def test_cached_law_draws_as_sample(scheme, offset, seed, draws):
     rngs = [np.random.default_rng(seed) for _ in range(4)]
     source = protocols._uniform_source(rngs[3])
     drawers = (
-        law.draw,
+        lambda r: outcome_of_code(scheme, law.draw_code(r.random)),
         lambda r: sample(model, offset, r),
         lambda r: _reference_sample(model, offset, r),
         lambda r: outcome_of_code(scheme, law.draw_code(source)),
