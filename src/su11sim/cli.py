@@ -397,34 +397,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_verify)
 
+    # usage errors found after parsing print the subcommand's usage line,
+    # as argparse's own errors do
+    for p in sub.choices.values():
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "config", None) is not None:
         stray = [f for f in getattr(args, "flags_given", []) if f not in _BESIDE_CONFIG]
         if stray:
-            parser.error(
-                f"ensemble: {stray[0]} cannot be given with --config, whose file sets the "
+            args.usage_error(
+                f"{stray[0]} cannot be given with --config, whose file sets the "
                 "campaign (only --seed, --workers and the output flags apply)"
             )
     # the seed comes from --seed alone: a run that once read SU11_SEED stops
     # rather than change its seed unannounced
     seed_given = "--seed" in getattr(args, "flags_given", [])
     if hasattr(args, "seed") and not seed_given and "SU11_SEED" in os.environ:
-        parser.error(
-            f"{args.command}: SU11_SEED is set but no longer read; give the seed as --seed"
-        )
+        args.usage_error("SU11_SEED is set but no longer read; give the seed as --seed")
     if args.command in ("run", "ensemble"):
         reads = {"measurements", *MODE_FIELDS[args.protocol]}
         foreign = _protocol_fields(args).keys() - reads
         if foreign:
             flag = next(f for f, (field, *_) in _PROTOCOL_FLAGS.items() if field in foreign)
             own = [f for f, (field, *_) in _PROTOCOL_FLAGS.items() if field in reads]
-            parser.error(
-                f"{args.command}: --protocol {args.protocol} does not read {flag} "
+            args.usage_error(
+                f"--protocol {args.protocol} does not read {flag} "
                 f"(its protocol flags: {', '.join(own)})"
             )
     try:

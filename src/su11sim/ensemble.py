@@ -5,10 +5,10 @@ trial index), so any single trial can be replayed in isolation and results
 never depend on execution order or worker count.
 
 Campaigns and threshold scans share one cell runner: a scan's feedback
-phases are fixed-mode cells. The calling process and any child processes
-take cells from one costliest-first order; children send back per-trial
-summaries, and cell statistics are computed from them in the calling
-process.
+phases are fixed-mode cells. The calling process builds every model and
+likelihood table first; it and any child processes then take cells from
+one order, children send back per-trial summaries, and cell statistics
+are computed from them in the calling process.
 """
 from __future__ import annotations
 
@@ -23,15 +23,14 @@ import numpy as np
 
 from .analysis import benchmarks
 from .errors import CampaignError, SU11Error, WorkerError
-from .measurement import make_model
+from .measurement import make_model, shared_grid_tables
 from .posterior import PhaseGrid
 from .protocols import MODE_FIXED, ProtocolConfig, finite_real, known_keys
 from .protocols import run_trials, scheme_for_mode
 from .tmsq import TAIL_TOL
 
 # Not called here, but kept importable from this module: the span tracer in
-# perfbench/trace_spans.py wraps these names at this import site.
-from .measurement import shared_grid_tables  # noqa: F401
+# perfbench/trace_spans.py wraps this name at this import site.
 from .protocols import run_trial  # noqa: F401
 
 DEFAULT_MASTER_SEED = 7
@@ -191,19 +190,29 @@ class CampaignResult:
 # The models of the running _run_cells call in this process, keyed by all
 # that make_model reads (scheme, n-bar, n_max), so cells that share n-bar
 # share one model and, through its cache (shared_grid_tables, keyed by the
-# grid's values), one table per grid.
-# _run_cells empties the caller's; a child's dies with the child.
+# grid's values), one table per grid. _run_cells fills it with every model
+# and table of its cells before any child starts, and a forked child
+# inherits it whole; a child started another way (spawn) begins empty and
+# builds what its cells need. _run_cells empties the caller's; a child's
+# dies with the child.
 _MODELS: dict = {}
 
 
-def _run_cell(config: CampaignConfig, cell: tuple[int, float, float]):
-    """One cell's trials: (summaries, failures), each in trial order."""
-    cell_index, phi, nbar = cell
+def _model(config: CampaignConfig, nbar: float):
+    """The model of config's cells at this n-bar: from _MODELS, else built into it."""
     scheme = scheme_for_mode(config.protocol.mode)
     key = (scheme, nbar, config.n_max)
     model = _MODELS.get(key)
     if model is None:
         model = _MODELS[key] = make_model(scheme, nbar, n_max=config.n_max)
+    return model
+
+
+def _run_cell(config: CampaignConfig, cell: tuple[int, float, float]):
+    """One cell's trials: (summaries, failures), each in trial order. The
+    cell's model and table come from _MODELS, or are built here if absent."""
+    cell_index, phi, nbar = cell
+    model = _model(config, nbar)
     cell_cfg = replace(config.protocol, phi_true=phi)
     summaries: list[TrialSummary] = []
     failures: list[TrialFailure] = []
@@ -275,15 +284,18 @@ def _run_cells(configs, cells, workers: int = 1) -> list:
     the calling one included; outputs in cell order. The only owner of the
     child processes and of _MODELS.
 
+    First the caller makes every model the cells need, in the order below,
+    so an error of make_model raises here before any child starts. Then it
+    builds all their likelihood tables, in one pass per grid
+    (shared_grid_tables), so the children inherit them through fork and
+    only run trials.
+
     At most min(workers, cells, usable CPUs) - 1 children start, each with
     the cells and a shared count of those taken as arguments, before the
     caller runs its first cell. Every process then takes the next cell only
-    when it is free, costliest first: in descending n-bar, ties in cell
-    order. The cells of one call share trials and measurements, so n-bar,
-    which sets the depth of the table each new model builds, ranks their
-    cost, and the costliest cell starts first instead of being the last one
-    taken. Outputs never depend on this order: every trial's seed comes from
-    its cell and trial indices.
+    when it is free, in descending n-bar, ties in cell order. Outputs never
+    depend on this order: every trial's seed comes from its cell and trial
+    indices. It fixes only which make_model error is raised first.
 
     Children send their outputs through a buffered queue, so none waits on
     the caller while it runs cells. A child's exception is raised here; a
@@ -307,6 +319,11 @@ def _run_cells(configs, cells, workers: int = 1) -> list:
         missing -= 1
 
     try:
+        by_grid: dict = {}
+        for i in order:
+            by_grid.setdefault(configs[i].grid, []).append(_model(configs[i], cells[i][2]))
+        for grid, (first, *rest) in by_grid.items():
+            shared_grid_tables(first, grid, *rest)
         for _ in range(min(workers, len(cells), _usable_cpus()) - 1):
             child = ctx.Process(target=_child, args=(configs, cells, order, taken, results))
             child.start()

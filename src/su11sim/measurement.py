@@ -10,12 +10,17 @@ A closed-form route exists for every probability because the output state is
 always a phase-twisted twin-beam state: the pair distribution is geometric,
 p(n) = (1 - v) v^n, with v the pair ratio below. Production likelihoods for
 outcome codes up to n_max come from the truncated amplitude tables through
-one route, outcome_probabilities; likelihood, pmf, LikelihoodGrid and the
-CLI's likelihood curves all read it. The geometric form is the one sampling
-law (outcome_law) and gives the n > n_max tail rows. Tests cross-check the
-two routes against each other and against brute-force sums.
-LikelihoodGrid stores only the log table. It evaluates outcome_probabilities
-at the non-negative offsets only and fills the negative ones by mirroring
+one route, a pass of offset blocks over one or more models
+(_probability_blocks). outcome_probabilities is its one-model case, which
+likelihood, pmf and the CLI's likelihood curves read. LikelihoodGrid's log
+tables are written block by block from the same pass, and
+shared_grid_tables given several models fills all their tables in one
+pass, computing each block of phase factors once (a campaign builds every
+table this way before its trials start). The geometric form is the one
+sampling law (outcome_law) and gives the n > n_max tail rows. Tests
+cross-check the two routes against each other and against brute-force sums.
+LikelihoodGrid stores only the log table. The pass evaluates it at the
+non-negative offsets only, and the negative ones are filled by mirroring
 (plus and minus swap places), which is exact:
 the offsets are exactly antisymmetric and amplitudes at -u are the complex
 conjugates of those at u.
@@ -31,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .posterior import LOG_FLOOR, PhaseGrid
-from .tmsq import OpaParams, SchmidtTable, build_schmidt_table, pair_amplitude_matrix
+from .tmsq import OpaParams, SchmidtTable, build_schmidt_table, pair_amplitude_blocks
 
 _PMF_FLOOR = 1e-14
 
@@ -169,28 +174,45 @@ def detection_asymmetry(params: OpaParams, delta_phi):
     return float(gap) if np.isscalar(delta_phi) else gap
 
 
+def _probability_blocks(models, offsets):
+    """Outcome probabilities of several models at many offsets, a row block at a time.
+
+    Yields (rows, probs) per block of pair_amplitude_blocks: probs holds,
+    for each model in order, the (rows, n_max + 1) array whose [j, c]
+    entry is the probability of outcome_of_code(model.scheme, c) at
+    offsets[rows][j]. Plus and minus are clamped at 0.
+    """
+    for rows, amps in pair_amplitude_blocks([m.table for m in models], offsets):
+        blocks = []
+        for model, amp in zip(models, amps):
+            probs = np.abs(amp) ** 2
+            if model.scheme is Scheme.OPTIMAL:
+                # codes 0 and 1 are plus and minus; the zero- and one-pair
+                # probabilities they replace belong to no outcome of this scheme
+                mean = 0.5 * (probs[:, 0] + probs[:, 1])
+                cross = np.imag(amp[:, 0] * np.conj(amp[:, 1]))
+                np.maximum(mean + cross, 0.0, out=probs[:, 0])
+                np.maximum(mean - cross, 0.0, out=probs[:, 1])
+            blocks.append(probs)
+        yield rows, blocks
+
+
 def outcome_probabilities(model: LikelihoodModel, offsets) -> np.ndarray:
     """Probabilities of every outcome with code up to n_max, at many offsets.
 
     Returns an array of shape (len(offsets), n_max + 1) whose [j, c] entry
     is the probability of outcome_of_code(model.scheme, c) at offsets[j].
-    This is the one route from the amplitude table to probabilities. Plus
-    and minus are clamped at 0. pair_amplitude_matrix builds the amplitudes
-    in small blocks, which bounds the transient phase matrix.
+    This is the one route from the amplitude table to probabilities, here
+    in its one-model case; LikelihoodGrid's tables come from the same
+    blocks. Plus and minus are clamped at 0.
     """
     u = np.asarray(offsets, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError(f"offsets must be one-dimensional, got shape {u.shape}")
-    amps = pair_amplitude_matrix(model.table, u)
-    probs = np.abs(amps) ** 2
-    if model.scheme is Scheme.OPTIMAL:
-        # codes 0 and 1 are plus and minus; the zero- and one-pair
-        # probabilities they replace belong to no outcome of this scheme
-        mean = 0.5 * (probs[:, 0] + probs[:, 1])
-        cross = np.imag(amps[:, 0] * np.conj(amps[:, 1]))
-        np.maximum(mean + cross, 0.0, out=probs[:, 0])
-        np.maximum(mean - cross, 0.0, out=probs[:, 1])
-    return probs
+    out = np.empty((len(u), model.n_max + 1))
+    for rows, (probs,) in _probability_blocks([model], u):
+        out[rows] = probs
+    return out
 
 
 def _tail_log_prob(v: float, n: int) -> float:
@@ -309,7 +331,7 @@ class LikelihoodGrid:
     Offsets phi_i - theta_j only take 2 N - 1 distinct values on a uniform
     grid, so one extended row per outcome serves every feedback setting via
     slicing. The log rows are stacked by outcome code (Outcome.code) into
-    one table, built from outcome_probabilities at the N non-negative
+    one table, built from the probability pass at the N non-negative
     offsets and mirrored onto the N - 1 negative ones; log_row and
     log_windows both read it. Rows for pair counts beyond n_max are
     synthesized from the geometric tail on demand.
@@ -319,25 +341,24 @@ class LikelihoodGrid:
     cycle that outlives the model until a full garbage collection.
     """
 
-    def __init__(self, model: LikelihoodModel, grid: PhaseGrid):
+    def __init__(self, model: LikelihoodModel, grid: PhaseGrid, log_table=None):
+        """log_table is this model's table from _grid_log_tables, its
+        non-negative offsets filled; without it the pass runs here for this
+        model alone. The table is taken over, not copied."""
         self._model = weakref.ref(model)
         self.scheme = model.scheme
         self.n_max = model.table.n_max
         self.grid = grid
         n = grid.n_points
-        offsets = (np.arange(2 * n - 1, dtype=np.float64) - (n - 1)) * grid.spacing
+        if log_table is None:
+            (log_table,) = _grid_log_tables([model], grid)
         # offsets[n - 1 - k] == -offsets[n - 1 + k] exactly and amplitudes at -u
         # are the conjugates of those at u, so the non-negative half fixes the
         # table: a mirrored column keeps its pair counts and swaps plus and minus
-        with np.errstate(divide="ignore"):
-            half = np.log(outcome_probabilities(model, offsets[n - 1 :]).T)
-        np.maximum(half, LOG_FLOOR, out=half)
-        log_table = np.empty((self.n_max + 1, 2 * n - 1))
-        log_table[:, n - 1 :] = half
-        log_table[:, n - 2 :: -1] = half[:, 1:]
+        log_table[:, n - 2 :: -1] = log_table[:, n:]
         if self.scheme is Scheme.OPTIMAL:
             log_table[[0, 1], : n - 1] = log_table[[1, 0], : n - 1]
-        v = pair_ratio(model.params, offsets)
+        v = pair_ratio(model.params, _grid_offsets(grid))
         with np.errstate(divide="ignore"):
             log_v = np.where(v > 0.0, np.log(np.maximum(v, 1e-320)), 2.0 * LOG_FLOOR)
         self._log_table = log_table
@@ -378,17 +399,49 @@ class LikelihoodGrid:
         return row
 
 
-def shared_grid_tables(model: LikelihoodModel, grid: PhaseGrid) -> LikelihoodGrid:
+def _grid_offsets(grid: PhaseGrid) -> np.ndarray:
+    """The 2N - 1 offsets phi_i - theta_j of the grid, ascending; offset 0 is at N - 1."""
+    n = grid.n_points
+    return (np.arange(2 * n - 1, dtype=np.float64) - (n - 1)) * grid.spacing
+
+
+def _grid_log_tables(models, grid: PhaseGrid) -> list[np.ndarray]:
+    """One (n_max + 1, 2N - 1) log table per model, its N non-negative
+    offsets filled and floored at LOG_FLOOR, from one pass of
+    _probability_blocks over them all.
+
+    Each block's log rows go straight into each model's table, so no
+    whole amplitude or probability array is made. The log is taken on the
+    contiguous block before it is stored, so every entry keeps the bits of
+    a log taken over the whole probability array.
+    """
+    n = grid.n_points
+    tables = [np.empty((m.n_max + 1, 2 * n - 1)) for m in models]
+    with np.errstate(divide="ignore"):
+        for rows, blocks in _probability_blocks(models, _grid_offsets(grid)[n - 1 :]):
+            cols = slice(n - 1 + rows.start, n - 1 + rows.stop)
+            for table, probs in zip(tables, blocks):
+                np.log(probs, out=probs)
+                np.maximum(probs, LOG_FLOOR, out=probs)
+                table[:, cols] = probs.T
+    return tables
+
+
+def shared_grid_tables(model: LikelihoodModel, grid: PhaseGrid, *more) -> LikelihoodGrid:
     """Cached LikelihoodGrid per (model, grid) pair, built on first use.
 
     The one table cache. Grids key it by value, so equal grids (a fresh
     PhaseGrid() or one unpickled in a child process) get the same tables. It
     lives on the model, and the tables refer back to the model only weakly,
     so the entry is freed with the model by reference counting alone.
-    """
-    tables = model._grid_tables.get(grid)
-    if tables is None:
-        tables = LikelihoodGrid(model, grid)
-        model._grid_tables[grid] = tables
-    return tables
 
+    The models in `more` are filled too: every model given that has no
+    tables for the grid yet gets them from one pass (_grid_log_tables),
+    which computes each block of phase factors once for all of them.
+    Returns model's tables.
+    """
+    todo = [m for m in dict.fromkeys((model, *more)) if grid not in m._grid_tables]
+    if todo:
+        for m, log_table in zip(todo, _grid_log_tables(todo, grid)):
+            m._grid_tables[grid] = LikelihoodGrid(m, grid, log_table)
+    return model._grid_tables[grid]

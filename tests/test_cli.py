@@ -254,7 +254,7 @@ def test_a_flag_the_mode_does_not_read_is_a_usage_error(command, mode, flag, cap
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"{command}: --protocol {mode} does not read {flag[0]} " in err
+    assert f"su11sim {command}: error: --protocol {mode} does not read {flag[0]} " in err
 
 
 class TestEnsembleCommand:
@@ -597,6 +597,26 @@ class TestSeedsAndErrors:
         monkeypatch.delenv("SU11_SEED")
         assert run_cli(argv, capsys)[0] == 0
         assert out.read_bytes() == with_env
+
+    @pytest.mark.parametrize("case", ["beside-config", "foreign-flag", "env-seed"])
+    def test_post_parse_usage_errors_print_the_subcommand_usage(
+        self, case, tmp_path, capsys, monkeypatch
+    ):
+        # as argparse's own errors do, not the top-level parser's usage line
+        common = ["--phi-true", "0.75", "--mean-photons", "4", "--seed", "3"]
+        command, argv = {
+            "beside-config": ("ensemble", ["ensemble", "--config", "c.json", "--trials", "5"]),
+            "foreign-flag": ("run", ["run", "--protocol", "optimal", "--theta", "0.7", *common]),
+            "env-seed": ("threshold", seeded_argv("threshold", tmp_path)),
+        }[case]
+        if case == "env-seed":
+            monkeypatch.setenv("SU11_SEED", "5")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: su11sim {command} ")
+        assert f"\nsu11sim {command}: error: " in err
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,7 @@ from su11sim import (
     PhaseGrid,
     ProtocolConfig,
     SU11Error,
+    TruncationError,
     WorkerError,
     make_model,
     run_campaign,
@@ -240,8 +241,8 @@ class TestModelCache:
         grids = []
 
         class CountingGrid(measurement_mod.LikelihoodGrid):
-            def __init__(self, model, grid):
-                super().__init__(model, grid)
+            def __init__(self, model, grid, *log_table):
+                super().__init__(model, grid, *log_table)
                 grids.append(grid)
 
         monkeypatch.setattr(measurement_mod, "LikelihoodGrid", CountingGrid)
@@ -272,22 +273,46 @@ class TestModelCache:
         assert ensemble_mod._MODELS == {}
         assert built[0]() is None
 
-    def test_pooled_cells_build_one_table_per_worker(self, tmp_path, monkeypatch):
-        # the caller and its child share no memory, so each build appends its process id to a file
+    def test_pooled_cells_use_the_callers_models_and_tables(self, tmp_path, monkeypatch):
+        # four cells over two n-bar at two workers: one model and one table
+        # per n-bar, all built in the calling process. The caller and its
+        # child share no memory, so each build and each cell taken appends
+        # its kind and process id to a file
         log = tmp_path / "builds"
 
-        class LoggingGrid(measurement_mod.LikelihoodGrid):
-            def __init__(self, model, grid):
-                super().__init__(model, grid)
-                with open(log, "a") as fh:
-                    fh.write(f"{os.getpid()}\n")
+        def note(kind):
+            with open(log, "a") as fh:
+                fh.write(f"{kind} {os.getpid()}\n")
 
+        make_model = ensemble_mod.make_model
+        run_cell = ensemble_mod._run_cell
+        caller = os.getpid()
+
+        def logged_model(*args, **kw):
+            note("model")
+            return make_model(*args, **kw)
+
+        class LoggingGrid(measurement_mod.LikelihoodGrid):
+            def __init__(self, *args):
+                super().__init__(*args)
+                note("table")
+
+        def logged_cell(config, cell):
+            if os.getpid() == caller:
+                time.sleep(0.3)  # so that the child takes a cell
+            note("cell")
+            return run_cell(config, cell)
+
+        monkeypatch.setattr(ensemble_mod, "make_model", logged_model)
         monkeypatch.setattr(measurement_mod, "LikelihoodGrid", LoggingGrid)
-        cfg = tiny_campaign(phi_true=(0.25, 0.5, 0.75, 1.0), trials=2)
+        monkeypatch.setattr(ensemble_mod, "_run_cell", logged_cell)
+        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 2)
+        cfg = tiny_campaign(mean_photons=(4.0, 8.0), phi_true=(0.5, 0.75), trials=2)
         assert len(run_campaign(cfg, workers=2).cells) == 4
-        pids = log.read_text().split()
-        assert 1 <= len(pids) <= 2
-        assert len(set(pids)) == len(pids)
+        notes = [line.split() for line in log.read_text().splitlines()]
+        builds = [(kind, int(pid)) for kind, pid in notes if kind != "cell"]
+        assert sorted(builds) == [("model", caller)] * 2 + [("table", caller)] * 2
+        assert {int(pid) for kind, pid in notes if kind == "cell"} - {caller}
 
 
 def log_takes(monkeypatch, log):
@@ -460,6 +485,15 @@ class TestChildProcesses:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert ensemble_mod._usable_cpus() == 3
+
+    def test_a_model_error_raises_before_any_child_starts(self, monkeypatch, starts):
+        # n-bar 56 needs a deeper Schmidt table than the pair cap allows
+        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 8)
+        cfg = tiny_campaign(mean_photons=(4.0, 56.0), phi_true=(0.5, 0.75))
+        with pytest.raises(TruncationError, match="pair ladder capped at 4096"):
+            run_campaign(cfg, workers=2)
+        assert starts == []
+        assert ensemble_mod._MODELS == {}
 
     def test_spawned_children_give_the_same_result(self, monkeypatch, starts):
         # spawned children get only their arguments, none of the caller's memory

@@ -30,7 +30,12 @@ from su11sim.measurement import (
     sample,
     shared_grid_tables,
 )
+from su11sim.ensemble import CampaignConfig, run_campaign
+from su11sim.measurement import _grid_log_tables
 from su11sim.posterior import LOG_FLOOR
+from su11sim.protocols import MODE_OPTIMAL, ProtocolConfig
+import su11sim.measurement as measurement_mod
+import su11sim.tmsq as tmsq_mod
 
 U_SWEEP = (-math.pi, -1.2, -0.3, -0.05, 0.0, 0.05, 0.3, 0.75, 1.2, math.pi)
 
@@ -207,12 +212,12 @@ class TestOutcomeProbabilities:
             assert np.max(np.abs(whole[j] - alone)) < 1e-15
 
     @pytest.mark.parametrize("scheme", (Scheme.PHOTON_NUMBER, Scheme.OPTIMAL))
-    @pytest.mark.parametrize("n_offsets", (129, 1025, 1153, 4096, 4097))
+    @pytest.mark.parametrize("n_offsets", (129, 257, 1025, 1153, 4096, 4097))
     def test_blocks_keep_the_chunked_bits(self, scheme, n_offsets, photon_model, optimal_model):
         # 1025 and 4097 end in a lone offset, whose one-row product takes
         # BLAS's matrix-vector path and so other bits; the blocks must keep
-        # it exactly there and make no other one-row product (129 and 1153
-        # end in a 128 + 1 split that would)
+        # it exactly there and make no other one-row product (257 ends one
+        # offset past nbar 4's 256-offset blocks, a split that would)
         model = photon_model if scheme is Scheme.PHOTON_NUMBER else optimal_model
         u = np.linspace(0.0, math.pi, n_offsets)
         assert np.array_equal(outcome_probabilities(model, u), chunked_probabilities(model, u))
@@ -276,6 +281,87 @@ class TestMirroredGridBuild:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_pass_transient_memory_stays_bounded(self):
+        # the four tables a pass keeps take 4 x 17 x 8191 doubles (4.3 MiB)
+        # and its one phase block 33 x 3673 complex (1.8 MiB) at n-bar 32.
+        # A whole amplitude and probability array per model would add
+        # 6.4 MiB, and the 128-offset blocks of earlier builds 5.5 MiB
+        models = [make_model("photon", nbar) for nbar in (8.0, 16.0, 24.0, 32.0)]
+        tracemalloc.start()
+        try:
+            shared_grid_tables(models[0], PhaseGrid(), *models[1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+@functools.lru_cache(maxsize=None)
+def pass_models() -> tuple:
+    """Both schemes at four n-bar, for the passes over several models."""
+    return tuple(
+        model_at(scheme, nbar)
+        for scheme in (Scheme.PHOTON_NUMBER, Scheme.OPTIMAL)
+        for nbar in (0.5, 4.0, 16.0, 32.0)
+    )
+
+
+class TestOnePass:
+    """One pass over several models builds each model's table as it would be
+    built alone, and computes each block of phase factors once."""
+
+    @pytest.mark.parametrize("n_points", (64, 999, 1025, 1153, 4097))
+    def test_tables_bit_identical_to_one_model_builds(self, n_points):
+        # 1025 and 4097 points end in a lone non-negative offset
+        grid = PhaseGrid(n_points=n_points)
+        models = pass_models()
+        for model, log_table in zip(models, _grid_log_tables(models, grid)):
+            got = LikelihoodGrid(model, grid, log_table)._log_table
+            assert np.array_equal(got, LikelihoodGrid(model, grid)._log_table), model
+
+    def test_shared_tables_fill_every_model_once(self, monkeypatch):
+        calls = []
+        blocks = measurement_mod._probability_blocks
+
+        def counting(models, offsets):
+            calls.append(len(models))
+            return blocks(models, offsets)
+
+        monkeypatch.setattr(measurement_mod, "_probability_blocks", counting)
+        grid = PhaseGrid(n_points=64)
+        first, second = make_model("photon", 1.0), make_model("photon", 2.0)
+        tables = shared_grid_tables(first, grid, second, first)
+        assert calls == [2]
+        assert shared_grid_tables(second, grid, first) is second._grid_tables[grid]
+        assert shared_grid_tables(first, grid) is tables
+        assert calls == [2]
+
+    def test_campaign_fills_each_phase_block_once(self, monkeypatch):
+        # four n-bar on one grid: one pass whose blocks cover the N
+        # non-negative offsets once, from offset 0, in the 32-offset blocks
+        # that the deepest table (nbar 32, p_max 3672) sets
+        passes = []
+        blocks = tmsq_mod.pair_amplitude_blocks
+
+        def counting(tables, delta_phis):
+            rows = []
+            passes.append((len(tables), rows))
+            for block in blocks(tables, delta_phis):
+                rows.append((block[0].start, block[0].stop))
+                yield block
+
+        monkeypatch.setattr(measurement_mod, "pair_amplitude_blocks", counting)
+        cfg = CampaignConfig(
+            protocol=ProtocolConfig(mode=MODE_OPTIMAL, measurements=5),
+            mean_photons=(4.0, 8.0, 16.0, 32.0),
+            phi_true=(0.5, 0.75),
+            trials=1,
+            grid=PhaseGrid(n_points=256),
+        )
+        run_campaign(cfg, workers=2)
+        assert [n for n, _ in passes] == [4]
+        assert passes[0][1] == [(start, start + 32) for start in range(0, 256, 32)]
 
 
 class TestPmfAndResidual:

@@ -159,9 +159,10 @@ class TestRealTrigAmplitudes:
     @pytest.mark.parametrize("nbar", (0.5, 4.0, 32.0))
     @pytest.mark.parametrize("rows", (1024, 1025, 1153, 130, 257))
     def test_bit_identical_to_complex_exp(self, nbar, rows):
-        # blocks of 128, 128 + 2 and 128 + 129 rows equal one product; 1025
-        # offsets end in a lone row, as in a 1024-offset product, and 1153
-        # in a 129-row block
+        # blocks of 32 (nbar 32), 256 (nbar 4) or 512 offsets (nbar 0.5)
+        # equal one product, whatever their remainder; 1025 offsets end in
+        # a lone row, as in a 1024-offset product, and 1153 in a 33-row
+        # block at nbar 32
         table = table_at(nbar)
         u = np.concatenate([EDGE_OFFSETS, np.linspace(-3.1, 3.1, rows - len(EDGE_OFFSETS))])
         assert np.array_equal(
@@ -176,6 +177,19 @@ class TestRealTrigAmplitudes:
             assert np.array_equal(
                 pair_amplitude_matrix(table, [u]), exp_pair_amplitude_matrix(table, [u])
             )
+
+    @pytest.mark.parametrize("rows", (1025, 1153, 130))
+    def test_one_pass_over_several_tables_keeps_each_tables_bits(self, rows):
+        # each table multiplies the first p_max + 1 columns of phase blocks
+        # that reach the deepest table's p_max
+        tables = [table_at(nbar) for nbar in (0.5, 4.0, 16.0, 32.0)]
+        u = np.concatenate([EDGE_OFFSETS, np.linspace(-3.1, 3.1, rows - len(EDGE_OFFSETS))])
+        parts = [[] for _ in tables]
+        for _, amps in tmsq.pair_amplitude_blocks(tables, u):
+            for part, amp in zip(parts, amps):
+                part.append(amp)
+        for table, part in zip(tables, parts):
+            assert np.array_equal(np.concatenate(part), exp_pair_amplitude_matrix(table, u))
 
     @pytest.mark.parametrize("nbar", (0.5, 4.0, 32.0))
     def test_negated_offsets_give_exact_conjugates(self, nbar):

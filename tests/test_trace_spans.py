@@ -46,3 +46,23 @@ def test_traced_threshold_scan_records_one_model_build(tmp_path, monkeypatch, ca
     # the scan's model is built in the campaign's cell runner, once for all thetas
     assert tracer.calls["ensemble.threshold_scan"] == 1
     assert tracer.calls["measurement.make_model"] == 1
+
+
+def test_traced_campaign_books_the_table_pass_to_measurement(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from trace_spans import Tracer
+
+    argv = [
+        "ensemble", "--protocol", "optimal", "--phi-true", "0.5,0.75", "--mean-photons", "2,4",
+        "--trials", "2", "--measurements", "20", "--grid-points", "256",
+        "--out", str(tmp_path / "campaign.json"),
+    ]
+    with Tracer() as tracer:
+        code = main(argv)
+    capsys.readouterr()
+    assert code == 0
+    # one model and one table per n-bar, both tables from the one pass that
+    # the campaign's cell runner makes through shared_grid_tables
+    assert tracer.calls["measurement.make_model"] == 2
+    assert tracer.calls["measurement.grid_build"] == 2
+    assert tracer.calls["measurement.shared_grid_tables"] == 1
