@@ -6,9 +6,10 @@ never depend on execution order or worker count.
 
 Campaigns and threshold scans share one cell runner: a scan's feedback
 phases are fixed-mode cells. The calling process builds every model and
-likelihood table first; it and any child processes then take cells from
-one order, children send back per-trial summaries, and cell statistics
-are computed from them in the calling process.
+then every likelihood table, in one pass on as many threads as the call
+has processes; it and any child processes then take cells from one order,
+children send back per-trial summaries, and cell statistics are computed
+from them in the calling process.
 """
 from __future__ import annotations
 
@@ -284,18 +285,20 @@ def _run_cells(configs, cells, workers: int = 1) -> list:
     the calling one included; outputs in cell order. The only owner of the
     child processes and of _MODELS.
 
-    First the caller makes every model the cells need, in the order below,
-    so an error of make_model raises here before any child starts. Then it
-    builds all their likelihood tables, in one pass per grid
-    (shared_grid_tables), so the children inherit them through fork and
-    only run trials.
+    The call runs procs = min(workers, cells, usable CPUs) processes. First
+    the caller makes every model the cells need, in the order below, so an
+    error of make_model raises here before any child starts. Then it
+    builds all their likelihood tables, in one pass per grid on procs
+    threads (shared_grid_tables), so the children inherit them through fork
+    and only run trials. Every pass thread has ended before the first
+    child is forked.
 
-    At most min(workers, cells, usable CPUs) - 1 children start, each with
-    the cells and a shared count of those taken as arguments, before the
-    caller runs its first cell. Every process then takes the next cell only
-    when it is free, in descending n-bar, ties in cell order. Outputs never
-    depend on this order: every trial's seed comes from its cell and trial
-    indices. It fixes only which make_model error is raised first.
+    Then procs - 1 children start, each with the cells and a shared count
+    of those taken as arguments, before the caller runs its first cell.
+    Every process then takes the next cell only when it is free, in
+    descending n-bar, ties in cell order. Outputs never depend on this
+    order: every trial's seed comes from its cell and trial indices. It
+    fixes only which make_model error is raised first.
 
     Children send their outputs through a buffered queue, so none waits on
     the caller while it runs cells. A child's exception is raised here; a
@@ -303,6 +306,7 @@ def _run_cells(configs, cells, workers: int = 1) -> list:
     returns or raises.
     """
     order = sorted(range(len(cells)), key=lambda i: cells[i][2], reverse=True)
+    procs = min(workers, len(cells), _usable_cpus())
     ctx = multiprocessing.get_context()
     taken = ctx.Value("q", 0)
     results = ctx.Queue()
@@ -323,8 +327,8 @@ def _run_cells(configs, cells, workers: int = 1) -> list:
         for i in order:
             by_grid.setdefault(configs[i].grid, []).append(_model(configs[i], cells[i][2]))
         for grid, (first, *rest) in by_grid.items():
-            shared_grid_tables(first, grid, *rest)
-        for _ in range(min(workers, len(cells), _usable_cpus()) - 1):
+            shared_grid_tables(first, grid, *rest, threads=procs)
+        for _ in range(procs - 1):
             child = ctx.Process(target=_child, args=(configs, cells, order, taken, results))
             child.start()
             children.append(child)
@@ -397,7 +401,8 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignResult:
 
     `workers` counts the processes that run cells, the calling one
     included, and is capped at the cells and at the usable CPUs (the
-    affinity mask, else the CPU count).
+    affinity mask, else the CPU count). The likelihood tables are built
+    first, on as many threads as there are processes.
 
     Trials that fail with a domain error are recorded and skipped, but a
     failure fraction above 1% aborts the whole campaign.

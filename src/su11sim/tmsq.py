@@ -20,8 +20,8 @@ HARD_PAIR_CAP = 4096
 # the one truncation tolerance: every table column's squared sum closes to
 # within it of one; campaign JSON and the likelihood CSV echo it as tail_tol
 TAIL_TOL = 1e-12
-# bytes of one phase-matrix block in pair_amplitude_blocks: 32 offsets at
-# p_max 3672 (nbar 32), 256 at p_max 475 (nbar 4)
+# bytes of one phase buffer of block_spans, one per thread of a pass: 32
+# offsets at p_max 3672 (nbar 32), 256 at p_max 475 (nbar 4)
 _BLOCK_BYTES = 2 << 20
 # offsets per product of the first table builds, whose bits every table keeps
 _FIRST_PRODUCT = 1024
@@ -256,52 +256,75 @@ def build_schmidt_table(params: OpaParams, n_max: int = 16) -> SchmidtTable:
     )
 
 
+def block_spans(tables, n_offsets: int):
+    """The row blocks of a pass of pair_amplitude_blocks over n_offsets offsets.
+
+    Returns (spans, shape): spans are the consecutive slices of the offsets
+    that the blocks cover, from offset 0, and shape is the (rows, columns)
+    of a complex phase buffer that holds any one block's phase factors, out
+    to the deepest p_max among the tables.
+
+    A block's offsets number the largest power of two, from 2 to
+    _FIRST_PRODUCT, whose phase factors fit in about _BLOCK_BYTES. Short
+    rows thus come in long blocks, which cost less per offset, and deep ones
+    in short blocks, which bound the memory. A lone row takes BLAS's
+    matrix-vector path, whose bits differ from those of a product over two
+    or more rows. The first tables, built _FIRST_PRODUCT offsets a product,
+    had one exactly when the offsets number 1 (mod _FIRST_PRODUCT), where
+    the block size, which divides _FIRST_PRODUCT, leaves one too. So a
+    one-row remainder stays alone there and joins the block before it
+    elsewhere, and every table keeps its bits.
+    """
+    columns = max(t.p_max for t in tables) + 1
+    block = _FIRST_PRODUCT
+    while block > 2 and block * columns * 16 > _BLOCK_BYTES:  # 16 bytes per complex
+        block //= 2
+    starts = list(range(0, n_offsets, block))
+    if n_offsets % block == 1 and n_offsets % _FIRST_PRODUCT != 1:
+        starts.pop()
+    spans = [slice(a, b) for a, b in zip(starts, starts[1:] + [n_offsets])]
+    return spans, (min(n_offsets, block + 1), columns)
+
+
+def amplitude_block(tables, delta_phis: np.ndarray, rows: slice, buf: np.ndarray) -> list:
+    """The amplitudes of one block of block_spans: for each table in order,
+    the (rows, n_max + 1) complex amplitudes of pair_amplitude_matrix at
+    delta_phis[rows]. buf is a phase buffer of block_spans' shape; its
+    contents are overwritten.
+
+    The phase factors are written as cos and sin into the real and
+    imaginary parts of buf, which is cheaper than a complex exponential and
+    agrees with it bit for bit (the tests check this). The angles go
+    straight into the imaginary part, whose cos fills the real part before
+    its sin overwrites it in place, so no separate angle matrix is made.
+    Each table multiplies the first p_max + 1 columns by its pair_kernel.
+    A column does not depend on how far the buffer reaches, and nothing
+    here depends on which blocks went before, so a block keeps its bits
+    whatever tables share its pass and whichever thread computes it. The
+    kernel is real and cos and sin are even and odd, so the amplitudes at
+    -u are exactly the conjugates of those at u.
+    """
+    phases = buf[: rows.stop - rows.start]
+    np.multiply(delta_phis[rows, None], np.arange(buf.shape[1]), out=phases.imag)
+    np.cos(phases.imag, out=phases.real)
+    np.sin(phases.imag, out=phases.imag)
+    return [phases[:, : t.p_max + 1] @ t.pair_kernel for t in tables]
+
+
 def pair_amplitude_blocks(tables, delta_phis):
     """Detection amplitudes of several tables at many phase offsets, a row block at a time.
 
-    Yields (rows, amps) for consecutive blocks of delta_phis from offset 0:
-    rows is the slice of delta_phis the block covers, and amps holds, for
-    each table in order, the (rows, n_max + 1) complex amplitudes of
-    pair_amplitude_matrix. The block's phase factors are computed once, out
-    to the deepest p_max among the tables, and each table multiplies the
-    first p_max + 1 of their columns by its pair_kernel. A column does not
-    depend on how far the block reaches, so a table's amplitudes keep their
-    bits whatever tables share its pass.
-
-    The phase factors are written as cos and sin into the real and
-    imaginary parts of one complex matrix, which is cheaper than a complex
-    exponential and agrees with it bit for bit (the tests check this). The
-    angles go straight into the imaginary part, whose cos fills the real
-    part before its sin overwrites it in place, so no separate angle matrix
-    is made. The kernel is real and cos and sin are even and odd, so the
-    amplitudes at -u are exactly the conjugates of those at u.
-
-    The blocks go through one reused buffer of about _BLOCK_BYTES: their
-    offsets number the largest power of two, from 2 to _FIRST_PRODUCT, that
-    fits it. Short rows thus come in long blocks, which cost less per
-    offset, and deep ones in short blocks, which bound the memory. A lone
-    row takes BLAS's matrix-vector path, whose bits differ from those of a
-    product over two or more rows. The first tables, built _FIRST_PRODUCT
-    offsets a product, had one exactly when the offsets number 1 (mod
-    _FIRST_PRODUCT), where the block size, which divides _FIRST_PRODUCT,
-    leaves one too. So a one-row remainder stays alone there and joins the
-    block before it elsewhere, and every table keeps its bits.
+    Yields (rows, amps) for the blocks of block_spans in order: rows is the
+    slice of delta_phis the block covers, and amps is amplitude_block's
+    list for it. This is the serial pass, one thread and one phase buffer
+    of about _BLOCK_BYTES; measurement._grid_log_tables runs the same
+    blocks on several threads, one buffer each.
     """
     dphi = np.asarray(delta_phis, dtype=np.float64)
-    m = np.arange(max(t.p_max for t in tables) + 1)
-    block = _FIRST_PRODUCT
-    while block > 2 and block * len(m) * 16 > _BLOCK_BYTES:  # 16 bytes per complex
-        block //= 2
-    buf = np.empty((min(len(dphi), block + 1), len(m)), dtype=np.complex128)
-    starts = list(range(0, len(dphi), block))
-    if len(dphi) % block == 1 and len(dphi) % _FIRST_PRODUCT != 1:
-        starts.pop()
-    for start, stop in zip(starts, starts[1:] + [len(dphi)]):
-        phases = buf[: stop - start]
-        np.multiply(dphi[start:stop, None], m, out=phases.imag)
-        np.cos(phases.imag, out=phases.real)
-        np.sin(phases.imag, out=phases.imag)
-        yield slice(start, stop), [phases[:, : t.p_max + 1] @ t.pair_kernel for t in tables]
+    spans, shape = block_spans(tables, len(dphi))
+    buf = np.empty(shape, dtype=np.complex128)
+    for rows in spans:
+        yield rows, amplitude_block(tables, dphi, rows, buf)
 
 
 def pair_amplitude_matrix(table: SchmidtTable, delta_phis: np.ndarray) -> np.ndarray:
@@ -310,8 +333,8 @@ def pair_amplitude_matrix(table: SchmidtTable, delta_phis: np.ndarray) -> np.nda
     Returns a complex array of shape (len(delta_phis), n_max + 1) whose
     [j, n] entry is the amplitude for n detected pairs at offset
     delta_phis[j]: the sum over m of exp(i m delta_phis[j]) pair_kernel[m, n].
-    This is the one-table case of pair_amplitude_blocks, which says how the
-    blocks and their bits go.
+    This is the one-table case of pair_amplitude_blocks; block_spans and
+    amplitude_block say how the blocks and their bits go.
     """
     dphi = np.asarray(delta_phis, dtype=np.float64)
     out = np.empty((len(dphi), table.n_max + 1), dtype=np.complex128)

@@ -14,6 +14,7 @@ import pytest
 import su11sim
 from su11sim import make_model, outcome_of_code, outcome_probabilities
 import su11sim.cli as cli
+import su11sim.ensemble as ensemble_mod
 from su11sim.cli import build_parser, main
 
 
@@ -351,6 +352,30 @@ class TestEnsembleCommand:
             main(["ensemble", "--phi-true", "0.75", "--label", "x"])
         assert exc.value.code == 2
         assert "--label" in capsys.readouterr().err
+
+    def test_nbar_sweep_artifacts_identical_for_one_and_two_workers(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # two workers build the sweep's eight tables on two threads; 1025
+        # points end the pass in a lone offset
+        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 2)
+        artifacts = {}
+        for workers in (1, 2):
+            paths = [tmp_path / f"w{workers}_{name}" for name in ("c.json", "cells.csv", "trials.csv")]
+            code, _, _ = run_cli(
+                [
+                    "ensemble", "--protocol", "optimal", "--phi-true", "0.75",
+                    "--mean-photons", "0.5,1,2,4,8,16,24,32", "--trials", "2",
+                    "--measurements", "40", "--grid-points", "1025",
+                    "--workers", str(workers), "--out", str(paths[0]),
+                    "--cells-csv", str(paths[1]), "--trials-csv", str(paths[2]),
+                ],
+                capsys,
+            )
+            assert code == 0
+            artifacts[workers] = [p.read_bytes() for p in paths]
+        assert artifacts[1] == artifacts[2]
+        assert len(artifacts[1][1].decode().splitlines()) == 3 + 8
 
     def test_config_takes_seed_workers_and_outputs(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"

@@ -495,6 +495,58 @@ class TestChildProcesses:
         assert starts == []
         assert ensemble_mod._MODELS == {}
 
+    def test_a_pass_threads_exception_raises_before_any_child_starts(
+        self, monkeypatch, starts
+    ):
+        # two n-bar on 256 points: eight 32-offset blocks over two threads
+        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 8)
+        block = tmsq.amplitude_block
+        taken = []
+        lock = threading.Lock()
+
+        def faulty(*args):
+            with lock:
+                taken.append(threading.current_thread())
+                third = len(taken) == 3
+            if third:
+                raise LookupError("synthetic fault in the third block")
+            return block(*args)
+
+        monkeypatch.setattr(measurement_mod, "amplitude_block", faulty)
+        threads = threading.active_count()
+        cfg = tiny_campaign(mean_photons=(4.0, 32.0), grid=PhaseGrid(n_points=256))
+        with pytest.raises(LookupError, match="third block"):
+            run_campaign(cfg, workers=2)
+        assert starts == []
+        assert threading.active_count() == threads
+        assert ensemble_mod._MODELS == {}
+
+    def test_no_child_is_forked_while_a_pass_thread_runs(self, monkeypatch):
+        # three processes: two pass threads besides the caller, all ended
+        # before either child starts, and none left when the call returns
+        cfg = tiny_campaign(mean_photons=(4.0, 8.0, 32.0), phi_true=(0.75,), trials=2)
+        serial = run_campaign(cfg, workers=1)
+        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 8)
+        events = []
+        thread_start = threading.Thread.start
+        process_start = multiprocessing.process.BaseProcess.start
+
+        def thread_started(thread):
+            events.append("thread")
+            thread_start(thread)
+
+        def process_started(process):
+            events.append(("child", threading.active_count()))
+            process_start(process)
+
+        monkeypatch.setattr(threading.Thread, "start", thread_started)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", process_started)
+        threads = threading.active_count()
+        pooled = run_campaign(cfg, workers=3)
+        assert events == ["thread", "thread", ("child", threads), ("child", threads)]
+        assert threading.active_count() == threads
+        assert pooled.to_dict() == serial.to_dict()
+
     def test_spawned_children_give_the_same_result(self, monkeypatch, starts):
         # spawned children get only their arguments, none of the caller's memory
         monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 8)

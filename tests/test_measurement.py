@@ -10,6 +10,7 @@ import functools
 import gc
 import math
 import pickle
+import threading
 import tracemalloc
 import weakref
 
@@ -31,6 +32,7 @@ from su11sim.measurement import (
     shared_grid_tables,
 )
 from su11sim.ensemble import CampaignConfig, run_campaign
+import su11sim.ensemble as ensemble_mod
 from su11sim.measurement import _grid_log_tables
 from su11sim.posterior import LOG_FLOOR
 from su11sim.protocols import MODE_OPTIMAL, ProtocolConfig
@@ -296,6 +298,20 @@ class TestMirroredGridBuild:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_two_thread_pass_transient_memory_stays_bounded(self):
+        # the one-thread pass above plus what the second thread holds at
+        # once: its own phase block, 33 x 3673 complex (1.8 MiB), and the
+        # complex copy of the deepest kernel, 3673 x 17 (0.95 MiB), that
+        # numpy makes for each of its products
+        models = [make_model("photon", nbar) for nbar in (8.0, 16.0, 24.0, 32.0)]
+        tracemalloc.start()
+        try:
+            shared_grid_tables(models[0], PhaseGrid(), *models[1:], threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20 + 33 * 3673 * 16 + 3673 * 17 * 16
+
 
 @functools.lru_cache(maxsize=None)
 def pass_models() -> tuple:
@@ -320,15 +336,44 @@ class TestOnePass:
             got = LikelihoodGrid(model, grid, log_table)._log_table
             assert np.array_equal(got, LikelihoodGrid(model, grid)._log_table), model
 
+    @pytest.mark.parametrize("n_points", (64, 999, 1025, 1153, 4097))
+    def test_tables_do_not_depend_on_the_thread_count(self, n_points):
+        # the filled half of each table, compared as bytes
+        grid = PhaseGrid(n_points=n_points)
+        models = pass_models()
+        want = [t[:, n_points - 1 :].tobytes() for t in _grid_log_tables(models, grid)]
+        for threads in (2, 3):
+            got = _grid_log_tables(models, grid, threads=threads)
+            assert [t[:, n_points - 1 :].tobytes() for t in got] == want, threads
+
+    def test_a_pass_threads_exception_reaches_the_caller(self, monkeypatch):
+        # the calling thread waits until the other thread has taken a block
+        entered = threading.Event()
+        block = tmsq_mod.amplitude_block
+
+        def faulty(*args):
+            if threading.current_thread() is threading.main_thread():
+                entered.wait(10)
+                return block(*args)
+            entered.set()
+            raise LookupError("synthetic fault in a pass thread")
+
+        monkeypatch.setattr(measurement_mod, "amplitude_block", faulty)
+        threads = threading.active_count()
+        with pytest.raises(LookupError, match="pass thread"):
+            _grid_log_tables(pass_models(), PhaseGrid(n_points=256), threads=2)
+        assert entered.is_set()
+        assert threading.active_count() == threads
+
     def test_shared_tables_fill_every_model_once(self, monkeypatch):
         calls = []
-        blocks = measurement_mod._probability_blocks
+        build = measurement_mod._grid_log_tables
 
-        def counting(models, offsets):
+        def counting(models, grid, threads=1):
             calls.append(len(models))
-            return blocks(models, offsets)
+            return build(models, grid, threads)
 
-        monkeypatch.setattr(measurement_mod, "_probability_blocks", counting)
+        monkeypatch.setattr(measurement_mod, "_grid_log_tables", counting)
         grid = PhaseGrid(n_points=64)
         first, second = make_model("photon", 1.0), make_model("photon", 2.0)
         tables = shared_grid_tables(first, grid, second, first)
@@ -338,20 +383,19 @@ class TestOnePass:
         assert calls == [2]
 
     def test_campaign_fills_each_phase_block_once(self, monkeypatch):
-        # four n-bar on one grid: one pass whose blocks cover the N
-        # non-negative offsets once, from offset 0, in the 32-offset blocks
-        # that the deepest table (nbar 32, p_max 3672) sets
-        passes = []
-        blocks = tmsq_mod.pair_amplitude_blocks
+        # four n-bar on one grid, on two threads: the blocks of both, taken
+        # together, cover the N non-negative offsets once, from offset 0, in
+        # the 32-offset blocks that the deepest table (nbar 32, p_max 3672)
+        # sets, each over all four tables
+        blocks = []
+        block = tmsq_mod.amplitude_block
 
-        def counting(tables, delta_phis):
-            rows = []
-            passes.append((len(tables), rows))
-            for block in blocks(tables, delta_phis):
-                rows.append((block[0].start, block[0].stop))
-                yield block
+        def counting(tables, delta_phis, rows, buf):
+            blocks.append((rows.start, rows.stop, len(tables)))
+            return block(tables, delta_phis, rows, buf)
 
-        monkeypatch.setattr(measurement_mod, "pair_amplitude_blocks", counting)
+        monkeypatch.setattr(measurement_mod, "amplitude_block", counting)
+        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 2)
         cfg = CampaignConfig(
             protocol=ProtocolConfig(mode=MODE_OPTIMAL, measurements=5),
             mean_photons=(4.0, 8.0, 16.0, 32.0),
@@ -360,8 +404,7 @@ class TestOnePass:
             grid=PhaseGrid(n_points=256),
         )
         run_campaign(cfg, workers=2)
-        assert [n for n, _ in passes] == [4]
-        assert passes[0][1] == [(start, start + 32) for start in range(0, 256, 32)]
+        assert sorted(blocks) == [(start, start + 32, 4) for start in range(0, 256, 32)]
 
 
 class TestPmfAndResidual:
