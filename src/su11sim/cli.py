@@ -369,10 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help=(
-            "processes that run cells, and threads that build their tables, "
-            "this one included; at most the usable CPUs"
-        ),
+        help="processes that run cells, this one included; at most the usable CPUs",
     )
     _add_grid_flags(p)
     _add_table_flags(p)

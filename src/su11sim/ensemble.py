@@ -6,16 +6,15 @@ never depend on execution order or worker count.
 
 Campaigns and threshold scans share one cell runner: a scan's feedback
 phases are fixed-mode cells. The calling process builds every model and
-then every likelihood table, in one pass on as many threads as the call
-has processes; it and any child processes then take cells from one order,
-children send back per-trial summaries, and cell statistics are computed
-from them in the calling process.
+then every likelihood table, in one pass on as many threads as it has
+usable CPUs (tmsq.amplitude_pass); it and any child processes then take
+cells from one order, children send back per-trial summaries, and cell
+statistics are computed from them in the calling process.
 """
 from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 import queue
 from dataclasses import asdict, dataclass, field, replace
 from itertools import product
@@ -28,7 +27,7 @@ from .measurement import make_model, shared_grid_tables
 from .posterior import PhaseGrid
 from .protocols import MODE_FIXED, ProtocolConfig, finite_real, known_keys
 from .protocols import run_trials, scheme_for_mode
-from .tmsq import TAIL_TOL
+from . import tmsq
 
 # Not called here, but kept importable from this module: the span tracer in
 # perfbench/trace_spans.py wraps this name at this import site.
@@ -47,7 +46,7 @@ _CHILD_CHECK_S = 0.1
 # versions still load; from_dict refuses any other value. residual_policy
 # names the one sampling law, the exact geometric tail; tail_tol is the
 # table's one truncation tolerance; label was free text that changed nothing.
-_FIXED_ECHOES = {"residual_policy": "exact_tail", "tail_tol": TAIL_TOL, "label": ""}
+_FIXED_ECHOES = {"residual_policy": "exact_tail", "tail_tol": tmsq.TAIL_TOL, "label": ""}
 
 
 def _splitmix64(z: int) -> int:
@@ -248,14 +247,6 @@ def _run_cell(config: CampaignConfig, cell: tuple[int, float, float]):
     return summaries, failures
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the machine's."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
 def _take_cells(configs, cells, order, taken):
     """Yield (cell index, _run_cell output) for the cells this process takes
     from `order`; `taken` counts the cells every process has taken, and the
@@ -285,13 +276,13 @@ def _run_cells(configs, cells, workers: int = 1) -> list:
     the calling one included; outputs in cell order. The only owner of the
     child processes and of _MODELS.
 
-    The call runs procs = min(workers, cells, usable CPUs) processes. First
-    the caller makes every model the cells need, in the order below, so an
-    error of make_model raises here before any child starts. Then it
-    builds all their likelihood tables, in one pass per grid on procs
-    threads (shared_grid_tables), so the children inherit them through fork
-    and only run trials. Every pass thread has ended before the first
-    child is forked.
+    The call runs procs = min(workers, cells, tmsq._usable_cpus())
+    processes. First the caller makes every model the cells need, in the
+    order below, so an error of make_model raises here before any child
+    starts. Then it builds all their likelihood tables, one pass per grid
+    (shared_grid_tables) on every usable CPU whatever procs is, so the
+    children inherit them through fork and only run trials. Every pass
+    thread has ended before the first child is forked.
 
     Then procs - 1 children start, each with the cells and a shared count
     of those taken as arguments, before the caller runs its first cell.
@@ -306,7 +297,7 @@ def _run_cells(configs, cells, workers: int = 1) -> list:
     returns or raises.
     """
     order = sorted(range(len(cells)), key=lambda i: cells[i][2], reverse=True)
-    procs = min(workers, len(cells), _usable_cpus())
+    procs = min(workers, len(cells), tmsq._usable_cpus())
     ctx = multiprocessing.get_context()
     taken = ctx.Value("q", 0)
     results = ctx.Queue()
@@ -327,7 +318,7 @@ def _run_cells(configs, cells, workers: int = 1) -> list:
         for i in order:
             by_grid.setdefault(configs[i].grid, []).append(_model(configs[i], cells[i][2]))
         for grid, (first, *rest) in by_grid.items():
-            shared_grid_tables(first, grid, *rest, threads=procs)
+            shared_grid_tables(first, grid, *rest)
         for _ in range(procs - 1):
             child = ctx.Process(target=_child, args=(configs, cells, order, taken, results))
             child.start()
@@ -402,7 +393,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignResult:
     `workers` counts the processes that run cells, the calling one
     included, and is capped at the cells and at the usable CPUs (the
     affinity mask, else the CPU count). The likelihood tables are built
-    first, on as many threads as there are processes.
+    first, on as many threads as there are usable CPUs, whatever `workers`.
 
     Trials that fail with a domain error are recorded and skipped, but a
     failure fraction above 1% aborts the whole campaign.
@@ -487,7 +478,9 @@ def threshold_scan(
     Each theta is one fixed-mode campaign cell (cell index = its position)
     of `trials` runs capped at max_measurements steps; rows report censored
     quartiles of the step at which a rival mode first reached half the
-    primary's height. A failed trial aborts the scan with a CampaignError.
+    primary's height. The cells run in this process, after their one
+    likelihood table is built on as many threads as there are usable CPUs.
+    A failed trial aborts the scan with a CampaignError.
     """
     thetas = list(thetas)
     if not (thetas and all(map(finite_real, thetas))):

@@ -10,15 +10,15 @@ A closed-form route exists for every probability because the output state is
 always a phase-twisted twin-beam state: the pair distribution is geometric,
 p(n) = (1 - v) v^n, with v the pair ratio below. Production likelihoods for
 outcome codes up to n_max come from the truncated amplitude tables through
-one route, a pass of offset blocks over one or more models
-(tmsq.amplitude_block, then _block_probabilities). outcome_probabilities
-is its one-model, one-thread case, which likelihood, pmf and the CLI's
-likelihood curves read. LikelihoodGrid's log tables are written block by
-block from the same pass, and shared_grid_tables given several models
-fills all their tables in one pass, computing each block of phase factors
-once (a campaign builds every table this way before its trials start, on
-as many threads as it has processes). The geometric form is the one
-sampling law (outcome_law) and gives the n > n_max tail rows. Tests
+one route, a pass of offset blocks over one or more models on up to one
+thread per usable CPU (tmsq.amplitude_pass, then _block_probabilities).
+outcome_probabilities is its one-model case, which likelihood, pmf and
+the CLI's likelihood curves read. LikelihoodGrid's log tables are written
+block by block from the same pass, and shared_grid_tables given several
+models fills all their tables in one pass, computing each block of phase
+factors once (a campaign builds every table this way before its trials
+start). The geometric form is the one sampling law (outcome_law) and
+gives the n > n_max tail rows. Tests
 cross-check the two routes against each other and against brute-force sums.
 LikelihoodGrid stores only the log table. The pass evaluates it at the
 non-negative offsets only, and the negative ones are filled by mirroring
@@ -29,7 +29,6 @@ conjugates of those at u.
 from __future__ import annotations
 
 import math
-import threading
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
@@ -38,8 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .posterior import LOG_FLOOR, PhaseGrid
-from .tmsq import OpaParams, SchmidtTable, amplitude_block, block_spans
-from .tmsq import build_schmidt_table, pair_amplitude_blocks
+from .tmsq import OpaParams, SchmidtTable, amplitude_pass, build_schmidt_table
 
 _PMF_FLOOR = 1e-14
 
@@ -204,16 +202,18 @@ def outcome_probabilities(model: LikelihoodModel, offsets) -> np.ndarray:
     Returns an array of shape (len(offsets), n_max + 1) whose [j, c] entry
     is the probability of outcome_of_code(model.scheme, c) at offsets[j].
     This is the one route from the amplitude table to probabilities, here
-    in its one-model, one-thread case (tmsq.pair_amplitude_blocks);
-    LikelihoodGrid's tables come from the same blocks. Plus and minus are
-    clamped at 0.
+    in its one-model case (tmsq.amplitude_pass); LikelihoodGrid's tables
+    come from the same blocks. Plus and minus are clamped at 0.
     """
     u = np.asarray(offsets, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError(f"offsets must be one-dimensional, got shape {u.shape}")
     out = np.empty((len(u), model.n_max + 1))
-    for rows, amps in pair_amplitude_blocks([model.table], u):
+
+    def store(rows, amps) -> None:
         (out[rows],) = _block_probabilities([model], amps)
+
+    amplitude_pass([model.table], u, store)
     return out
 
 
@@ -407,68 +407,32 @@ def _grid_offsets(grid: PhaseGrid) -> np.ndarray:
     return (np.arange(2 * n - 1, dtype=np.float64) - (n - 1)) * grid.spacing
 
 
-def _grid_log_tables(models, grid: PhaseGrid, threads: int = 1) -> list[np.ndarray]:
+def _grid_log_tables(models, grid: PhaseGrid) -> list[np.ndarray]:
     """One (n_max + 1, 2N - 1) log table per model, its N non-negative
-    offsets filled and floored at LOG_FLOOR, from one pass over the blocks
-    of tmsq.block_spans for them all, run on up to `threads` threads, the
-    calling one included.
+    offsets filled and floored at LOG_FLOOR, from one pass over them all
+    (tmsq.amplitude_pass, on the threads it picks).
 
-    Each thread takes the next block from one shared iterator and writes
-    its log rows straight into each model's table, into the block's own
-    columns, so no whole amplitude or probability array is made and no two
-    threads write the same entry. The log is taken on the contiguous block
-    before it is stored, so every entry keeps the bits of a log taken over
-    the whole probability array. A block's bits depend neither on the
-    blocks before it nor on the thread that computes it, so the tables are
-    the same for any thread count.
-
-    The phase buffers, one per thread, are made here before any thread
-    starts. The first exception of any thread is raised here, once every
-    thread has ended; the others then take no further block.
+    Each block's log rows go straight into its own columns of each table,
+    so no whole amplitude or probability array is made and no two threads
+    write the same entry. The log is taken on the contiguous block, so
+    every entry keeps the bits of a log over the whole probability array.
     """
     n = grid.n_points
-    offsets = _grid_offsets(grid)[n - 1 :]
     tables = [np.empty((m.n_max + 1, 2 * n - 1)) for m in models]
-    schmidt = [m.table for m in models]
-    spans, shape = block_spans(schmidt, n)
-    bufs = [np.empty(shape, dtype=np.complex128) for _ in range(min(threads, len(spans)))]
-    spans = iter(spans)
-    take = threading.Lock()
-    errors = []
 
-    def fill(buf) -> None:
-        try:
-            with np.errstate(divide="ignore"):  # numpy's error state is per thread
-                while not errors:
-                    with take:
-                        rows = next(spans, None)
-                    if rows is None:
-                        return
-                    amps = amplitude_block(schmidt, offsets, rows, buf)
-                    cols = slice(n - 1 + rows.start, n - 1 + rows.stop)
-                    for table, probs in zip(tables, _block_probabilities(models, amps)):
-                        np.log(probs, out=probs)
-                        np.maximum(probs, LOG_FLOOR, out=probs)
-                        table[:, cols] = probs.T
-        except BaseException as exc:
-            errors.append(exc)
+    def store(rows, amps) -> None:
+        cols = slice(n - 1 + rows.start, n - 1 + rows.stop)
+        with np.errstate(divide="ignore"):  # numpy's error state is per thread
+            for table, probs in zip(tables, _block_probabilities(models, amps)):
+                np.log(probs, out=probs)
+                np.maximum(probs, LOG_FLOOR, out=probs)
+                table[:, cols] = probs.T
 
-    helpers = [threading.Thread(target=fill, args=(buf,)) for buf in bufs[1:]]
-    for helper in helpers:
-        helper.start()
-    try:
-        fill(bufs[0])
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
+    amplitude_pass([m.table for m in models], _grid_offsets(grid)[n - 1 :], store)
     return tables
 
 
-def shared_grid_tables(
-    model: LikelihoodModel, grid: PhaseGrid, *more, threads: int = 1
-) -> LikelihoodGrid:
+def shared_grid_tables(model: LikelihoodModel, grid: PhaseGrid, *more) -> LikelihoodGrid:
     """Cached LikelihoodGrid per (model, grid) pair, built on first use.
 
     The one table cache. Grids key it by value, so equal grids (a fresh
@@ -478,11 +442,11 @@ def shared_grid_tables(
 
     The models in `more` are filled too: every model given that has no
     tables for the grid yet gets them from one pass (_grid_log_tables),
-    which computes each block of phase factors once for all of them, on up
-    to `threads` threads. Returns model's tables.
+    which computes each block of phase factors once for all of them.
+    Returns model's tables.
     """
     todo = [m for m in dict.fromkeys((model, *more)) if grid not in m._grid_tables]
     if todo:
-        for m, log_table in zip(todo, _grid_log_tables(todo, grid, threads)):
+        for m, log_table in zip(todo, _grid_log_tables(todo, grid)):
             m._grid_tables[grid] = LikelihoodGrid(m, grid, log_table)
     return model._grid_tables[grid]

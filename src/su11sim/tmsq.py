@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +22,11 @@ HARD_PAIR_CAP = 4096
 # the one truncation tolerance: every table column's squared sum closes to
 # within it of one; campaign JSON and the likelihood CSV echo it as tail_tol
 TAIL_TOL = 1e-12
-# bytes of one phase buffer of block_spans, one per thread of a pass: 32
-# offsets at p_max 3672 (nbar 32), 256 at p_max 475 (nbar 4)
+# bytes of the phase buffers of one pass, shared by its threads (block_spans):
+# 256 offsets a block at p_max 475 (nbar 4) on one thread, 128 on two; no
+# block is shorter than the 32 offsets nbar 32 (p_max 3672) takes on one
 _BLOCK_BYTES = 2 << 20
+_MIN_BLOCK = 32
 # offsets per product of the first table builds, whose bits every table keeps
 _FIRST_PRODUCT = 1024
 # relative rounding allowed to a column's sum of squares in _coeff_matrix
@@ -256,28 +260,36 @@ def build_schmidt_table(params: OpaParams, n_max: int = 16) -> SchmidtTable:
     )
 
 
-def block_spans(tables, n_offsets: int):
-    """The row blocks of a pass of pair_amplitude_blocks over n_offsets offsets.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def block_spans(tables, n_offsets: int, threads: int):
+    """The row blocks of a pass (amplitude_pass) over n_offsets offsets.
 
     Returns (spans, shape): spans are the consecutive slices of the offsets
     that the blocks cover, from offset 0, and shape is the (rows, columns)
     of a complex phase buffer that holds any one block's phase factors, out
     to the deepest p_max among the tables.
 
-    A block's offsets number the largest power of two, from 2 to
-    _FIRST_PRODUCT, whose phase factors fit in about _BLOCK_BYTES. Short
-    rows thus come in long blocks, which cost less per offset, and deep ones
-    in short blocks, which bound the memory. A lone row takes BLAS's
-    matrix-vector path, whose bits differ from those of a product over two
-    or more rows. The first tables, built _FIRST_PRODUCT offsets a product,
-    had one exactly when the offsets number 1 (mod _FIRST_PRODUCT), where
-    the block size, which divides _FIRST_PRODUCT, leaves one too. So a
-    one-row remainder stays alone there and joins the block before it
-    elsewhere, and every table keeps its bits.
+    A block's offsets number the largest power of two, from _MIN_BLOCK to
+    _FIRST_PRODUCT, whose phase factors for `threads` blocks fit in about
+    _BLOCK_BYTES: short rows come in long blocks, which cost less per
+    offset, and deep ones in short blocks, which bound the memory. A lone
+    row takes BLAS's matrix-vector path, whose bits differ from those of a
+    product over two or more rows. The first tables, built _FIRST_PRODUCT
+    offsets a product, had one exactly when the offsets number 1 (mod
+    _FIRST_PRODUCT), where the block size, which divides _FIRST_PRODUCT,
+    leaves one too. So a one-row remainder stays alone there and joins the
+    block before it elsewhere, and every table keeps its bits.
     """
     columns = max(t.p_max for t in tables) + 1
     block = _FIRST_PRODUCT
-    while block > 2 and block * columns * 16 > _BLOCK_BYTES:  # 16 bytes per complex
+    while block > _MIN_BLOCK and threads * block * columns * 16 > _BLOCK_BYTES:
         block //= 2
     starts = list(range(0, n_offsets, block))
     if n_offsets % block == 1 and n_offsets % _FIRST_PRODUCT != 1:
@@ -311,20 +323,50 @@ def amplitude_block(tables, delta_phis: np.ndarray, rows: slice, buf: np.ndarray
     return [phases[:, : t.p_max + 1] @ t.pair_kernel for t in tables]
 
 
-def pair_amplitude_blocks(tables, delta_phis):
-    """Detection amplitudes of several tables at many phase offsets, a row block at a time.
+def amplitude_pass(tables, delta_phis, use) -> None:
+    """The one pass: use(rows, amps) is called once per block of
+    block_spans, in no fixed order, where rows is the slice of delta_phis
+    the block covers and amps is amplitude_block's list for it; `use` must
+    write each block to its own place.
 
-    Yields (rows, amps) for the blocks of block_spans in order: rows is the
-    slice of delta_phis the block covers, and amps is amplitude_block's
-    list for it. This is the serial pass, one thread and one phase buffer
-    of about _BLOCK_BYTES; measurement._grid_log_tables runs the same
-    blocks on several threads, one buffer each.
+    The pass runs on min(_usable_cpus(), blocks) threads, the caller
+    included, so a pass of no block or one starts no thread. Their phase
+    buffers, one each, are made before any thread starts, and the threads
+    take blocks from one shared iterator. A block's bits depend neither on
+    the blocks before it nor on its thread, so the result is the same for
+    any thread count. The first exception of any thread is raised here
+    once every thread has ended; the others take no further block.
     """
     dphi = np.asarray(delta_phis, dtype=np.float64)
-    spans, shape = block_spans(tables, len(dphi))
-    buf = np.empty(shape, dtype=np.complex128)
-    for rows in spans:
-        yield rows, amplitude_block(tables, dphi, rows, buf)
+    cpus = _usable_cpus()
+    spans, shape = block_spans(tables, len(dphi), cpus)
+    bufs = [np.empty(shape, dtype=np.complex128) for _ in range(min(cpus, len(spans)))]
+    spans = iter(spans)
+    take = threading.Lock()
+    errors = []
+
+    def run(buf) -> None:
+        try:
+            while not errors:
+                with take:
+                    rows = next(spans, None)
+                if rows is None:
+                    return
+                use(rows, amplitude_block(tables, dphi, rows, buf))
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(buf,)) for buf in bufs[1:]]
+    for helper in helpers:
+        helper.start()
+    try:
+        for buf in bufs[:1]:
+            run(buf)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
 
 def pair_amplitude_matrix(table: SchmidtTable, delta_phis: np.ndarray) -> np.ndarray:
@@ -333,11 +375,13 @@ def pair_amplitude_matrix(table: SchmidtTable, delta_phis: np.ndarray) -> np.nda
     Returns a complex array of shape (len(delta_phis), n_max + 1) whose
     [j, n] entry is the amplitude for n detected pairs at offset
     delta_phis[j]: the sum over m of exp(i m delta_phis[j]) pair_kernel[m, n].
-    This is the one-table case of pair_amplitude_blocks; block_spans and
+    This is the one-table case of amplitude_pass; block_spans and
     amplitude_block say how the blocks and their bits go.
     """
-    dphi = np.asarray(delta_phis, dtype=np.float64)
-    out = np.empty((len(dphi), table.n_max + 1), dtype=np.complex128)
-    for rows, (amps,) in pair_amplitude_blocks([table], dphi):
-        out[rows] = amps
+    out = np.empty((len(delta_phis), table.n_max + 1), dtype=np.complex128)
+
+    def store(rows, amps) -> None:
+        (out[rows],) = amps
+
+    amplitude_pass([table], delta_phis, store)
     return out

@@ -14,7 +14,6 @@ import pytest
 import su11sim
 from su11sim import make_model, outcome_of_code, outcome_probabilities
 import su11sim.cli as cli
-import su11sim.ensemble as ensemble_mod
 from su11sim.cli import build_parser, main
 
 
@@ -115,6 +114,27 @@ class TestLikelihood:
             assert all(float(r[0]) == u for r in block)
             assert [r[1] for r in block] == labels + ["tail"]
             assert [float(r[2]) for r in block[:-1]] == list(want[i])
+
+    @pytest.mark.parametrize("points", (0, 1))
+    def test_a_pass_of_no_offset_or_one(self, points, tmp_path, capsys, usable_cpus):
+        # no block, or one: the pass makes at most one buffer and no thread
+        usable_cpus(2)
+        target = tmp_path / "curves.csv"
+        code, _, _ = run_cli(
+            [
+                "likelihood", "--scheme", "optimal", "--mean-photons", "4",
+                "--points", str(points), "--out", str(target),
+            ],
+            capsys,
+        )
+        assert code == 0
+        lines = target.read_text().splitlines()
+        assert lines[2] == "delta_phi,outcome,probability"
+        assert len(lines) == 3 + points * (16 + 2)
+        if points:
+            # np.linspace's one point is --lo
+            assert {float(line.split(",")[0]) for line in lines[3:]} == {-np.pi}
+            assert sum(float(line.split(",")[2]) for line in lines[3:]) == pytest.approx(1.0)
 
     def test_amplitude_blocks_bound_the_memory(self):
         # one product over every offset would need a 2500 x (p_max + 1)
@@ -354,11 +374,11 @@ class TestEnsembleCommand:
         assert "--label" in capsys.readouterr().err
 
     def test_nbar_sweep_artifacts_identical_for_one_and_two_workers(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, usable_cpus
     ):
-        # two workers build the sweep's eight tables on two threads; 1025
-        # points end the pass in a lone offset
-        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 2)
+        # one and two workers both build the sweep's eight tables on the two
+        # usable CPUs; 1025 points end the pass in a lone offset
+        usable_cpus(2)
         artifacts = {}
         for workers in (1, 2):
             paths = [tmp_path / f"w{workers}_{name}" for name in ("c.json", "cells.csv", "trials.csv")]
@@ -757,6 +777,78 @@ class TestSeedsAndErrors:
         )
         assert code == 1
         assert "error:" in err
+
+
+AFFINITY_CALLS = (
+    ["run", "--protocol", "fixed", "--theta", "0.7"],
+    ["run", "--protocol", "ladder"],
+    ["run", "--protocol", "optimal"],
+)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs an affinity mask of two CPUs or more",
+)
+class TestUsableCpus:
+    # each command's table pass runs on as many threads as the affinity
+    # mask holds CPUs; the files must not change with them. BLAS runs one
+    # thread in both children, as under perfbench: OpenBLAS sizes its own
+    # pool by the mask, and its threaded matrix-vector product gives the
+    # lone last offset of 4097 other bits (ROADMAP, "Current state")
+    BLAS_ONE_THREAD = {
+        k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    PROBE = (
+        "import json, sys\n"
+        "import su11sim.tmsq as tmsq\n"
+        "from su11sim.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(tmsq._usable_cpus())\n"
+    )
+
+    @staticmethod
+    def commands() -> list[list[str]]:
+        seeded = ["--phi-true", "0.75", "--mean-photons", "4", "--seed", "3"]
+        runs = [
+            [*call, *seeded, "--measurements", "200", "--out", f"run{i}.json",
+             "--trajectory-out", f"run{i}.csv"]
+            for i, call in enumerate(AFFINITY_CALLS)
+        ]
+        return [
+            *runs,
+            ["threshold", "--thetas", "0.6,0.745", *seeded, "--trials", "4",
+             "--max-measurements", "200", "--out", "scan.json", "--csv", "scan.csv"],
+            ["ensemble", "--protocol", "optimal", *seeded, "--trials", "4",
+             "--measurements", "100", "--out", "cell.json", "--cells-csv", "cells.csv",
+             "--trials-csv", "trials.csv"],
+            ["likelihood", "--scheme", "photon", "--mean-photons", "4", "--points", "4097",
+             "--out", "curves.csv"],
+        ]
+
+    def test_files_do_not_depend_on_the_usable_cpus(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(su11sim.__file__))
+        mask = sorted(os.sched_getaffinity(0))[:2]
+        files = {}
+        for count in (1, 2):
+            cpus = set(mask[:count])
+            out = tmp_path / f"cpus{count}"
+            out.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", self.PROBE, json.dumps(self.commands())],
+                cwd=out,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=300,
+                env=dict(os.environ, PYTHONPATH=src, **self.BLAS_ONE_THREAD),
+                preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+            )
+            assert proc.stdout.splitlines()[-1] == str(count)
+            files[count] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(files[1]) == 12
+        assert files[1] == files[2]
 
 
 class TestImportCost:

@@ -27,7 +27,7 @@ from su11sim import (
 )
 from su11sim.ensemble import derive_seed
 from su11sim.tmsq import OpaParams, build_schmidt_table
-from su11sim.protocols import run_trials
+from su11sim.protocols import run_trial, run_trials
 from su11sim.ensemble import ThresholdRow, _censored_quartile
 import su11sim.ensemble as ensemble_mod
 import su11sim.measurement as measurement_mod
@@ -273,7 +273,9 @@ class TestModelCache:
         assert ensemble_mod._MODELS == {}
         assert built[0]() is None
 
-    def test_pooled_cells_use_the_callers_models_and_tables(self, tmp_path, monkeypatch):
+    def test_pooled_cells_use_the_callers_models_and_tables(
+        self, tmp_path, monkeypatch, usable_cpus
+    ):
         # four cells over two n-bar at two workers: one model and one table
         # per n-bar, all built in the calling process. The caller and its
         # child share no memory, so each build and each cell taken appends
@@ -306,7 +308,7 @@ class TestModelCache:
         monkeypatch.setattr(ensemble_mod, "make_model", logged_model)
         monkeypatch.setattr(measurement_mod, "LikelihoodGrid", LoggingGrid)
         monkeypatch.setattr(ensemble_mod, "_run_cell", logged_cell)
-        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 2)
+        usable_cpus(2)
         cfg = tiny_campaign(mean_photons=(4.0, 8.0), phi_true=(0.5, 0.75), trials=2)
         assert len(run_campaign(cfg, workers=2).cells) == 4
         notes = [line.split() for line in log.read_text().splitlines()]
@@ -409,10 +411,10 @@ class TestChildProcesses:
         return started
 
     @staticmethod
-    def in_children(monkeypatch, action):
+    def in_children(monkeypatch, usable_cpus, action):
         """Runs `action` instead of each cell a child takes; the caller's own
         cells wait first, so that a child takes one."""
-        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 8)
+        usable_cpus(8)
         caller = os.getpid()
         run_cell = ensemble_mod._run_cell
 
@@ -424,21 +426,21 @@ class TestChildProcesses:
 
         monkeypatch.setattr(ensemble_mod, "_run_cell", split)
 
-    def test_a_childs_exception_reaches_the_caller(self, monkeypatch):
+    def test_a_childs_exception_reaches_the_caller(self, monkeypatch, usable_cpus):
         def fault(config, cell):
             raise LookupError(f"synthetic fault in cell {cell[0]}")
 
-        self.in_children(monkeypatch, fault)
+        self.in_children(monkeypatch, usable_cpus, fault)
         with pytest.raises(LookupError, match=r"synthetic fault in cell \d"):
             run_campaign(tiny_campaign(), workers=2)
 
-    def test_a_child_that_dies_raises_and_leaves_nothing(self, monkeypatch):
-        self.in_children(monkeypatch, lambda config, cell: os._exit(3))
+    def test_a_child_that_dies_raises_and_leaves_nothing(self, monkeypatch, usable_cpus):
+        self.in_children(monkeypatch, usable_cpus, lambda config, cell: os._exit(3))
         with pytest.raises(WorkerError, match="exited with code 3"):
             run_campaign(tiny_campaign(), workers=2)
         assert ensemble_mod._MODELS == {}
 
-    def test_outputs_larger_than_a_pipe_come_back_whole(self, monkeypatch):
+    def test_outputs_larger_than_a_pipe_come_back_whole(self, monkeypatch, usable_cpus):
         # about 106 pickled bytes per trial: each cell's summaries outgrow
         # a 64 KiB pipe, so the child's queue must buffer them
         cfg = tiny_campaign(
@@ -448,22 +450,24 @@ class TestChildProcesses:
         )
         serial = run_campaign(cfg, workers=1)
         assert len(pickle.dumps(serial.trials[:800])) > 65536
-        self.in_children(monkeypatch, ensemble_mod._run_cell)
+        self.in_children(monkeypatch, usable_cpus, ensemble_mod._run_cell)
         pooled = run_campaign(cfg, workers=2)
         assert pooled.to_dict() == serial.to_dict()
         assert pooled.trials == serial.trials
 
-    def test_workers_beyond_the_cells_start_one_child_fewer(self, monkeypatch, starts):
-        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 8)
+    def test_workers_beyond_the_cells_start_one_child_fewer(self, starts, usable_cpus):
+        usable_cpus(8)
         cfg = tiny_campaign(phi_true=(0.25, 0.5, 0.75))
         pooled = run_campaign(cfg, workers=8)
         assert len(starts) == 2
         assert pooled.to_dict() == run_campaign(cfg, workers=1).to_dict()
 
-    def test_more_processes_than_cores_take_each_cell_once(self, tmp_path, monkeypatch):
+    def test_more_processes_than_cores_take_each_cell_once(
+        self, tmp_path, monkeypatch, usable_cpus
+    ):
         # a take lost to a race would run one cell twice or skip one
         log = log_takes(monkeypatch, tmp_path / "takes")
-        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 8)
+        usable_cpus(8)
         cfg = tiny_campaign(
             protocol=ProtocolConfig(mode=MODE_OPTIMAL, measurements=2),
             phi_true=tuple(0.05 * k for k in range(1, 41)),
@@ -484,11 +488,11 @@ class TestChildProcesses:
     def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert ensemble_mod._usable_cpus() == 3
+        assert tmsq._usable_cpus() == 3
 
-    def test_a_model_error_raises_before_any_child_starts(self, monkeypatch, starts):
+    def test_a_model_error_raises_before_any_child_starts(self, starts, usable_cpus):
         # n-bar 56 needs a deeper Schmidt table than the pair cap allows
-        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 8)
+        usable_cpus(8)
         cfg = tiny_campaign(mean_photons=(4.0, 56.0), phi_true=(0.5, 0.75))
         with pytest.raises(TruncationError, match="pair ladder capped at 4096"):
             run_campaign(cfg, workers=2)
@@ -496,10 +500,10 @@ class TestChildProcesses:
         assert ensemble_mod._MODELS == {}
 
     def test_a_pass_threads_exception_raises_before_any_child_starts(
-        self, monkeypatch, starts
+        self, monkeypatch, starts, usable_cpus
     ):
-        # two n-bar on 256 points: eight 32-offset blocks over two threads
-        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 8)
+        # two n-bar on 256 points: eight 32-offset blocks over eight threads
+        usable_cpus(8)
         block = tmsq.amplitude_block
         taken = []
         lock = threading.Lock()
@@ -512,7 +516,7 @@ class TestChildProcesses:
                 raise LookupError("synthetic fault in the third block")
             return block(*args)
 
-        monkeypatch.setattr(measurement_mod, "amplitude_block", faulty)
+        monkeypatch.setattr(tmsq, "amplitude_block", faulty)
         threads = threading.active_count()
         cfg = tiny_campaign(mean_photons=(4.0, 32.0), grid=PhaseGrid(n_points=256))
         with pytest.raises(LookupError, match="third block"):
@@ -521,12 +525,13 @@ class TestChildProcesses:
         assert threading.active_count() == threads
         assert ensemble_mod._MODELS == {}
 
-    def test_no_child_is_forked_while_a_pass_thread_runs(self, monkeypatch):
-        # three processes: two pass threads besides the caller, all ended
-        # before either child starts, and none left when the call returns
+    def test_no_child_is_forked_while_a_pass_thread_runs(self, monkeypatch, usable_cpus):
+        # three processes on four usable CPUs: three pass threads besides
+        # the caller, whatever the processes, all ended before either child
+        # starts, and none left when the call returns
         cfg = tiny_campaign(mean_photons=(4.0, 8.0, 32.0), phi_true=(0.75,), trials=2)
         serial = run_campaign(cfg, workers=1)
-        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 8)
+        usable_cpus(4)
         events = []
         thread_start = threading.Thread.start
         process_start = multiprocessing.process.BaseProcess.start
@@ -543,13 +548,13 @@ class TestChildProcesses:
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", process_started)
         threads = threading.active_count()
         pooled = run_campaign(cfg, workers=3)
-        assert events == ["thread", "thread", ("child", threads), ("child", threads)]
+        assert events == ["thread"] * 3 + [("child", threads)] * 2
         assert threading.active_count() == threads
         assert pooled.to_dict() == serial.to_dict()
 
-    def test_spawned_children_give_the_same_result(self, monkeypatch, starts):
+    def test_spawned_children_give_the_same_result(self, monkeypatch, starts, usable_cpus):
         # spawned children get only their arguments, none of the caller's memory
-        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 8)
+        usable_cpus(8)
         cfg = tiny_campaign(phi_true=(0.25, 0.5, 0.75), trials=2)
         default = run_campaign(cfg, workers=2)
         spawn = multiprocessing.get_context("spawn")
@@ -557,6 +562,75 @@ class TestChildProcesses:
         monkeypatch.setattr(ensemble_mod.multiprocessing, "get_context", lambda: spawn)
         assert run_campaign(cfg, workers=2).to_dict() == default.to_dict()
         assert [type(p) for p in starts] == kinds
+
+
+def fresh_pass_call(name: str, grid: PhaseGrid):
+    """A call of `name` that builds one fresh n-bar 4 table on `grid`."""
+    if name == "threshold_scan":
+        return threshold_scan((0.6,), 0.75, 4.0, 1, 5, grid=grid)
+    if name == "run_campaign":
+        cfg = tiny_campaign(
+            protocol=ProtocolConfig(mode=MODE_OPTIMAL, measurements=5),
+            phi_true=(0.75,),
+            trials=1,
+            grid=grid,
+        )
+        return run_campaign(cfg, workers=1)
+    cfg = ProtocolConfig(mode=MODE_OPTIMAL, measurements=5, phi_true=0.75)
+    return run_trial(cfg, make_model("optimal", 4.0), grid, 3)
+
+
+PASS_CALLS = ("threshold_scan", "run_campaign", "run_trial")
+
+
+class TestPassThreads:
+    """A table pass runs on min(usable CPUs, blocks) threads, whatever the
+    processes: one process and one cell build on every usable CPU."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_left(self):
+        threads = threading.active_count()
+        yield
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("name", PASS_CALLS)
+    @pytest.mark.parametrize(
+        "cpus, n_points, helpers",
+        # at two CPUs n-bar 4 takes 128-offset blocks, so 64 points are one
+        ((2, 4096, 1), (2, 64, 0), (1, 4096, 0)),
+    )
+    def test_helper_threads_started(self, name, cpus, n_points, helpers, monkeypatch, usable_cpus):
+        usable_cpus(cpus)
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        fresh_pass_call(name, PhaseGrid(n_points=n_points))
+        assert len(started) == helpers
+        assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize("name", PASS_CALLS)
+    def test_a_pass_threads_exception_leaves_no_thread(self, name, monkeypatch, usable_cpus):
+        # the calling thread waits until the helper has taken a block
+        usable_cpus(2)
+        entered = threading.Event()
+        block = tmsq.amplitude_block
+
+        def faulty(*args):
+            if threading.current_thread() is threading.main_thread():
+                entered.wait(10)
+                return block(*args)
+            entered.set()
+            raise LookupError("synthetic fault in a pass thread")
+
+        monkeypatch.setattr(tmsq, "amplitude_block", faulty)
+        with pytest.raises(LookupError, match="pass thread"):
+            fresh_pass_call(name, PhaseGrid())
+        assert entered.is_set()
 
 
 class TestThresholdScan:

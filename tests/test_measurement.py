@@ -32,7 +32,6 @@ from su11sim.measurement import (
     shared_grid_tables,
 )
 from su11sim.ensemble import CampaignConfig, run_campaign
-import su11sim.ensemble as ensemble_mod
 from su11sim.measurement import _grid_log_tables
 from su11sim.posterior import LOG_FLOOR
 from su11sim.protocols import MODE_OPTIMAL, ProtocolConfig
@@ -284,11 +283,12 @@ class TestMirroredGridBuild:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_pass_transient_memory_stays_bounded(self):
+    def test_pass_transient_memory_stays_bounded(self, usable_cpus):
         # the four tables a pass keeps take 4 x 17 x 8191 doubles (4.3 MiB)
         # and its one phase block 33 x 3673 complex (1.8 MiB) at n-bar 32.
         # A whole amplitude and probability array per model would add
         # 6.4 MiB, and the 128-offset blocks of earlier builds 5.5 MiB
+        usable_cpus(1)
         models = [make_model("photon", nbar) for nbar in (8.0, 16.0, 24.0, 32.0)]
         tracemalloc.start()
         try:
@@ -298,19 +298,41 @@ class TestMirroredGridBuild:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    def test_two_thread_pass_transient_memory_stays_bounded(self):
+    def test_two_thread_pass_transient_memory_stays_bounded(self, usable_cpus):
         # the one-thread pass above plus what the second thread holds at
         # once: its own phase block, 33 x 3673 complex (1.8 MiB), and the
         # complex copy of the deepest kernel, 3673 x 17 (0.95 MiB), that
         # numpy makes for each of its products
+        usable_cpus(2)
         models = [make_model("photon", nbar) for nbar in (8.0, 16.0, 24.0, 32.0)]
         tracemalloc.start()
         try:
-            shared_grid_tables(models[0], PhaseGrid(), *models[1:], threads=2)
+            shared_grid_tables(models[0], PhaseGrid(), *models[1:])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20 + 33 * 3673 * 16 + 3673 * 17 * 16
+
+    def test_two_cpus_share_the_phase_memory_of_one(self, usable_cpus):
+        # the two CPUs split the 2 MiB phase budget: two buffers of 129
+        # offsets against one of 257 at n-bar 4 (p_max 475), one phase row
+        # more. What the second thread may hold besides, while the first is
+        # in its product, is at most its own complex copy of the kernel,
+        # 476 x 17, as its amplitudes and probabilities are half as long,
+        # and its own objects (its Thread and locks, and the 476-entry
+        # arange of a block; about 7 KiB together), here given 16 KiB
+        model = make_model("photon", 4.0)
+        row = (model.table.p_max + 1) * 16
+        peaks = {}
+        for cpus in (1, 2):
+            usable_cpus(cpus)
+            tracemalloc.start()
+            try:
+                _grid_log_tables([model], PhaseGrid())
+                peaks[cpus] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= peaks[1] + row + row * (model.n_max + 1) + 16 * 2**10
 
 
 @functools.lru_cache(maxsize=None)
@@ -337,17 +359,20 @@ class TestOnePass:
             assert np.array_equal(got, LikelihoodGrid(model, grid)._log_table), model
 
     @pytest.mark.parametrize("n_points", (64, 999, 1025, 1153, 4097))
-    def test_tables_do_not_depend_on_the_thread_count(self, n_points):
+    def test_tables_do_not_depend_on_the_thread_count(self, n_points, usable_cpus):
         # the filled half of each table, compared as bytes
         grid = PhaseGrid(n_points=n_points)
         models = pass_models()
+        usable_cpus(1)
         want = [t[:, n_points - 1 :].tobytes() for t in _grid_log_tables(models, grid)]
         for threads in (2, 3):
-            got = _grid_log_tables(models, grid, threads=threads)
+            usable_cpus(threads)
+            got = _grid_log_tables(models, grid)
             assert [t[:, n_points - 1 :].tobytes() for t in got] == want, threads
 
-    def test_a_pass_threads_exception_reaches_the_caller(self, monkeypatch):
+    def test_a_pass_threads_exception_reaches_the_caller(self, monkeypatch, usable_cpus):
         # the calling thread waits until the other thread has taken a block
+        usable_cpus(2)
         entered = threading.Event()
         block = tmsq_mod.amplitude_block
 
@@ -358,10 +383,10 @@ class TestOnePass:
             entered.set()
             raise LookupError("synthetic fault in a pass thread")
 
-        monkeypatch.setattr(measurement_mod, "amplitude_block", faulty)
+        monkeypatch.setattr(tmsq_mod, "amplitude_block", faulty)
         threads = threading.active_count()
         with pytest.raises(LookupError, match="pass thread"):
-            _grid_log_tables(pass_models(), PhaseGrid(n_points=256), threads=2)
+            _grid_log_tables(pass_models(), PhaseGrid(n_points=256))
         assert entered.is_set()
         assert threading.active_count() == threads
 
@@ -369,9 +394,9 @@ class TestOnePass:
         calls = []
         build = measurement_mod._grid_log_tables
 
-        def counting(models, grid, threads=1):
+        def counting(models, grid):
             calls.append(len(models))
-            return build(models, grid, threads)
+            return build(models, grid)
 
         monkeypatch.setattr(measurement_mod, "_grid_log_tables", counting)
         grid = PhaseGrid(n_points=64)
@@ -382,7 +407,7 @@ class TestOnePass:
         assert shared_grid_tables(first, grid) is tables
         assert calls == [2]
 
-    def test_campaign_fills_each_phase_block_once(self, monkeypatch):
+    def test_campaign_fills_each_phase_block_once(self, monkeypatch, usable_cpus):
         # four n-bar on one grid, on two threads: the blocks of both, taken
         # together, cover the N non-negative offsets once, from offset 0, in
         # the 32-offset blocks that the deepest table (nbar 32, p_max 3672)
@@ -394,8 +419,8 @@ class TestOnePass:
             blocks.append((rows.start, rows.stop, len(tables)))
             return block(tables, delta_phis, rows, buf)
 
-        monkeypatch.setattr(measurement_mod, "amplitude_block", counting)
-        monkeypatch.setattr(ensemble_mod, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(tmsq_mod, "amplitude_block", counting)
+        usable_cpus(2)
         cfg = CampaignConfig(
             protocol=ProtocolConfig(mode=MODE_OPTIMAL, measurements=5),
             mean_photons=(4.0, 8.0, 16.0, 32.0),

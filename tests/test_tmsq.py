@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import mpmath
@@ -178,18 +179,25 @@ class TestRealTrigAmplitudes:
                 pair_amplitude_matrix(table, [u]), exp_pair_amplitude_matrix(table, [u])
             )
 
+    @pytest.mark.parametrize("cpus", (1, 2))
     @pytest.mark.parametrize("rows", (1025, 1153, 130))
-    def test_one_pass_over_several_tables_keeps_each_tables_bits(self, rows):
+    def test_one_pass_over_several_tables_keeps_each_tables_bits(
+        self, rows, cpus, usable_cpus
+    ):
         # each table multiplies the first p_max + 1 columns of phase blocks
         # that reach the deepest table's p_max
+        usable_cpus(cpus)
         tables = [table_at(nbar) for nbar in (0.5, 4.0, 16.0, 32.0)]
         u = np.concatenate([EDGE_OFFSETS, np.linspace(-3.1, 3.1, rows - len(EDGE_OFFSETS))])
-        parts = [[] for _ in tables]
-        for _, amps in tmsq.pair_amplitude_blocks(tables, u):
+        parts = [np.empty((rows, table.n_max + 1), complex) for table in tables]
+
+        def store(span, amps):
             for part, amp in zip(parts, amps):
-                part.append(amp)
+                part[span] = amp
+
+        tmsq.amplitude_pass(tables, u, store)
         for table, part in zip(tables, parts):
-            assert np.array_equal(np.concatenate(part), exp_pair_amplitude_matrix(table, u))
+            assert np.array_equal(part, exp_pair_amplitude_matrix(table, u))
 
     @pytest.mark.parametrize("nbar", (0.5, 4.0, 32.0))
     def test_negated_offsets_give_exact_conjugates(self, nbar):
@@ -199,6 +207,44 @@ class TestRealTrigAmplitudes:
         assert np.array_equal(
             pair_amplitude_matrix(table, -u), np.conj(pair_amplitude_matrix(table, u))
         )
+
+
+class TestAmplitudePass:
+    @pytest.mark.parametrize(
+        "nbar, cpus, block",
+        # nbar 4 (p_max 475) splits the 2 MiB among the CPUs; nbar 32
+        # (p_max 3672) keeps its 32-offset blocks at any CPU count
+        ((4.0, 1, 256), (4.0, 2, 128), (4.0, 4, 64), (32.0, 1, 32), (32.0, 2, 32),
+         (32.0, 8, 32)),
+    )
+    def test_the_cpus_share_the_phase_budget(self, nbar, cpus, block):
+        spans, shape = tmsq.block_spans([table_at(nbar)], 4096, cpus)
+        assert [(s.start, s.stop) for s in spans] == [
+            (a, a + block) for a in range(0, 4096, block)
+        ]
+        assert shape == (block + 1, table_at(nbar).p_max + 1)
+
+    @pytest.mark.parametrize("n_offsets", (0, 1, 64))
+    def test_a_pass_of_no_block_or_one_starts_no_thread(
+        self, n_offsets, usable_cpus, monkeypatch
+    ):
+        # at two usable CPUs, nbar 4 takes 128-offset blocks
+        usable_cpus(2)
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        blocks = []
+        u = np.linspace(-1.0, 1.0, n_offsets)
+        tmsq.amplitude_pass([table_at(4.0)], u, lambda rows, amps: blocks.append(rows))
+        assert started == []
+        assert blocks == ([slice(0, n_offsets)] if n_offsets else [])
+        assert pair_amplitude_matrix(table_at(4.0), u).shape == (n_offsets, 17)
+        assert started == []
 
 
 class TestValidation:
