@@ -9,13 +9,14 @@ phases are fixed-mode cells. The calling process builds every model and
 then every likelihood table, in one pass on as many threads as it has
 usable CPUs (tmsq.amplitude_pass); it and any child processes then take
 cells from one order, children send back per-trial summaries, and cell
-statistics are computed from them in the calling process.
+statistics are computed from them in the calling process. A call that runs
+in one process (one worker, one cell or one usable CPU, and every threshold
+scan) starts no child and loads no multiprocessing.
 """
 from __future__ import annotations
 
 import math
-import multiprocessing
-import queue
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 
@@ -41,6 +42,11 @@ _BOOTSTRAP_RESAMPLES = 1000
 _MAX_FAILURE_FRACTION = 0.01
 # how often a caller waiting for cells checks that its children still run
 _CHILD_CHECK_S = 0.1
+# Children fork on Linux, and so inherit the caller's models and tables.
+# Elsewhere the platform's default starts them (spawn: fork is unsafe on
+# macOS and missing on Windows), and each child rebuilds what its cells
+# need; the bytes are the same either way.
+_START_METHOD = "fork" if sys.platform == "linux" else None
 # Settings that are no longer settable: campaign JSON still writes each with
 # its one value, so configs keep their bytes and those written by earlier
 # versions still load; from_dict refuses any other value. residual_policy
@@ -277,19 +283,22 @@ def _run_cells(configs, cells, workers: int = 1) -> list:
     child processes and of _MODELS.
 
     The call runs procs = min(workers, cells, tmsq._usable_cpus())
-    processes. First the caller makes every model the cells need, in the
-    order below, so an error of make_model raises here before any child
-    starts. Then it builds all their likelihood tables, one pass per grid
-    (shared_grid_tables) on every usable CPU whatever procs is, so the
-    children inherit them through fork and only run trials. Every pass
-    thread has ended before the first child is forked.
+    processes. Only with procs > 1 does it import multiprocessing and make
+    the shared count and the queue the children use, so a one-process call
+    needs no POSIX semaphore. Then the caller makes every model the cells
+    need, in the order below, so an error of make_model raises here before
+    any child starts. Then it builds all their likelihood tables, one pass
+    per grid (shared_grid_tables) on every usable CPU whatever procs is, so
+    the children inherit them through fork and only run trials. Every pass
+    thread has ended before the first child is forked. A one-process call
+    then runs every cell in the order below and returns.
 
-    Then procs - 1 children start, each with the cells and a shared count
-    of those taken as arguments, before the caller runs its first cell.
-    Every process then takes the next cell only when it is free, in
-    descending n-bar, ties in cell order. Outputs never depend on this
-    order: every trial's seed comes from its cell and trial indices. It
-    fixes only which make_model error is raised first.
+    Otherwise procs - 1 children start by _START_METHOD, each with the
+    cells and a shared count of those taken as arguments, before the
+    caller runs its first cell. Every process then takes the next cell
+    only when it is free, in descending n-bar, ties in cell order. Outputs
+    never depend on this order: every trial's seed comes from its cell and
+    trial indices. It fixes only which make_model error is raised first.
 
     Children send their outputs through a buffered queue, so none waits on
     the caller while it runs cells. A child's exception is raised here; a
@@ -298,9 +307,13 @@ def _run_cells(configs, cells, workers: int = 1) -> list:
     """
     order = sorted(range(len(cells)), key=lambda i: cells[i][2], reverse=True)
     procs = min(workers, len(cells), tmsq._usable_cpus())
-    ctx = multiprocessing.get_context()
-    taken = ctx.Value("q", 0)
-    results = ctx.Queue()
+    if procs > 1:
+        import multiprocessing
+        import queue
+
+        ctx = multiprocessing.get_context(_START_METHOD)
+        taken = ctx.Value("q", 0)
+        results = ctx.Queue()
     outputs = [None] * len(cells)
     missing = len(cells)
     children = []
@@ -319,6 +332,10 @@ def _run_cells(configs, cells, workers: int = 1) -> list:
             by_grid.setdefault(configs[i].grid, []).append(_model(configs[i], cells[i][2]))
         for grid, (first, *rest) in by_grid.items():
             shared_grid_tables(first, grid, *rest)
+        if procs == 1:
+            for i in order:
+                outputs[i] = _run_cell(configs[i], cells[i])
+            return outputs
         for _ in range(procs - 1):
             child = ctx.Process(target=_child, args=(configs, cells, order, taken, results))
             child.start()
@@ -351,6 +368,27 @@ def _run_cells(configs, cells, workers: int = 1) -> list:
         _MODELS.clear()
 
 
+# np.percentile and np.median would give the same bits, but each imports
+# numpy.ma, which a campaign needs nowhere else.
+def _percentile(ascending, q: float) -> float:
+    """np.percentile(ascending, q) of a sorted, nonempty, finite array, by
+    its default (linear) rule step for step."""
+    index = (len(ascending) - 1) * (q / 100)
+    below = math.floor(index)
+    gamma = index - below
+    a, b = ascending[below], ascending[min(below + 1, len(ascending) - 1)]
+    return float(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
+
+
+def _median(ascending) -> float:
+    """np.median of a sorted, nonempty, finite array: the middle value, or
+    the mean of the middle two."""
+    half = len(ascending) // 2
+    if len(ascending) % 2:
+        return float(ascending[half])
+    return float((ascending[half - 1] + ascending[half]) / 2)
+
+
 def _cell_stats(config, cell, bench, summaries, n_failures) -> CellStats:
     """The cell's statistics; those of an empty cell (every trial failed) read NaN."""
     cell_index, phi, nbar = cell
@@ -363,10 +401,10 @@ def _cell_stats(config, cell, bench, summaries, n_failures) -> CellStats:
             derive_seed(config.master_seed, cell_index, _BOOTSTRAP_SLOT)
         )
         idx = brng.integers(0, len(sq), size=(_BOOTSTRAP_RESAMPLES, len(sq)))
-        boot = sq[idx].mean(axis=1)
-        ci_low, ci_high = (float(q) for q in np.percentile(boot, [2.5, 97.5]))
+        boot = np.sort(sq[idx].mean(axis=1))
+        ci_low, ci_high = _percentile(boot, 2.5), _percentile(boot, 97.5)
         mse, bias = float(sq.mean()), float(err.mean())
-        mean_var, median_var = float(post_var.mean()), float(np.median(post_var))
+        mean_var, median_var = float(post_var.mean()), _median(np.sort(post_var))
     return CellStats(
         cell_index=cell_index,
         phi_true=phi,

@@ -3,6 +3,7 @@ import pytest
 
 from su11sim import PhaseGrid, make_model
 from su11sim.measurement import Scheme
+import su11sim.ensemble as ensemble
 import su11sim.tmsq as tmsq
 
 
@@ -30,3 +31,14 @@ def usable_cpus(monkeypatch):
         monkeypatch.setattr(tmsq, "_usable_cpus", lambda: count)
 
     return pin
+
+
+@pytest.fixture
+def start_method(monkeypatch):
+    """use(method): every campaign's child processes start by `method`
+    ("fork", "forkserver" or "spawn"), through ensemble._START_METHOD."""
+
+    def use(method: str) -> None:
+        monkeypatch.setattr(ensemble, "_START_METHOD", method)
+
+    return use

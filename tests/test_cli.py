@@ -853,12 +853,21 @@ class TestUsableCpus:
 
 class TestImportCost:
     # scipy.special alone was about two thirds of the CLI's start-up; no
-    # command imports scipy, which is no runtime dependency
-    @staticmethod
-    def scipy_modules_after(probe: str) -> list[str]:
+    # command imports scipy, which is no runtime dependency. A command that
+    # runs in one process loads no multiprocessing, and none loads numpy.ma
+    # (np.percentile and np.median would).
+    LISTED = (
+        "import json, sys\n"
+        "def listed():\n"
+        "    roots = ('scipy', 'multiprocessing', 'numpy.ma')\n"
+        "    return [m for m in sys.modules if any(m == r or m.startswith(r + '.') for r in roots)]\n"
+    )
+
+    @classmethod
+    def modules_after(cls, probe: str) -> list[str]:
         src = os.path.dirname(os.path.dirname(su11sim.__file__))
         out = subprocess.run(
-            [sys.executable, "-c", probe],
+            [sys.executable, "-c", cls.LISTED + probe],
             capture_output=True,
             text=True,
             check=True,
@@ -868,11 +877,8 @@ class TestImportCost:
         return json.loads(out.stdout.splitlines()[-1])
 
     def test_cli_import_loads_no_scipy(self):
-        probe = (
-            "import json, sys, su11sim.cli\n"
-            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
-        )
-        assert self.scipy_modules_after(probe) == []
+        probe = "import su11sim.cli\nprint(json.dumps(listed()))"
+        assert self.modules_after(probe) == []
 
     def test_commands_load_no_scipy(self, tmp_path):
         small = ["--grid-points", "256", "--seed", "3"]
@@ -887,15 +893,21 @@ class TestImportCost:
             ["likelihood", "--scheme", "photon", "--mean-photons", "2", "--points", "5"],
             ["verify", "--fast"],
         ]
-        calls = [[*argv, "--out", str(tmp_path / f"{i}.out")] for i, argv in enumerate(calls)]
+        # two cells on two workers, after the listing: its children need multiprocessing
+        pooled = ["ensemble", "--protocol", "optimal", "--phi-true", "0.5,0.75",
+                  "--mean-photons", "2", "--trials", "2", "--measurements", "20",
+                  "--workers", "2", *small]
+        calls = [[*argv, "--out", str(tmp_path / f"{i}.out")]
+                 for i, argv in enumerate([*calls, pooled])]
         probe = (
-            "import json, sys\n"
             "from su11sim.cli import main\n"
-            f"codes = [main(argv) for argv in {calls!r}]\n"
+            f"codes = [main(argv) for argv in {calls[:-1]!r}]\n"
             "assert codes == [0] * len(codes), codes\n"
-            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+            "loaded = listed()\n"
+            f"assert main({calls[-1]!r}) == 0\n"
+            "print(json.dumps(loaded))"
         )
-        assert self.scipy_modules_after(probe) == []
+        assert self.modules_after(probe) == []
         assert all((tmp_path / f"{i}.out").stat().st_size > 0 for i in range(len(calls)))
 
 

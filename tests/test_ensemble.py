@@ -1,7 +1,9 @@
 """Campaign harness tests: seed derivation, worker equivalence, censored stats."""
 import gc
+import errno
 import math
 import multiprocessing
+import multiprocessing.synchronize
 import os
 import pickle
 import signal
@@ -9,7 +11,10 @@ import threading
 import time
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su11sim import (
     CampaignConfig,
@@ -28,7 +33,8 @@ from su11sim import (
 from su11sim.ensemble import derive_seed
 from su11sim.tmsq import OpaParams, build_schmidt_table
 from su11sim.protocols import run_trial, run_trials
-from su11sim.ensemble import ThresholdRow, _censored_quartile
+from su11sim.ensemble import ThresholdRow, _censored_quartile, _median, _percentile
+from su11sim.cli import main
 import su11sim.ensemble as ensemble_mod
 import su11sim.measurement as measurement_mod
 import su11sim.tmsq as tmsq
@@ -552,16 +558,67 @@ class TestChildProcesses:
         assert threading.active_count() == threads
         assert pooled.to_dict() == serial.to_dict()
 
-    def test_spawned_children_give_the_same_result(self, monkeypatch, starts, usable_cpus):
-        # spawned children get only their arguments, none of the caller's memory
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_spawned_children_give_the_same_result(
+        self, method, workers, tmp_path, monkeypatch, starts, start_method, usable_cpus
+    ):
+        # a child that is not forked gets only its arguments, none of the
+        # caller's memory, and builds its own model and table; the caller
+        # waits until the child has taken the first cell
         usable_cpus(8)
-        cfg = tiny_campaign(phi_true=(0.25, 0.5, 0.75), trials=2)
-        default = run_campaign(cfg, workers=2)
-        spawn = multiprocessing.get_context("spawn")
-        kinds = [multiprocessing.get_context().Process, spawn.Process]
-        monkeypatch.setattr(ensemble_mod.multiprocessing, "get_context", lambda: spawn)
-        assert run_campaign(cfg, workers=2).to_dict() == default.to_dict()
-        assert [type(p) for p in starts] == kinds
+        caller = os.getpid()
+        take_cells = ensemble_mod._take_cells
+
+        def child_first(configs, cells, order, taken):
+            while os.getpid() == caller and taken.value == 0:
+                time.sleep(0.01)
+            yield from take_cells(configs, cells, order, taken)
+
+        monkeypatch.setattr(ensemble_mod, "_take_cells", child_first)
+        argv = ["ensemble", "--protocol", "optimal", "--phi-true", "0.75",
+                "--mean-photons", "2,4", "--trials", "2", "--measurements", "60",
+                "--grid-points", "256", "--seed", "3"]
+
+        def files(name: str, method: str, workers: int) -> dict:
+            start_method(method)
+            out = tmp_path / name
+            out.mkdir()
+            paths = ["--out", out / "campaign.json", "--cells-csv", out / "cells.csv",
+                     "--trials-csv", out / "trials.csv"]
+            assert main([*argv, "--workers", str(workers), *map(str, paths)]) == 0
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        forked = files("forked", "fork", 2)
+        del starts[:]
+        assert files("checked", method, workers) == forked
+        assert len(forked) == 3
+        kind = multiprocessing.get_context(method).Process
+        assert [type(p) for p in starts] == [kind] * (workers - 1)
+
+
+class TestOneProcess:
+    """A call that runs in one process makes no shared count and no queue,
+    and so needs no POSIX semaphore."""
+
+    def test_runs_where_no_semaphore_can_be_made(self, monkeypatch, usable_cpus):
+        # how making a semaphore fails where /dev/shm is missing
+        def unsupported(self, *args, **kwargs):
+            raise OSError(errno.ENOSYS, os.strerror(errno.ENOSYS))
+
+        usable_cpus(2)
+        grid = PhaseGrid(n_points=256)
+        one_cell = tiny_campaign(phi_true=(0.75,), trials=2, grid=grid)
+        expected = run_campaign(one_cell, workers=1).to_dict()
+        monkeypatch.setattr(multiprocessing.synchronize.SemLock, "__init__", unsupported)
+        scan = threshold_scan([0.7], 0.75, 2.0, trials=2, max_measurements=20, grid=grid)
+        assert [row.trials for row in scan.rows] == [2]
+        assert run_campaign(one_cell, workers=1).to_dict() == expected
+        assert run_campaign(one_cell, workers=2).to_dict() == expected
+        # two cells on two processes still need one
+        with pytest.raises(OSError, match="not implemented"):
+            run_campaign(tiny_campaign(trials=2, grid=grid), workers=2)
+        assert ensemble_mod._MODELS == {}
 
 
 def fresh_pass_call(name: str, grid: PhaseGrid):
@@ -722,3 +779,23 @@ class TestCensoredQuartile:
         assert _censored_quartile([None, 5, None, 2], 0.25) == 2
         assert _censored_quartile([None, 5, None, 2], 0.75) is None
         assert _censored_quartile([None, None, None], 0.5) is None
+
+
+class TestCellOrderStatistics:
+    """The bootstrap bounds and the median of a cell are np.percentile's
+    and np.median's values, bit for bit, computed without them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([1, 2, 3, 40, 41, 999, 1000]) | st.integers(1, 1200),
+        distinct=st.integers(1, 2000),
+    )
+    def test_equal_to_numpy_bit_for_bit(self, seed, n, distinct):
+        # n draws from `distinct` values, so most arrays with few have ties
+        rng = np.random.default_rng(seed)
+        x = rng.choice(rng.random(distinct) ** 3 * rng.exponential(), n)
+        ascending = np.sort(x)
+        bounds = np.array([_percentile(ascending, 2.5), _percentile(ascending, 97.5)])
+        assert bounds.tobytes() == np.percentile(x, [2.5, 97.5]).tobytes()
+        assert np.float64(_median(ascending)).tobytes() == np.float64(np.median(x)).tobytes()
